@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -32,210 +34,285 @@ void stageRetryBackoff(int attempt) {
   std::this_thread::sleep_for(std::chrono::microseconds(micros));
 }
 
-// A pair's sort key, computed once during the shuffle instead of once per
-// comparison (the seed re-ran parseNumber/toLower/display inside the
-// stable_sort comparator). `shard` is the key's hash bucket; keys that
-// the comparator treats as equivalent always share a shard, which is what
-// makes the sharded grouping emit the same order as a global sort (the
-// ordering proof is in DESIGN.md, "Executor architecture").
+/// A stage task's retry rung: a transient substrate fault restarts `body`
+/// from scratch after a backoff. Anything else, or a fault past
+/// `maxRetries`, fails the task group and reaches the degrade rung.
+template <typename Body>
+void withStageRetries(int maxRetries, workers::SubstrateStats* stats,
+                      const Body& body) {
+  for (int attempt = 0;;) {
+    try {
+      body();
+      return;
+    } catch (...) {
+      std::exception_ptr error = std::current_exception();
+      if (!isRetryableClass(classifyError(error)) || attempt >= maxRetries) {
+        std::rethrow_exception(error);
+      }
+      ++attempt;
+      stats->bump(&workers::SubstrateStats::retries);
+      stageRetryBackoff(attempt);
+    }
+  }
+}
+
+// A pair's sort key, computed once per pair instead of once per
+// comparison. `hash` is the full 64-bit hash of the key's order class:
+// keys the order treats as equivalent always hash equal, which is what
+// lets a shard find a key's class in a hash table and lets the shuffle
+// shard by `hash % shards` (the ordering argument is in DESIGN.md,
+// "Executor architecture").
 //
-// The textual rank is not materialized for text keys: `key` is a cheap
-// COW handle whose bytes are compared case-insensitively on the fly
-// (strings::compareIgnoreCase orders exactly like the seed's
-// toLower-then-< over unsigned bytes), and the shard hash comes from the
-// cached lowered hash on the shared text rep. Only non-text keys still
-// build a folded display string.
+// A text key's rank is its own bytes, compared case-insensitively on the
+// fly (strings::compareIgnoreCase orders exactly like toLower-then-< over
+// unsigned bytes). Numeric keys never need a rank, so only booleans,
+// lists and nothing render their display.
 struct SortKey {
-  Value key;           // refcount-bump copy keeps the text bytes alive
+  const Value* key = nullptr;  // the pair's key slot, owned by the Shuffle
+  std::string shown;           // display(), for non-numeric non-text keys
   double num = 0;
-  size_t shard = 0;
+  uint64_t hash = 0;
   bool numeric = false;
-  std::string folded;  // toLower(display), only for non-text keys
 };
 
 std::string_view rankOf(const SortKey& k) {
-  return k.key.isText() ? k.key.textView() : std::string_view(k.folded);
+  return k.key->isText() ? k.key->textView() : std::string_view(k.shown);
 }
 
-SortKey makeKey(const Value& key, size_t shardCount) {
+SortKey makeKey(const Value& key) {
   SortKey k;
+  k.key = &key;
   k.numeric = key.numericValue(k.num);
-  // The textual rank stays reachable even for numeric keys — a numeric
-  // key compared against a non-numeric one falls back to text order.
-  if (key.isText()) {
-    k.key = key;
-  } else {
-    k.folded = strings::toLower(key.display());
-  }
-  uint64_t hash;
   if (k.numeric) {
-    hash = std::hash<double>{}(k.num);
+    // -0 and 0 are one key, and all NaNs are one class.
+    k.hash = std::isnan(k.num) ? 0x7ff8000000000000ull
+                               : std::hash<double>{}(k.num == 0 ? 0.0 : k.num);
   } else if (key.isText()) {
-    hash = key.loweredHash();  // cached on the shared rep for long text
+    k.hash = key.loweredHash();  // cached on the shared rep for long text
   } else {
-    hash = strings::hashLowered(k.folded);
+    k.shown = key.display();
+    k.hash = strings::hashLowered(k.shown);
   }
-  k.shard = hash % shardCount;
   return k;
 }
 
-/// Exactly the seed comparator's semantics, over precomputed ranks.
+/// The shuffle's key order, a strict weak ordering over every key: all
+/// numeric keys first, by number (NaN after every other number), then
+/// all other keys by case-insensitive text.
 bool keyLess(const SortKey& a, const SortKey& b) {
-  if (a.numeric && b.numeric) return a.num < b.num;
+  if (a.numeric != b.numeric) return a.numeric;
+  if (a.numeric) {
+    if (std::isnan(a.num) || std::isnan(b.num)) {
+      return !std::isnan(a.num) && std::isnan(b.num);
+    }
+    return a.num < b.num;
+  }
   return strings::compareIgnoreCase(rankOf(a), rankOf(b)) < 0;
 }
 
-/// Normalize one map result into a [key, value] pair. Runs inside the
-/// map phase (on workers), so malformed pairs surface as map errors —
-/// the seed's separate serial validation pass over all pairs is gone.
-Value toPair(const Value& item, const Value& mapped) {
-  if (mapped.isList() && mapped.asList()->length() == 2) {
-    const Value& key = mapped.asList()->item(1);
-    if (!key.isTransferable()) {
-      throw Error(
-          "mapReduce: explicit [key, value] pair has a non-transferable "
-          "key of kind '" +
-          std::string(blocks::valueKindName(key.kind())) +
-          "'; keys must be cloneable (no rings)");
-    }
-    return mapped;  // explicit [key, value]
-  }
-  auto pair = List::make();
-  pair->add(item);
-  pair->add(mapped);
-  return Value(pair);
+/// `a.key->equals(*b.key)` for two keys of one order class. Where both
+/// are numeric or both are text, the class already decides it: numbers
+/// of one class are equal unless NaN, and non-numeric texts of one class
+/// are equal ignoring case, which is what Value::equals compares.
+bool sameKey(const SortKey& a, const SortKey& b) {
+  if (a.numeric) return a.num == b.num;
+  if (a.key->isText() && b.key->isText()) return true;
+  return a.key->equals(*b.key);
 }
 
-/// The shuffle: sort pairs by key and group equal keys, sharded.
-///
-///   A. slice tasks precompute every pair's SortKey and bin pair indices
-///      by shard (bins stay in ascending index order);
-///   B. shard tasks stable-sort their shard's indices by key and group
-///      adjacent equal keys into [key, valuesList] entries;
-///   C. the caller merges the per-shard sorted group lists; keys never
-///      tie across shards (equivalent keys share a shard by
-///      construction), so this is a strict W-way merge.
-///
-/// Output order is byte-identical to the seed's global
-/// stable_sort + adjacent grouping. Small inputs run single-sharded on
-/// the calling thread — same code path with shardCount = 1.
+/// One group of the shuffle: its key (the first pair's key), its value
+/// (the values list, then the reduced value), and the head key of its
+/// order class, by which shards merge.
+struct Group {
+  Value key;
+  Value value;
+  const SortKey* order = nullptr;
+};
+
+constexpr uint32_t kNone = UINT32_MAX;
+
+/// The shuffle over flat pair arrays: pair i is {pairKeys[i],
+/// pairValues[i]}. Slot i of every array is written by the one slice task
+/// covering i, and binned[slice] by that slice alone, so a slice that
+/// restarts from scratch rewrites all of its state exactly.
+struct Shuffle {
+  Shuffle(size_t count, size_t shards)
+      : n(count),
+        shardCount(shards),
+        pairKeys(count),
+        pairValues(count),
+        keys(count),
+        binned(shards, std::vector<std::vector<uint32_t>>(shards)) {}
+
+  /// Slice s covers [s * per(), min((s + 1) * per(), n)).
+  size_t per() const { return (n + shardCount - 1) / shardCount; }
+
+  /// Store item i's map result: an explicit [key, value] pair is split
+  /// into the two arrays; any other result is keyed by the item.
+  void setPair(size_t i, const Value& item, Value mapped) {
+    if (mapped.isList() && mapped.asList()->length() == 2) {
+      const Value& key = mapped.asList()->item(1);
+      if (!key.isTransferable()) {
+        throw Error(
+            "mapReduce: explicit [key, value] pair has a non-transferable "
+            "key of kind '" +
+            std::string(blocks::valueKindName(key.kind())) +
+            "'; keys must be cloneable (no rings)");
+      }
+      pairKeys[i] = key;
+      pairValues[i] = mapped.asList()->item(2);
+      return;
+    }
+    pairKeys[i] = item;
+    pairValues[i] = std::move(mapped);
+  }
+
+  /// Compute pair i's sort key and bin its index by shard under `slice`.
+  void bin(size_t slice, size_t i) {
+    keys[i] = makeKey(pairKeys[i]);
+    binned[slice][keys[i].hash % shardCount].push_back(uint32_t(i));
+  }
+
+  /// One shard's groups in key order — exactly the groups a stable sort
+  /// of the shard's pairs plus adjacent Value::equals grouping forms,
+  /// at the cost of sorting only the distinct keys.
+  std::vector<Group> group(size_t shard) const {
+    // Slices cover ascending contiguous ranges, so `indices` is ascending
+    // and every class below lists its members in pair order.
+    std::vector<uint32_t> indices;
+    for (const auto& slice : binned) {
+      indices.insert(indices.end(), slice[shard].begin(), slice[shard].end());
+    }
+    // 1. Hash classes: open addressing on the full hash. A slot matches
+    //    only a key that neither orders before nor after its class head.
+    size_t capacity = 16;
+    while (capacity < 2 * indices.size()) capacity *= 2;
+    std::vector<uint32_t> slots(capacity, kNone);
+    std::vector<uint32_t> heads;  // per class: its first member
+    std::vector<uint32_t> last;   // per class: its latest member
+    std::vector<uint32_t> next(indices.size(), kNone);  // member chains
+    for (uint32_t m = 0; m < indices.size(); ++m) {
+      const SortKey& key = keys[indices[m]];
+      size_t slot = key.hash & (capacity - 1);
+      for (; slots[slot] != kNone; slot = (slot + 1) & (capacity - 1)) {
+        const SortKey& head = keys[indices[heads[slots[slot]]]];
+        if (head.hash == key.hash && !keyLess(head, key) &&
+            !keyLess(key, head)) {
+          break;
+        }
+      }
+      if (slots[slot] == kNone) {
+        slots[slot] = uint32_t(heads.size());
+        heads.push_back(m);
+        last.push_back(m);
+      } else {
+        next[last[slots[slot]]] = m;
+        last[slots[slot]] = m;
+      }
+    }
+    // 2. Sort only the class heads.
+    std::vector<uint32_t> order(heads.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return keyLess(keys[indices[heads[a]]], keys[indices[heads[b]]]);
+    });
+    // 3. In key order, split each class into runs of keys equal to the
+    //    run's first key; each run's values list is built once.
+    std::vector<Group> groups;
+    for (uint32_t c : order) {
+      const SortKey* head = &keys[indices[heads[c]]];
+      for (uint32_t m = heads[c]; m != kNone;) {
+        const SortKey& run = keys[indices[m]];
+        std::vector<Value> values;
+        do {
+          values.push_back(pairValues[indices[m]]);
+          m = next[m];
+        } while (m != kNone && sameKey(run, keys[indices[m]]));
+        groups.push_back({*run.key, Value(List::make(std::move(values))),
+                          head});
+      }
+    }
+    return groups;
+  }
+
+  size_t n;
+  size_t shardCount;
+  std::vector<Value> pairKeys;
+  std::vector<Value> pairValues;
+  std::vector<SortKey> keys;
+  std::vector<std::vector<std::vector<uint32_t>>> binned;  // [slice][shard]
+};
+
+/// Serial W-way merge of per-shard group lists, each in key order. A
+/// class lives in one shard, so keys never tie across shards and the
+/// strict merge reconstitutes the global order.
+std::vector<Group> mergeShards(std::vector<std::vector<Group>>& shards) {
+  if (shards.size() == 1) return std::move(shards[0]);
+  size_t total = 0;
+  for (const auto& shard : shards) total += shard.size();
+  std::vector<Group> out;
+  out.reserve(total);
+  std::vector<size_t> cursor(shards.size(), 0);
+  while (out.size() < total) {
+    size_t best = shards.size();
+    for (size_t s = 0; s < shards.size(); ++s) {
+      if (cursor[s] >= shards[s].size()) continue;
+      if (best == shards.size() || keyLess(*shards[s][cursor[s]].order,
+                                           *shards[best][cursor[best]].order)) {
+        best = s;
+      }
+    }
+    out.push_back(std::move(shards[best][cursor[best]++]));
+  }
+  return out;
+}
+
+/// The output list of [key, value] pairs.
+ListPtr outputOf(std::vector<Group>& groups) {
+  std::vector<Value> out;
+  out.reserve(groups.size());
+  for (Group& group : groups) {
+    out.emplace_back(
+        List::make({std::move(group.key), std::move(group.value)}));
+  }
+  return List::make(std::move(out));
+}
+
+/// run()'s shuffle: bin every pair by shard, group each shard, merge.
+/// Inputs under 256 pairs and sequential runs take the same code path
+/// with one shard on the calling thread.
 ///
 /// Shuffle tasks append into shared per-slice bins, so they are NOT
 /// retryable in place (a rerun would double-bin); a substrate failure
 /// here propagates out and run()'s outer ladder rung re-executes the
 /// whole pipeline sequentially. The task-throw fault point therefore
 /// wraps the *task* bodies, never the sequential shardCount == 1 path.
-std::vector<Value> shuffleAndGroup(const std::vector<Value>& pairs,
-                                   size_t width, bool onCaller,
-                                   const CancelTokenPtr& token) {
-  const size_t n = pairs.size();
-  std::vector<Value> out;
-  if (n == 0) return out;
-  const size_t shardCount =
-      (onCaller || n < 256) ? 1 : std::max<size_t>(1, width);
-
-  // --- A: precompute keys, bin indices by shard ---------------------------
-  std::vector<SortKey> keys(n);
-  // binned[slice][shard]: pair indices, ascending within each bin.
-  std::vector<std::vector<std::vector<uint32_t>>> binned(
-      shardCount,
-      std::vector<std::vector<uint32_t>>(shardCount));
-  const size_t per = (n + shardCount - 1) / shardCount;
-  auto keySlice = [&](size_t slice) {
-    const size_t begin = slice * per;
-    const size_t end = std::min(begin + per, n);
-    for (size_t i = begin; i < end; ++i) {
-      keys[i] = makeKey(pairs[i].asList()->item(1), shardCount);
-      binned[slice][keys[i].shard].push_back(uint32_t(i));
-    }
-  };
-
-  // --- B: per shard, sort + group -----------------------------------------
-  std::vector<std::vector<Value>> groups(shardCount);
-  std::vector<std::vector<const SortKey*>> heads(shardCount);
-  auto groupShard = [&](size_t shard) {
-    std::vector<uint32_t> indices;
-    for (size_t slice = 0; slice < shardCount; ++slice) {
-      const auto& bin = binned[slice][shard];
-      indices.insert(indices.end(), bin.begin(), bin.end());
-    }
-    // Slices cover ascending contiguous ranges, so `indices` is already
-    // ascending; stable_sort therefore keeps equal keys in original pair
-    // order — the stability the seed's global sort provided.
-    std::stable_sort(indices.begin(), indices.end(),
-                     [&keys](uint32_t a, uint32_t b) {
-                       return keyLess(keys[a], keys[b]);
-                     });
-    for (uint32_t index : indices) {
-      const Value& key = pairs[index].asList()->item(1);
-      const Value& value = pairs[index].asList()->item(2);
-      if (!groups[shard].empty() &&
-          groups[shard].back().asList()->item(1).equals(key)) {
-        groups[shard].back().asList()->item(2).asList()->add(value);
-      } else {
-        auto group = List::make();
-        group->add(key);
-        group->add(Value(List::make({value})));
-        groups[shard].push_back(Value(group));
-        heads[shard].push_back(&keys[index]);
-      }
-    }
-  };
-
-  if (shardCount == 1) {
-    keySlice(0);
-    groupShard(0);
-    return std::move(groups[0]);
+std::vector<Group> shuffleAndGroup(Shuffle& s, const CancelTokenPtr& token) {
+  if (s.shardCount == 1) {
+    for (size_t i = 0; i < s.n; ++i) s.bin(0, i);
+    return s.group(0);
   }
-
-  WorkerPool& pool = WorkerPool::shared();
-  {
+  std::vector<std::vector<Group>> shards(s.shardCount);
+  auto phase = [&](const std::function<void(size_t)>& body) {
     std::vector<TaskGroup::Task> tasks;
-    tasks.reserve(shardCount);
-    for (size_t s = 0; s < shardCount; ++s) {
-      tasks.push_back([&keySlice](size_t slice) {
+    tasks.reserve(s.shardCount);
+    for (size_t t = 0; t < s.shardCount; ++t) {
+      tasks.push_back([&body](size_t task) {
         fault::inject(fault::Point::TaskThrow);
-        keySlice(slice);
+        body(task);
       });
     }
-    auto phase = std::make_shared<TaskGroup>(std::move(tasks), token);
-    pool.submit(phase);
-    phase->wait();
-    phase->rethrowIfError();
-  }
-  {
-    std::vector<TaskGroup::Task> tasks;
-    tasks.reserve(shardCount);
-    for (size_t s = 0; s < shardCount; ++s) {
-      tasks.push_back([&groupShard](size_t shard) {
-        fault::inject(fault::Point::TaskThrow);
-        groupShard(shard);
-      });
-    }
-    auto phase = std::make_shared<TaskGroup>(std::move(tasks), token);
-    pool.submit(phase);
-    phase->wait();
-    phase->rethrowIfError();
-  }
-
-  // --- C: merge the sorted shard group lists ------------------------------
-  size_t total = 0;
-  std::vector<size_t> cursor(shardCount, 0);
-  for (const auto& g : groups) total += g.size();
-  out.reserve(total);
-  while (out.size() < total) {
-    size_t best = shardCount;
-    for (size_t s = 0; s < shardCount; ++s) {
-      if (cursor[s] >= groups[s].size()) continue;
-      if (best == shardCount ||
-          keyLess(*heads[s][cursor[s]], *heads[best][cursor[best]])) {
-        best = s;
-      }
-    }
-    out.push_back(std::move(groups[best][cursor[best]]));
-    ++cursor[best];
-  }
-  return out;
+    auto group = std::make_shared<TaskGroup>(std::move(tasks), token);
+    WorkerPool::shared().submit(group);
+    group->wait();
+    group->rethrowIfError();
+  };
+  phase([&s](size_t slice) {
+    const size_t end = std::min((slice + 1) * s.per(), s.n);
+    for (size_t i = slice * s.per(); i < end; ++i) s.bin(slice, i);
+  });
+  phase([&](size_t shard) { shards[shard] = s.group(shard); });
+  return mergeShards(shards);
 }
 
 /// One pipeline pass, either parallel or sequential. Throws on failure
@@ -246,6 +323,9 @@ ListPtr runOnce(const ListPtr& input, const MapFn& mapFn,
                 bool sequential, const CancelTokenPtr& token,
                 Stats& local) {
   const size_t width = options.workers == 0 ? 4 : options.workers;
+  const size_t n = input->length();
+  const blocks::ItemSpan items = input->items();
+  Shuffle shuffle(n, (sequential || n < 256) ? 1 : width);
 
   workers::ParallelOptions phaseOptions;
   phaseOptions.maxWorkers = options.workers;
@@ -256,45 +336,44 @@ ListPtr runOnce(const ListPtr& input, const MapFn& mapFn,
   phaseOptions.cancel = token;
 
   // --- map phase -------------------------------------------------------------
-  std::vector<Value> pairs;
   if (sequential) {
-    pairs.reserve(input->length());
-    for (const Value& item : input->items()) {
-      pairs.push_back(toPair(item, mapFn(item)));
+    for (size_t i = 0; i < n; ++i) {
+      shuffle.setPair(i, items[i], mapFn(items[i]));
     }
-    local.mapMakespan = input->length();
+    local.mapMakespan = n;
   } else {
-    workers::Parallel job(input->items(), phaseOptions);
-    job.map([mapFn](const Value& item) { return toPair(item, mapFn(item)); });
-    pairs = job.takeData();  // waits; throws on worker error
+    workers::Parallel job(items, phaseOptions);
+    job.map(mapFn);
+    std::vector<Value> mapped = job.takeData();  // waits; throws on error
+    for (size_t i = 0; i < n; ++i) {
+      shuffle.setPair(i, items[i], std::move(mapped[i]));
+    }
     local.mapMakespan = job.virtualMakespan();
   }
 
-  // --- shuffle: sharded sort-by-key + grouping --------------------------------
-  std::vector<Value> groups =
-      shuffleAndGroup(pairs, width, sequential, token);
+  // --- shuffle: hash classes, sorted heads, equal-key runs -------------------
+  std::vector<Group> groups = shuffleAndGroup(shuffle, token);
   local.distinctKeys = groups.size();
 
   // --- reduce phase ---------------------------------------------------------------
-  auto reduceGroup = [reduceFn](const Value& group) {
-    auto out = List::make();
-    out->add(group.asList()->item(1));
-    out->add(reduceFn(group.asList()->item(2).asList()));
-    return Value(out);
-  };
-  std::vector<Value> reduced;
   if (sequential) {
-    reduced.reserve(groups.size());
-    for (const Value& group : groups) reduced.push_back(reduceGroup(group));
+    for (Group& group : groups) group.value = reduceFn(group.value.asList());
     local.reduceMakespan = groups.size();
   } else {
-    workers::Parallel job(groups, phaseOptions);
-    job.map(reduceGroup);
-    reduced = job.takeData();
+    std::vector<Value> lists;
+    lists.reserve(groups.size());
+    for (const Group& group : groups) lists.push_back(group.value);
+    workers::Parallel job(lists, phaseOptions);
+    job.map([reduceFn](const Value& values) {
+      return reduceFn(values.asList());
+    });
+    std::vector<Value> reduced = job.takeData();
+    for (size_t g = 0; g < groups.size(); ++g) {
+      groups[g].value = std::move(reduced[g]);
+    }
     local.reduceMakespan = job.virtualMakespan();
   }
-
-  return List::make(std::move(reduced));
+  return outputOf(groups);
 }
 
 }  // namespace
@@ -354,18 +433,11 @@ struct Job::Pipeline {
   ReduceFn reduceFn;
   Options options;
   workers::SubstrateStats* stats = nullptr;  // the constructing tenant's
-  size_t n = 0;
-  size_t shardCount = 1;
 
-  // Stage 1 outputs: slot i is written by exactly one slice task.
-  std::vector<Value> pairs;
-  std::vector<SortKey> keys;
-  // binned[slice][shard]: pair indices, ascending within each bin.
-  std::vector<std::vector<std::vector<uint32_t>>> binned;
-
-  // Stage 2 outputs: per shard, sorted [key, reduced] pairs + head keys.
-  std::vector<std::vector<Value>> reduced;
-  std::vector<std::vector<const SortKey*>> heads;
+  // Stage 1 output: the flat pairs, their sort keys and shard bins.
+  Shuffle shuffle{0, 1};
+  // Stage 2 output: per shard, its reduced groups in key order.
+  std::vector<std::vector<Group>> shards;
 
   std::shared_ptr<TaskGroup> stage1;
   std::shared_ptr<TaskGroup> stage2;
@@ -390,23 +462,18 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
     settleError(std::make_exception_ptr(Error("mapReduce: null input list")));
     return;
   }
-  p.n = p.input->length();
-  stats_.inputItems = p.n;
-  if (p.n == 0) {
+  const size_t n = p.input->length();
+  stats_.inputItems = n;
+  if (n == 0) {
     result_ = List::make();
     settleOk();
     return;
   }
   const size_t width = p.options.workers == 0 ? 4 : p.options.workers;
-  // Same small-input threshold as shuffleAndGroup: a single shard keeps
-  // the chain's overhead off short lists without changing the output.
-  p.shardCount = p.n < 256 ? 1 : std::max<size_t>(1, width);
-  p.pairs.resize(p.n);
-  p.keys.resize(p.n);
-  p.binned.assign(p.shardCount,
-                  std::vector<std::vector<uint32_t>>(p.shardCount));
-  p.reduced.resize(p.shardCount);
-  p.heads.resize(p.shardCount);
+  // Same small-input threshold as run(): a single shard keeps the chain's
+  // overhead off short lists without changing the output.
+  p.shuffle = Shuffle(n, n < 256 ? 1 : std::max<size_t>(1, width));
+  p.shards.resize(p.shuffle.shardCount);
   startStage1();
 }
 
@@ -422,59 +489,42 @@ void Job::cancel(const std::string& reason) { token_->cancel(reason); }
 
 void Job::startStage1() {
   Pipeline& p = *pipe_;
-  const size_t per = (p.n + p.shardCount - 1) / p.shardCount;
-  stats_.mapMakespan = std::min(per, p.n);
+  const size_t per = p.shuffle.per();
+  stats_.mapMakespan = std::min(per, p.shuffle.n);
   std::vector<TaskGroup::Task> tasks;
-  tasks.reserve(p.shardCount);
-  for (size_t s = 0; s < p.shardCount; ++s) {
+  tasks.reserve(p.shuffle.shardCount);
+  for (size_t s = 0; s < p.shuffle.shardCount; ++s) {
     tasks.push_back([this, per](size_t slice) {
       Pipeline& p = *pipe_;
+      Shuffle& s = p.shuffle;
+      const blocks::ItemSpan items = p.input->items();
       const size_t begin = slice * per;
-      const size_t end = std::min(begin + per, p.n);
-      // Retry rung: a transient substrate fault restarts the slice from
-      // scratch (mapFn is pure, pairs/keys slots are overwritten, and the
-      // bins below are owned by this slice alone — clearing them makes
-      // the restart exact). Only after retries are exhausted does the
-      // throw fail the group and reach the degrade rung.
-      int attempt = 0;
-      while (true) {
-        try {
-          for (auto& bin : p.binned[slice]) bin.clear();
-          // Native chunk path: map the whole slice through the compiled
-          // kernel on a scratch copy (the pairs are keyed by the ORIGINAL
-          // items, which p.input still holds). A false return — kernel
-          // not installed, unmarshalable element, element error — falls
-          // through to the per-item loop with nothing written.
-          std::vector<Value> mapped;
-          bool batched = false;
-          if (p.options.mapBatch && end > begin) {
-            mapped.reserve(end - begin);
-            for (size_t i = begin; i < end; ++i) {
-              mapped.push_back(p.input->item(i + 1));
-            }
-            batched = p.options.mapBatch(mapped.data(), mapped.size());
-          }
-          for (size_t i = begin; i < end; ++i) {
-            if (!batched) fault::inject(fault::Point::TaskThrow);
-            if ((i - begin) % 512 == 511) token_->checkpoint();
-            const Value& item = p.input->item(i + 1);
-            p.pairs[i] = toPair(item, batched ? mapped[i - begin]
-                                              : p.mapFn(item));
-            p.keys[i] = makeKey(p.pairs[i].asList()->item(1), p.shardCount);
-            p.binned[slice][p.keys[i].shard].push_back(uint32_t(i));
-          }
-          return;
-        } catch (...) {
-          std::exception_ptr error = std::current_exception();
-          if (!isRetryableClass(classifyError(error)) ||
-              attempt >= p.options.maxRetries) {
-            std::rethrow_exception(error);
-          }
-          ++attempt;
-          p.stats->bump(&workers::SubstrateStats::retries);
-          stageRetryBackoff(attempt);
+      const size_t end = std::min(begin + per, s.n);
+      // mapFn is pure and every slot this slice writes is its own, so a
+      // retry restarts the slice exactly.
+      withStageRetries(p.options.maxRetries, p.stats, [&] {
+        for (auto& bin : s.binned[slice]) bin.clear();
+        // Native chunk path: copy the slice's items into its pairValues
+        // slots and transform them there (pairs stay keyed by the
+        // ORIGINAL items, which p.input still holds). A false return
+        // writes nothing, and the loop below maps every item itself.
+        bool batched = false;
+        if (p.options.mapBatch && end > begin) {
+          std::copy(items.begin() + begin, items.begin() + end,
+                    s.pairValues.begin() + begin);
+          batched = p.options.mapBatch(s.pairValues.data() + begin,
+                                       end - begin);
+          // The slots now hold mapped values: a retry must copy afresh.
+          if (batched) fault::inject(fault::Point::TaskThrow);
         }
-      }
+        for (size_t i = begin; i < end; ++i) {
+          if (!batched) fault::inject(fault::Point::TaskThrow);
+          if ((i - begin) % 512 == 511) token_->checkpoint();
+          s.setPair(i, items[i],
+                    batched ? std::move(s.pairValues[i]) : p.mapFn(items[i]));
+          s.bin(slice, i);
+        }
+      });
     });
   }
   p.stage1 = std::make_shared<TaskGroup>(std::move(tasks), token_);
@@ -501,72 +551,25 @@ void Job::stage1Done() {
 void Job::startStage2() {
   Pipeline& p = *pipe_;
   std::vector<TaskGroup::Task> tasks;
-  tasks.reserve(p.shardCount);
-  for (size_t s = 0; s < p.shardCount; ++s) {
+  tasks.reserve(p.shuffle.shardCount);
+  for (size_t s = 0; s < p.shuffle.shardCount; ++s) {
     tasks.push_back([this](size_t shard) {
       Pipeline& p = *pipe_;
-      // Retry rung, mirroring stage 1: everything below is task-local
-      // until the final moves into p.reduced/p.heads, so a transient
-      // substrate fault restarts the shard exactly.
-      int attempt = 0;
-      while (true) {
-        try {
+      // Everything below is task-local until the final move into
+      // p.shards, so a retry restarts the shard exactly.
+      withStageRetries(p.options.maxRetries, p.stats, [&] {
+        fault::inject(fault::Point::TaskThrow);
+        std::vector<Group> groups = p.shuffle.group(shard);
+        // Reduce each group in place — per-group reduction is independent
+        // of how groups were formed, so fusing it here leaves the output
+        // bytes unchanged.
+        for (size_t g = 0; g < groups.size(); ++g) {
           fault::inject(fault::Point::TaskThrow);
-          std::vector<uint32_t> indices;
-          for (size_t slice = 0; slice < p.shardCount; ++slice) {
-            const auto& bin = p.binned[slice][shard];
-            indices.insert(indices.end(), bin.begin(), bin.end());
-          }
-          // Slices cover ascending contiguous ranges, so `indices` is
-          // already ascending; stable_sort keeps equal keys in original
-          // pair order — the stability a global sort would provide.
-          std::stable_sort(indices.begin(), indices.end(),
-                           [&p](uint32_t a, uint32_t b) {
-                             return keyLess(p.keys[a], p.keys[b]);
-                           });
-          std::vector<Value> groups;
-          std::vector<const SortKey*> heads;
-          for (uint32_t index : indices) {
-            const Value& key = p.pairs[index].asList()->item(1);
-            const Value& value = p.pairs[index].asList()->item(2);
-            if (!groups.empty() &&
-                groups.back().asList()->item(1).equals(key)) {
-              groups.back().asList()->item(2).asList()->add(value);
-            } else {
-              auto group = List::make();
-              group->add(key);
-              group->add(Value(List::make({value})));
-              groups.push_back(Value(group));
-              heads.push_back(&p.keys[index]);
-            }
-          }
-          // Reduce each closed group in place — per-group reduction is
-          // independent of how groups were formed, so fusing it here
-          // leaves the output bytes unchanged.
-          std::vector<Value> reduced;
-          reduced.reserve(groups.size());
-          for (size_t g = 0; g < groups.size(); ++g) {
-            fault::inject(fault::Point::TaskThrow);
-            if (g % 256 == 255) token_->checkpoint();
-            auto out = List::make();
-            out->add(groups[g].asList()->item(1));
-            out->add(p.reduceFn(groups[g].asList()->item(2).asList()));
-            reduced.push_back(Value(out));
-          }
-          p.reduced[shard] = std::move(reduced);
-          p.heads[shard] = std::move(heads);
-          return;
-        } catch (...) {
-          std::exception_ptr error = std::current_exception();
-          if (!isRetryableClass(classifyError(error)) ||
-              attempt >= p.options.maxRetries) {
-            std::rethrow_exception(error);
-          }
-          ++attempt;
-          p.stats->bump(&workers::SubstrateStats::retries);
-          stageRetryBackoff(attempt);
+          if (g % 256 == 255) token_->checkpoint();
+          groups[g].value = p.reduceFn(groups[g].value.asList());
         }
-      }
+        p.shards[shard] = std::move(groups);
+      });
     });
   }
   p.stage2 = std::make_shared<TaskGroup>(std::move(tasks), token_);
@@ -587,32 +590,14 @@ void Job::stage2Done() {
     failOrDegrade(error);
     return;
   }
-  // Serial W-way merge of the per-shard sorted group lists; equivalent
-  // keys share a shard by construction, so keys never tie across shards.
-  size_t total = 0;
   uint64_t makespan = 0;
-  for (const auto& shard : p.reduced) {
-    total += shard.size();
+  for (const auto& shard : p.shards) {
     makespan = std::max<uint64_t>(makespan, shard.size());
   }
-  stats_.distinctKeys = total;
+  std::vector<Group> groups = mergeShards(p.shards);
+  stats_.distinctKeys = groups.size();
   stats_.reduceMakespan = makespan;
-  std::vector<Value> out;
-  out.reserve(total);
-  std::vector<size_t> cursor(p.shardCount, 0);
-  while (out.size() < total) {
-    size_t best = p.shardCount;
-    for (size_t s = 0; s < p.shardCount; ++s) {
-      if (cursor[s] >= p.reduced[s].size()) continue;
-      if (best == p.shardCount ||
-          keyLess(*p.heads[s][cursor[s]], *p.heads[best][cursor[best]])) {
-        best = s;
-      }
-    }
-    out.push_back(std::move(p.reduced[best][cursor[best]]));
-    ++cursor[best];
-  }
-  result_ = List::make(std::move(out));
+  result_ = outputOf(groups);
   settleOk();
 }
 
@@ -662,7 +647,7 @@ void Job::failOrDegrade(std::exception_ptr error) {
     p.stats->bump(&workers::SubstrateStats::downgrades);
   }
   Stats local;
-  local.inputItems = p.n;
+  local.inputItems = p.shuffle.n;
   local.degraded = true;
   try {
     result_ = runOnce(p.input, p.mapFn, p.reduceFn, p.options, true, token_,

@@ -9,7 +9,11 @@
 //     result as the value").
 //   * "The elements of the intermediate result are sorted by the value of
 //     the key in between the map function and the reduce function, as
-//     required by the semantics of MapReduce" (paper footnote 6).
+//     required by the semantics of MapReduce" (paper footnote 6). The
+//     order: numeric keys first, by number (NaN last), then all other
+//     keys by case-insensitive text; pairs whose keys tie keep their
+//     input order, and adjacent pairs with Value::equals keys form one
+//     group.
 //   * The reduce function runs once per distinct key, in parallel across
 //     keys, receiving the list of that key's values and reporting the
 //     reduced value. The identity reduce passes the values list through.
@@ -71,7 +75,8 @@ struct Options {
   /// tier's compiled kernel). Same contract as workers::MapBatchFn:
   /// all-or-nothing in-place transform, false when not servable. The
   /// pipeline keys pairs by the ORIGINAL items, so the batch transform
-  /// runs on a scratch copy of each slice.
+  /// runs on a copy of each slice written straight into its pair-value
+  /// slots.
   workers::MapBatchFn mapBatch;
 };
 
@@ -97,21 +102,22 @@ ReduceFn identityReduce();
 /// An asynchronous MapReduce job for integration with the cooperative
 /// scheduler — a completion-chained pipeline with no phase barriers:
 ///
-///   stage 1   W slice tasks: map each item, normalize the pair, compute
-///             its SortKey, bin its index by shard (the map phase and the
-///             shuffle's key pass, fused);
-///   stage 2   W shard tasks: concatenate the shard's bins, stable-sort,
-///             group adjacent equal keys, reduce each group (the shuffle's
-///             sort/group and the reduce phase, fused);
+///   stage 1   W slice tasks: map each item into flat key/value arrays,
+///             compute its SortKey, bin its index by shard (the map phase
+///             and the shuffle's key pass, fused);
+///   stage 2   W shard tasks: hash the shard's keys into order classes,
+///             sort the class heads, split each class into runs of equal
+///             keys, reduce each run (the shuffle's group and the reduce
+///             phase, fused);
 ///   merge     a serial W-way merge of the per-shard sorted outputs, run
 ///             by whichever worker finishes stage 2 last.
 ///
 /// Each stage is launched by its predecessor's completion callback — no
 /// thread ever sits in a wait() between phases, and no pool worker is
 /// pinned for the pipeline's duration. The output is byte-identical to
-/// run()'s (the ordering argument is in DESIGN.md): per-shard grouping
-/// emits the order of a global stable sort because equivalent keys always
-/// share a shard, and the per-group reduce is independent of grouping.
+/// run()'s (the ordering argument is in DESIGN.md): both call one
+/// grouping routine, equivalent keys always share a shard, and the
+/// per-group reduce is independent of grouping.
 ///
 /// The block primitive registers onComplete() and parks; the callback
 /// fires exactly once, from the worker that settles the pipeline (or

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -260,9 +262,64 @@ TEST(Chaos, MapReduceConvergesUnderTaskThrow) {
       // reruns sequentially), the output must equal the reference.
       auto out = mr::run(input, one, count,
                          {.workers = 4, .maxRetries = 2}, &stats);
-      EXPECT_TRUE(out->deepEquals(*reference))
+      EXPECT_EQ(out->display(), reference->display())
           << "degraded=" << stats.degraded;
     }
+    expectPoolUsable();
+  }
+}
+
+TEST(Chaos, TaskThrowAfterBatchedSliceRewritesPairValues) {
+  // The mapper emits [item mod 3, 2 * item + 1]. The batch stands in for
+  // the native tier's kernel: it rewrites the slice's pair-value slots in
+  // place, so a retry that reused those slots would map a pair again
+  // (and fail the job on the list) instead of re-copying the items.
+  std::atomic<int> batchCalls{0};
+  auto mapOne = [](const Value& v) {
+    return Value(List::make({Value(std::fmod(v.asNumber(), 3.0)),
+                             Value(2 * v.asNumber() + 1)}));
+  };
+  MapBatchFn batch = [&batchCalls, mapOne](Value* data, size_t count) {
+    batchCalls.fetch_add(1, std::memory_order_relaxed);
+    for (size_t i = 0; i < count; ++i) data[i] = mapOne(data[i]);
+    return true;
+  };
+  mr::ReduceFn sum = [](const ListPtr& values) {
+    double total = 0;
+    for (const Value& v : values->items()) total += v.asNumber();
+    return Value(total);
+  };
+  auto input = List::make();
+  for (int i = 0; i < 1024; ++i) input->add(Value(i));
+  const std::string reference =
+      mr::run(input, mapOne, sum, {.sequential = true})->display();
+  constexpr int kRounds = 8;
+  constexpr int kSlices = 4;
+  for (uint64_t seed : chaosSeeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const uint64_t retriesBefore =
+        substrateStats().retries.load(std::memory_order_relaxed);
+    batchCalls = 0;
+    {
+      fault::ScopedFault armed(
+          configFor(seed, fault::Point::TaskThrow, 1, 4));
+      for (int round = 0; round < kRounds; ++round) {
+        // Retries to spare, so the run converges through the stage
+        // retries rather than the sequential rerun (which never batches).
+        mr::Job job(input, mapOne, sum,
+                    {.workers = kSlices, .maxRetries = 40, .mapBatch = batch});
+        std::promise<void> settled;
+        job.onComplete([&settled] { settled.set_value(); });
+        settled.get_future().wait();
+        ASSERT_FALSE(job.failed()) << job.errorMessage();
+        EXPECT_FALSE(job.wasDegraded());
+        EXPECT_EQ(job.result()->display(), reference);
+      }
+    }
+    // Every batch call beyond one per slice per round is a retried slice.
+    EXPECT_GT(batchCalls.load(), kRounds * kSlices);
+    EXPECT_GT(substrateStats().retries.load(std::memory_order_relaxed),
+              retriesBefore);
     expectPoolUsable();
   }
 }
@@ -283,7 +340,7 @@ TEST(Chaos, MapReducePoolSaturationDegradesSequentially) {
     mr::Stats stats;
     auto out = mr::run(input, one, count, {.workers = 4}, &stats);
     EXPECT_TRUE(stats.degraded);
-    EXPECT_TRUE(out->deepEquals(*reference));
+    EXPECT_EQ(out->display(), reference->display());
   }
   EXPECT_GT(substrateStats().downgrades.load(std::memory_order_relaxed),
             downgradesBefore);
@@ -421,7 +478,7 @@ TEST(Chaos, CompletionDropOnPipelineChainKeepsOutputExact) {
       EXPECT_EQ(fired.load(), 1);
       ASSERT_TRUE(job.resolved());
       ASSERT_FALSE(job.failed()) << job.errorMessage();
-      EXPECT_TRUE(job.result()->deepEquals(*reference));
+      EXPECT_EQ(job.result()->display(), reference->display());
     }
     expectPoolUsable();
   }
