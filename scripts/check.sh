@@ -22,6 +22,10 @@
 #   model's gate: injected task throws, worker stalls, transfer
 #   failures, and pool saturation must converge — exact results or typed
 #   substrate errors — with no data race or memory error underneath.
+#   After the sweep, runs the mapReduce differential suite
+#   (GTEST_FILTER='*ShuffleDifferential*' in test_properties) once under
+#   asan: every engine path (pooled at each width, sequential, and
+#   degraded by a saturated pool) against an in-test reference shuffle.
 #
 # Usage: scripts/check.sh --native
 #   Builds the asan preset and runs the native-tier suites (test_native:
@@ -135,7 +139,12 @@ if [ "${1:-}" = "--chaos" ]; then
         --gtest_filter='Chaos*'
     done
   done
-  echo "== chaos sweep green: seeds ${seeds[*]} under asan + tsan =="
+  cmake --build --preset asan -j "${jobs}" --target test_properties
+  echo "== chaos: asan, mapReduce differential =="
+  ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_properties" \
+    --gtest_filter='*ShuffleDifferential*'
+  echo "== chaos sweep green: seeds ${seeds[*]} under asan + tsan," \
+    "differential under asan =="
   exit 0
 fi
 

@@ -278,104 +278,6 @@ ListPtr outputOf(std::vector<Group>& groups) {
   return List::make(std::move(out));
 }
 
-/// run()'s shuffle: bin every pair by shard, group each shard, merge.
-/// Inputs under 256 pairs and sequential runs take the same code path
-/// with one shard on the calling thread.
-///
-/// Shuffle tasks append into shared per-slice bins, so they are NOT
-/// retryable in place (a rerun would double-bin); a substrate failure
-/// here propagates out and run()'s outer ladder rung re-executes the
-/// whole pipeline sequentially. The task-throw fault point therefore
-/// wraps the *task* bodies, never the sequential shardCount == 1 path.
-std::vector<Group> shuffleAndGroup(Shuffle& s, const CancelTokenPtr& token) {
-  if (s.shardCount == 1) {
-    for (size_t i = 0; i < s.n; ++i) s.bin(0, i);
-    return s.group(0);
-  }
-  std::vector<std::vector<Group>> shards(s.shardCount);
-  auto phase = [&](const std::function<void(size_t)>& body) {
-    std::vector<TaskGroup::Task> tasks;
-    tasks.reserve(s.shardCount);
-    for (size_t t = 0; t < s.shardCount; ++t) {
-      tasks.push_back([&body](size_t task) {
-        fault::inject(fault::Point::TaskThrow);
-        body(task);
-      });
-    }
-    auto group = std::make_shared<TaskGroup>(std::move(tasks), token);
-    WorkerPool::shared().submit(group);
-    group->wait();
-    group->rethrowIfError();
-  };
-  phase([&s](size_t slice) {
-    const size_t end = std::min((slice + 1) * s.per(), s.n);
-    for (size_t i = slice * s.per(); i < end; ++i) s.bin(slice, i);
-  });
-  phase([&](size_t shard) { shards[shard] = s.group(shard); });
-  return mergeShards(shards);
-}
-
-/// One pipeline pass, either parallel or sequential. Throws on failure
-/// (with the original exception type); run() owns the degradation
-/// decision.
-ListPtr runOnce(const ListPtr& input, const MapFn& mapFn,
-                const ReduceFn& reduceFn, const Options& options,
-                bool sequential, const CancelTokenPtr& token,
-                Stats& local) {
-  const size_t width = options.workers == 0 ? 4 : options.workers;
-  const size_t n = input->length();
-  const blocks::ItemSpan items = input->items();
-  Shuffle shuffle(n, (sequential || n < 256) ? 1 : width);
-
-  workers::ParallelOptions phaseOptions;
-  phaseOptions.maxWorkers = options.workers;
-  phaseOptions.maxRetries = options.maxRetries;
-  // The pipeline deadline lives in `token`; the phase Parallels must not
-  // degrade internally (this function owns the outer ladder rung).
-  phaseOptions.allowDegrade = false;
-  phaseOptions.cancel = token;
-
-  // --- map phase -------------------------------------------------------------
-  if (sequential) {
-    for (size_t i = 0; i < n; ++i) {
-      shuffle.setPair(i, items[i], mapFn(items[i]));
-    }
-    local.mapMakespan = n;
-  } else {
-    workers::Parallel job(items, phaseOptions);
-    job.map(mapFn);
-    std::vector<Value> mapped = job.takeData();  // waits; throws on error
-    for (size_t i = 0; i < n; ++i) {
-      shuffle.setPair(i, items[i], std::move(mapped[i]));
-    }
-    local.mapMakespan = job.virtualMakespan();
-  }
-
-  // --- shuffle: hash classes, sorted heads, equal-key runs -------------------
-  std::vector<Group> groups = shuffleAndGroup(shuffle, token);
-  local.distinctKeys = groups.size();
-
-  // --- reduce phase ---------------------------------------------------------------
-  if (sequential) {
-    for (Group& group : groups) group.value = reduceFn(group.value.asList());
-    local.reduceMakespan = groups.size();
-  } else {
-    std::vector<Value> lists;
-    lists.reserve(groups.size());
-    for (const Group& group : groups) lists.push_back(group.value);
-    workers::Parallel job(lists, phaseOptions);
-    job.map([reduceFn](const Value& values) {
-      return reduceFn(values.asList());
-    });
-    std::vector<Value> reduced = job.takeData();
-    for (size_t g = 0; g < groups.size(); ++g) {
-      groups[g].value = std::move(reduced[g]);
-    }
-    local.reduceMakespan = job.virtualMakespan();
-  }
-  return outputOf(groups);
-}
-
 }  // namespace
 
 ReduceFn identityReduce() {
@@ -384,45 +286,11 @@ ReduceFn identityReduce() {
 
 ListPtr run(const ListPtr& input, const MapFn& mapFn,
             const ReduceFn& reduceFn, const Options& options, Stats* stats) {
-  if (!input) throw Error("mapReduce: null input list");
-  Stats local;
-  local.inputItems = input->length();
-
-  // One token spans the whole pipeline, so map, shuffle and reduce share
-  // a single wall-clock budget instead of each phase getting its own.
-  CancelTokenPtr token;
-  if (options.deadlineSeconds > 0) {
-    token = CancelToken::withDeadline(options.deadlineSeconds,
-                                      options.cancel);
-  } else {
-    token = options.cancel;  // may be null
-  }
-
-  ListPtr out;
-  if (options.sequential) {
-    out = runOnce(input, mapFn, reduceFn, options, true, token, local);
-  } else {
-    try {
-      out = runOnce(input, mapFn, reduceFn, options, false, token, local);
-    } catch (...) {
-      std::exception_ptr error = std::current_exception();
-      // Only a *transient* substrate failure earns the sequential rerun.
-      // Timeout/Cancelled must not (a rerun after a blown deadline only
-      // blows it further) and user-script errors are deterministic.
-      if (!options.allowDegrade ||
-          classifyError(error) != ErrorClass::Substrate) {
-        std::rethrow_exception(error);
-      }
-      workers::substrateStats().bump(&workers::SubstrateStats::downgrades);
-      local = Stats{};
-      local.inputItems = input->length();
-      local.degraded = true;
-      out = runOnce(input, mapFn, reduceFn, options, true, token, local);
-    }
-  }
-
-  if (stats) *stats = local;
-  return out;
+  Job job(input, mapFn, reduceFn, options);
+  job.wait();
+  if (job.failed()) std::rethrow_exception(job.error());
+  if (stats) *stats = job.stats();
+  return job.result();
 }
 
 // --- Job: the completion-chained pipeline -----------------------------------
@@ -438,9 +306,6 @@ struct Job::Pipeline {
   Shuffle shuffle{0, 1};
   // Stage 2 output: per shard, its reduced groups in key order.
   std::vector<std::vector<Group>> shards;
-
-  std::shared_ptr<TaskGroup> stage1;
-  std::shared_ptr<TaskGroup> stage2;
 };
 
 Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
@@ -466,15 +331,19 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
   stats_.inputItems = n;
   if (n == 0) {
     result_ = List::make();
-    settleOk();
+    latch_.settle();
+    return;
+  }
+  if (p.options.sequential) {
+    runSequential();
     return;
   }
   const size_t width = p.options.workers == 0 ? 4 : p.options.workers;
-  // Same small-input threshold as run(): a single shard keeps the chain's
-  // overhead off short lists without changing the output.
-  p.shuffle = Shuffle(n, n < 256 ? 1 : std::max<size_t>(1, width));
+  // A single shard keeps the chain's overhead off short lists without
+  // changing the output.
+  p.shuffle = Shuffle(n, n < 256 ? 1 : width);
   p.shards.resize(p.shuffle.shardCount);
-  startStage1();
+  launch(&Job::mapSlice, &Job::startStage2);
 }
 
 // Every path out of the chain settles the latch exactly once, as its last
@@ -487,118 +356,110 @@ void Job::onComplete(workers::CompletionLatch::Callback cb) {
 
 void Job::cancel(const std::string& reason) { token_->cancel(reason); }
 
-void Job::startStage1() {
+void Job::mapSlice(size_t slice, bool pooled) {
   Pipeline& p = *pipe_;
-  const size_t per = p.shuffle.per();
-  stats_.mapMakespan = std::min(per, p.shuffle.n);
-  std::vector<TaskGroup::Task> tasks;
-  tasks.reserve(p.shuffle.shardCount);
-  for (size_t s = 0; s < p.shuffle.shardCount; ++s) {
-    tasks.push_back([this, per](size_t slice) {
-      Pipeline& p = *pipe_;
-      Shuffle& s = p.shuffle;
-      const blocks::ItemSpan items = p.input->items();
-      const size_t begin = slice * per;
-      const size_t end = std::min(begin + per, s.n);
-      // mapFn is pure and every slot this slice writes is its own, so a
-      // retry restarts the slice exactly.
-      withStageRetries(p.options.maxRetries, p.stats, [&] {
-        for (auto& bin : s.binned[slice]) bin.clear();
-        // Native chunk path: copy the slice's items into its pairValues
-        // slots and transform them there (pairs stay keyed by the
-        // ORIGINAL items, which p.input still holds). A false return
-        // writes nothing, and the loop below maps every item itself.
-        bool batched = false;
-        if (p.options.mapBatch && end > begin) {
-          std::copy(items.begin() + begin, items.begin() + end,
-                    s.pairValues.begin() + begin);
-          batched = p.options.mapBatch(s.pairValues.data() + begin,
-                                       end - begin);
-          // The slots now hold mapped values: a retry must copy afresh.
-          if (batched) fault::inject(fault::Point::TaskThrow);
-        }
-        for (size_t i = begin; i < end; ++i) {
-          if (!batched) fault::inject(fault::Point::TaskThrow);
-          if ((i - begin) % 512 == 511) token_->checkpoint();
-          s.setPair(i, items[i],
-                    batched ? std::move(s.pairValues[i]) : p.mapFn(items[i]));
-          s.bin(slice, i);
-        }
-      });
-    });
+  Shuffle& s = p.shuffle;
+  const blocks::ItemSpan items = p.input->items();
+  const size_t begin = slice * s.per();
+  const size_t end = std::min(begin + s.per(), s.n);
+  // mapFn is pure and every slot this slice writes is its own, so a
+  // retry restarts the slice exactly.
+  for (auto& bin : s.binned[slice]) bin.clear();
+  // Native chunk path: copy the slice's items into its pairValues slots
+  // and transform them there (pairs stay keyed by the ORIGINAL items,
+  // which p.input still holds). A false return writes nothing, and the
+  // loop below maps every item itself.
+  bool batched = false;
+  if (pooled && p.options.mapBatch && end > begin) {
+    std::copy(items.begin() + begin, items.begin() + end,
+              s.pairValues.begin() + begin);
+    batched = p.options.mapBatch(s.pairValues.data() + begin, end - begin);
+    // The slots now hold mapped values: a retry must copy afresh.
+    if (batched) fault::inject(fault::Point::TaskThrow);
   }
-  p.stage1 = std::make_shared<TaskGroup>(std::move(tasks), token_);
-  submitStage(p.stage1, [this] { stage1Done(); });
+  const bool inject = pooled && !batched;
+  for (size_t i = begin; i < end; ++i) {
+    if (inject) fault::inject(fault::Point::TaskThrow);
+    if ((i - begin) % 512 == 511) token_->checkpoint();
+    s.setPair(i, items[i],
+              batched ? std::move(s.pairValues[i]) : p.mapFn(items[i]));
+    s.bin(slice, i);
+  }
 }
 
-void Job::stage1Done() {
+void Job::reduceShard(size_t shard, bool pooled) {
   Pipeline& p = *pipe_;
-  std::exception_ptr error = p.stage1->error();
-  if (!error && token_->cancelled()) {
-    try {
-      token_->checkpoint();
-    } catch (...) {
-      error = std::current_exception();
-    }
+  // Everything below is local until the final move into p.shards, so a
+  // retry restarts the shard exactly.
+  if (pooled) fault::inject(fault::Point::TaskThrow);
+  std::vector<Group> groups = p.shuffle.group(shard);
+  // Reduce each group in place — per-group reduction is independent of
+  // how groups were formed, so fusing it here leaves the output bytes
+  // unchanged.
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (pooled) fault::inject(fault::Point::TaskThrow);
+    if (g % 256 == 255) token_->checkpoint();
+    groups[g].value = p.reduceFn(groups[g].value.asList());
   }
-  if (error) {
-    failOrDegrade(error);
+  p.shards[shard] = std::move(groups);
+}
+
+void Job::launch(void (Job::*body)(size_t, bool), void (Job::*next)()) {
+  Pipeline& p = *pipe_;
+  std::vector<TaskGroup::Task> tasks(
+      p.shuffle.shardCount, [this, body](size_t index) {
+        withStageRetries(pipe_->options.maxRetries, pipe_->stats,
+                         [&] { (this->*body)(index, true); });
+      });
+  auto stage = std::make_shared<TaskGroup>(std::move(tasks), token_);
+  // The thread that settles the stage holds it while the callback runs.
+  submitStage(stage, [this, next, raw = stage.get()] {
+    std::exception_ptr error = raw->error();
+    if (!error && token_->cancelled()) {
+      try {
+        token_->checkpoint();
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    if (error) {
+      failOrDegrade(error);
+    } else {
+      (this->*next)();
+    }
+  });
+}
+
+void Job::startStage2() { launch(&Job::reduceShard, &Job::finish); }
+
+void Job::runSequential() {
+  Pipeline& p = *pipe_;
+  try {
+    p.shuffle = Shuffle(stats_.inputItems, 1);
+    p.shards.assign(1, {});
+    mapSlice(0, false);
+    token_->checkpoint();
+    reduceShard(0, false);
+    token_->checkpoint();
+  } catch (...) {
+    settleError(std::current_exception());
     return;
   }
-  startStage2();
+  finish();
 }
 
-void Job::startStage2() {
+void Job::finish() {
   Pipeline& p = *pipe_;
-  std::vector<TaskGroup::Task> tasks;
-  tasks.reserve(p.shuffle.shardCount);
-  for (size_t s = 0; s < p.shuffle.shardCount; ++s) {
-    tasks.push_back([this](size_t shard) {
-      Pipeline& p = *pipe_;
-      // Everything below is task-local until the final move into
-      // p.shards, so a retry restarts the shard exactly.
-      withStageRetries(p.options.maxRetries, p.stats, [&] {
-        fault::inject(fault::Point::TaskThrow);
-        std::vector<Group> groups = p.shuffle.group(shard);
-        // Reduce each group in place — per-group reduction is independent
-        // of how groups were formed, so fusing it here leaves the output
-        // bytes unchanged.
-        for (size_t g = 0; g < groups.size(); ++g) {
-          fault::inject(fault::Point::TaskThrow);
-          if (g % 256 == 255) token_->checkpoint();
-          groups[g].value = p.reduceFn(groups[g].value.asList());
-        }
-        p.shards[shard] = std::move(groups);
-      });
-    });
-  }
-  p.stage2 = std::make_shared<TaskGroup>(std::move(tasks), token_);
-  submitStage(p.stage2, [this] { stage2Done(); });
-}
-
-void Job::stage2Done() {
-  Pipeline& p = *pipe_;
-  std::exception_ptr error = p.stage2->error();
-  if (!error && token_->cancelled()) {
-    try {
-      token_->checkpoint();
-    } catch (...) {
-      error = std::current_exception();
-    }
-  }
-  if (error) {
-    failOrDegrade(error);
-    return;
-  }
   uint64_t makespan = 0;
   for (const auto& shard : p.shards) {
     makespan = std::max<uint64_t>(makespan, shard.size());
   }
   std::vector<Group> groups = mergeShards(p.shards);
+  stats_.mapMakespan = std::min(p.shuffle.per(), p.shuffle.n);
   stats_.distinctKeys = groups.size();
   stats_.reduceMakespan = makespan;
   result_ = outputOf(groups);
-  settleOk();
+  latch_.settle();
 }
 
 void Job::submitStage(const std::shared_ptr<TaskGroup>& stage,
@@ -615,9 +476,7 @@ void Job::submitStage(const std::shared_ptr<TaskGroup>& stage,
       settleError(std::current_exception());
       return;
     }
-    if (!degraded_.exchange(true, std::memory_order_acq_rel)) {
-      pipe_->stats->bump(&workers::SubstrateStats::downgrades);
-    }
+    markDegraded();
     stage->onComplete(std::move(continuation));
     while (stage->runOne()) {
     }
@@ -627,6 +486,14 @@ void Job::submitStage(const std::shared_ptr<TaskGroup>& stage,
   // a dangling continuation; if the workers already finished the stage,
   // this fires the continuation right here.
   stage->onComplete(std::move(continuation));
+}
+
+// The one writer of Stats::degraded, so wasDegraded() and stats() agree.
+// Writes are ordered by the stage chain and read once the job settles.
+void Job::markDegraded() {
+  if (stats_.degraded) return;
+  stats_.degraded = true;
+  pipe_->stats->bump(&workers::SubstrateStats::downgrades);
 }
 
 void Job::failOrDegrade(std::exception_ptr error) {
@@ -643,25 +510,8 @@ void Job::failOrDegrade(std::exception_ptr error) {
   // the *same* token — the deadline does not restart. The rerun's
   // retries/downgrades belong to the constructing tenant.
   workers::StatsScope scope(*p.stats);
-  if (!degraded_.exchange(true, std::memory_order_acq_rel)) {
-    p.stats->bump(&workers::SubstrateStats::downgrades);
-  }
-  Stats local;
-  local.inputItems = p.shuffle.n;
-  local.degraded = true;
-  try {
-    result_ = runOnce(p.input, p.mapFn, p.reduceFn, p.options, true, token_,
-                      local);
-    stats_ = local;
-    settleOk();
-  } catch (...) {
-    settleError(std::current_exception());
-  }
-}
-
-void Job::settleOk() {
-  done_.store(true, std::memory_order_release);
-  latch_.settle();
+  markDegraded();
+  runSequential();
 }
 
 void Job::settleError(std::exception_ptr error) {
@@ -675,7 +525,6 @@ void Job::settleError(std::exception_ptr error) {
     error_ = "unknown mapReduce error";
   }
   failed_.store(true, std::memory_order_release);
-  done_.store(true, std::memory_order_release);
   latch_.settle();
 }
 

@@ -21,12 +21,13 @@
 //     word-count readout of paper Fig. 12.
 //
 // Fault model: the pipeline owns its input, so it sits on the outermost
-// rung of the degradation ladder (parallel.hpp) — when the parallel path
-// dies with a *transient* substrate error (retries exhausted, shuffle
-// task lost), run() re-executes the whole pipeline sequentially and
-// reports Stats::degraded. Deadline expiry and cancellation do NOT
-// degrade (a sequential rerun after a blown deadline would only blow it
-// further); they surface as TimeoutError / CancelledError. User-script
+// rung of the degradation ladder (parallel.hpp) — when the pooled stages
+// die with a *transient* substrate error (retries exhausted), the Job
+// reruns the whole pipeline sequentially and reports Stats::degraded (as
+// it does when it drains a stage the pool refused). Deadline expiry and
+// cancellation do NOT degrade (a sequential rerun after a blown deadline
+// would only blow it further); they surface as TimeoutError /
+// CancelledError. User-script
 // errors from the map/reduce functions are deterministic and always
 // propagate with their original type.
 //
@@ -56,13 +57,13 @@ using MapFn = std::function<blocks::Value(const blocks::Value&)>;
 using ReduceFn = std::function<blocks::Value(const blocks::ListPtr&)>;
 
 struct Options {
-  /// Worker width for both phases; 0 uses the Parallel default (4).
+  /// Shard count for both stages; 0 means 4, the paper's worker count.
   size_t workers = 0;
-  /// Run phases sequentially on the caller thread (for the sequential
-  /// baseline rows of the benches).
+  /// Run the whole pipeline on the constructing thread at one shard (for
+  /// the sequential baseline rows of the benches). Never batches.
   bool sequential = false;
-  /// Per-chunk retries inside the phase Parallels (substrate errors
-  /// only; see ParallelOptions::maxRetries).
+  /// Per-task retries inside each pooled stage (substrate errors only;
+  /// see ParallelOptions::maxRetries).
   int maxRetries = 2;
   /// Wall-clock budget for the whole pipeline (map + shuffle + reduce);
   /// 0 means none. Expiry fails the run with TimeoutError.
@@ -89,8 +90,10 @@ struct Stats {
   bool degraded = false;
 };
 
-/// Run a complete MapReduce synchronously. Returns the sorted list of
-/// [key, value] pairs. `stats`, when non-null, receives phase accounting.
+/// Run a complete MapReduce synchronously: a Job plus a wait. Returns the
+/// sorted list of [key, value] pairs and rethrows a failure with its
+/// original type. `stats`, when non-null, receives phase accounting.
+/// Blocks the calling thread, so call it off the worker pool.
 blocks::ListPtr run(const blocks::ListPtr& input, const MapFn& mapFn,
                     const ReduceFn& reduceFn, const Options& options = {},
                     Stats* stats = nullptr);
@@ -114,18 +117,20 @@ ReduceFn identityReduce();
 ///
 /// Each stage is launched by its predecessor's completion callback — no
 /// thread ever sits in a wait() between phases, and no pool worker is
-/// pinned for the pipeline's duration. The output is byte-identical to
-/// run()'s (the ordering argument is in DESIGN.md): both call one
-/// grouping routine, equivalent keys always share a shard, and the
-/// per-group reduce is independent of grouping.
+/// pinned for the pipeline's duration. Every path calls one grouping
+/// routine, equivalent keys always share a shard, and the per-group
+/// reduce is independent of grouping, so the output does not depend on
+/// the shard count (the ordering argument is in DESIGN.md).
 ///
 /// The block primitive registers onComplete() and parks; the callback
 /// fires exactly once, from the worker that settles the pipeline (or
-/// immediately on the registering thread if already settled). resolved()
-/// stays for tests and assertions. Degradation: a transient substrate
-/// failure (or a refused stage submit with allowDegrade) reruns the
-/// pipeline sequentially on the thread that observed the failure, under
-/// the same deadline; with degradation forbidden, failures settle the job
+/// immediately on the registering thread if already settled).
+/// Options::sequential runs both stage bodies inline on the constructing
+/// thread at one shard, and the Job is settled when the constructor
+/// returns. Degradation: a stage the pool refuses (with allowDegrade) is
+/// drained inline; a transient substrate failure reruns that same
+/// sequential pass on the thread that observed the failure, under the
+/// same deadline. With degradation forbidden, failures settle the job
 /// typed — constructors do not throw.
 class Job {
  public:
@@ -144,21 +149,22 @@ class Job {
   /// job settles with CancelledError (unless it already completed).
   void cancel(const std::string& reason = "mapReduce pipeline cancelled");
 
-  /// Kept for tests and assertions; scheduler integration registers
-  /// onComplete() instead of polling this per frame.
-  bool resolved() const { return done_.load(std::memory_order_acquire); }
+  /// Block until the pipeline settles. Synchronous callers only (run(),
+  /// tests, benches): the scheduler registers onComplete() instead, and a
+  /// pool worker must not block on its own pool's work.
+  void wait() { latch_.wait(); }
+
+  // The accessors below are meaningful once settled.
   bool failed() const { return failed_.load(std::memory_order_acquire); }
   const std::string& errorMessage() const { return error_; }
-  /// The failure's class tag (None while clean). Meaningful once resolved.
+  /// The failure's class tag (None while clean).
   ErrorClass errorClass() const { return errorClass_; }
-  /// The original exception (null while clean). Meaningful once resolved.
+  /// The original exception (null while clean).
   const std::exception_ptr& error() const { return errorPtr_; }
-  /// Did the pipeline complete through a sequential fallback (either the
-  /// inline launch degrade or run()'s internal rerun)?
-  bool wasDegraded() const {
-    return degraded_.load(std::memory_order_acquire);
-  }
-  /// Valid once resolved and not failed.
+  /// Did the pipeline complete through a sequential fallback (an inline
+  /// drain of a refused stage, or the sequential rerun)?
+  bool wasDegraded() const { return stats_.degraded; }
+  /// Valid when not failed.
   const blocks::ListPtr& result() const { return result_; }
   const Stats& stats() const { return stats_; }
 
@@ -168,26 +174,36 @@ class Job {
   /// ~Job blocks on the latch and every path settles it last.
   struct Pipeline;
 
-  void startStage1();
+  /// Stage 1's body for one slice: map each item, store its pair, bin
+  /// it. Stage 2's body for one shard: group its pairs, reduce each group.
+  /// `pooled` is false on the sequential pass, which never calls mapBatch
+  /// and fires no task fault.
+  void mapSlice(size_t slice, bool pooled);
+  void reduceShard(size_t shard, bool pooled);
+  /// Submit one pooled stage: a task per shard running `body` under the
+  /// retry rung. Once every task is done, `next` runs, or failOrDegrade()
+  /// if the stage failed or the token tripped.
+  void launch(void (Job::*body)(size_t, bool), void (Job::*next)());
   void startStage2();
-  void stage1Done();
-  void stage2Done();
   /// Submit a stage; on pool refusal either drain it inline on this
   /// thread (allowDegrade) or settle the job with the SubstrateError.
   void submitStage(const std::shared_ptr<workers::TaskGroup>& stage,
                    workers::CompletionLatch::Callback continuation);
+  /// The sequential pass: both stage bodies inline at one shard, with the
+  /// same token checkpoints as the chained stages, then settle.
+  void runSequential();
+  /// Merge the shards into result_, fill the stats and settle.
+  void finish();
+  void markDegraded();
   /// Sequential rerun (same token, so the deadline does not restart) for
   /// a transient substrate failure; otherwise settle the error typed.
   void failOrDegrade(std::exception_ptr error);
-  void settleOk();
   void settleError(std::exception_ptr error);
 
   std::unique_ptr<Pipeline> pipe_;
   workers::CompletionLatch latch_;
   CancelTokenPtr token_;  // always non-null: the job's cancel() handle
-  std::atomic<bool> done_{false};
   std::atomic<bool> failed_{false};
-  std::atomic<bool> degraded_{false};
   std::string error_;
   ErrorClass errorClass_ = ErrorClass::None;
   std::exception_ptr errorPtr_;

@@ -50,7 +50,7 @@
 //      sequential rung and records the downgrade. A substrate error that
 //      survives retries fails the op with errorClass() == Substrate; the
 //      call sites that still own the original input (the parallelMap
-//      handler, mr::run) read that tag and re-run their sequential path
+//      handler, mr::Job) read that tag and re-run their sequential path
 //      (the C++ realisation of collapsing the paper's "in parallel"
 //      slot). Keeping the rerun at the owner avoids a pristine snapshot
 //      of the input on every launch. User-script errors (TypeError, …)

@@ -130,8 +130,7 @@ void WorkerPool::workerMain(size_t index) {
     // Chaos hook: a worker may go unresponsive here (sleep, never throw)
     // — the cooperative model's stand-in for a stalled Web Worker.
     fault::inject(fault::Point::WorkerStall);
-    // Drain before honouring stop: Channel::close let pending messages
-    // drain, and the pool keeps that contract.
+    // Drain before honouring stop: pending jobs always run.
     if (tryRunOne(index)) continue;
     if (stop_.load(std::memory_order_relaxed)) break;
     std::unique_lock<std::mutex> lock(parkMutex_);

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <thread>
 
 #include "support/error.hpp"
+#include "support/fault.hpp"
 
 namespace psnap::mr {
 namespace {
@@ -160,12 +163,36 @@ TEST(MapReduce, ExpiredDeadlineSurfacesTimeout) {
                TimeoutError);
 }
 
+TEST(MapReduce, ExpiredDeadlineSurfacesTimeoutOnTheSequentialPaths) {
+  auto input = List::make();
+  for (int i = 0; i < 1000; ++i) input->add(Value(i % 7));
+  EXPECT_THROW(run(input, constOne(), countValues(),
+                   {.sequential = true, .deadlineSeconds = 1e-9}),
+               TimeoutError);
+  // Every pooled task throws and nothing retries, so the Job degrades to
+  // its sequential rerun, which outlives the deadline: 1000 items at
+  // 200us each against 50ms. The rerun keeps the pipeline's token.
+  MapFn slowOne = [](const Value&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    return Value(1);
+  };
+  fault::Config config;
+  config.rateNumerator = 1;
+  config.rateDenominator = 1;
+  config.pointMask = fault::maskOf(fault::Point::TaskThrow);
+  fault::ScopedFault armed(config);
+  Job job(input, slowOne, countValues(),
+          {.workers = 4, .maxRetries = 0, .deadlineSeconds = 0.05});
+  job.wait();
+  ASSERT_TRUE(job.failed());
+  EXPECT_EQ(job.errorClass(), ErrorClass::Timeout);
+  EXPECT_THROW(std::rethrow_exception(job.error()), TimeoutError);
+}
+
 TEST(MapReduceJob, ErrorCarriesClassAndExceptionType) {
   MapFn bad = [](const Value&) -> Value { throw TypeError("bad item"); };
   Job job(words({"x"}), bad, countValues(), {});
-  while (!job.resolved()) {
-    std::this_thread::yield();
-  }
+  job.wait();
   ASSERT_TRUE(job.failed());
   EXPECT_EQ(job.errorClass(), ErrorClass::Type);
   ASSERT_TRUE(job.error());
@@ -180,9 +207,7 @@ TEST(MapReduceJob, AsyncCompletion) {
   auto input = List::make();
   for (int i = 0; i < 2000; ++i) input->add(Value(i % 7));
   Job job(input, constOne(), countValues(), {.workers = 4});
-  while (!job.resolved()) {
-    std::this_thread::yield();
-  }
+  job.wait();
   ASSERT_FALSE(job.failed()) << job.errorMessage();
   EXPECT_EQ(job.result()->length(), 7u);
   EXPECT_EQ(job.stats().inputItems, 2000u);
@@ -191,9 +216,7 @@ TEST(MapReduceJob, AsyncCompletion) {
 TEST(MapReduceJob, AsyncErrorCapture) {
   MapFn bad = [](const Value&) -> Value { throw Error("nope"); };
   Job job(words({"x"}), bad, countValues(), {});
-  while (!job.resolved()) {
-    std::this_thread::yield();
-  }
+  job.wait();
   EXPECT_TRUE(job.failed());
   EXPECT_NE(job.errorMessage().find("nope"), std::string::npos);
 }

@@ -1,7 +1,8 @@
 // MapReduce invariants swept across corpus seeds, sizes, and worker
 // widths: counts conserve input size, keys are unique and sorted,
 // parallel ≡ sequential, and the block path equals the reference. A
-// differential sweep pins every engine path to a reference shuffle on
+// differential sweep pins every engine path (pooled at each width,
+// sequential, degraded by a saturated pool) to a reference shuffle on
 // seeded mixes of hard keys.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "mapreduce/engine.hpp"
 #include "sched/thread_manager.hpp"
 #include "support/error.hpp"
+#include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
@@ -268,12 +270,14 @@ ListPtr differentialInput(uint64_t seed) {
 }
 
 ListPtr runJob(const ListPtr& input, const MapFn& mapFn,
-               const ReduceFn& reduceFn, size_t width) {
-  Job job(input, mapFn, reduceFn, {.workers = width});
+               const ReduceFn& reduceFn, const Options& options,
+               bool* degraded = nullptr) {
+  Job job(input, mapFn, reduceFn, options);
   std::promise<void> settled;
   job.onComplete([&settled] { settled.set_value(); });
   settled.get_future().wait();
   if (job.failed()) throw Error(job.errorMessage());
+  if (degraded) *degraded = job.wasDegraded();
   return job.result();
 }
 
@@ -287,8 +291,30 @@ TEST_P(ShuffleDifferential, EveryPathMatchesTheReference) {
     const std::string expected =
         exact(Value(referenceMapReduce(input, mapper, reduce)));
     for (size_t width : {1, 2, 4}) {
-      EXPECT_EQ(exact(Value(runJob(input, mapper, reduce, width))), expected)
+      EXPECT_EQ(exact(Value(runJob(input, mapper, reduce,
+                                   {.workers = width}))),
+                expected)
           << "Job, width " << width;
+    }
+    EXPECT_EQ(exact(Value(runJob(input, mapper, reduce,
+                                 {.sequential = true}))),
+              expected)
+        << "Job, sequential";
+    {
+      // Every stage submit is refused, so the Job drains its stages
+      // inline on this thread.
+      fault::Config saturated;
+      saturated.seed = seed;
+      saturated.rateNumerator = 1;
+      saturated.rateDenominator = 1;
+      saturated.pointMask = fault::maskOf(fault::Point::PoolSaturation);
+      fault::ScopedFault armed(saturated);
+      bool degraded = false;
+      EXPECT_EQ(exact(Value(runJob(input, mapper, reduce, {.workers = 4},
+                                   &degraded))),
+                expected)
+          << "Job, degraded";
+      EXPECT_EQ(degraded, !input->empty());
     }
     EXPECT_EQ(exact(Value(run(input, mapper, reduce, {.workers = 4}))),
               expected)
@@ -315,7 +341,8 @@ TEST(ShuffleDifferential, MixedNumericAndTextKeysHaveOneOrder) {
       run(input, constOne(), countValues(), {.sequential = true});
   EXPECT_EQ(sequential->display(),
             "[[1.0, 600], [2, 300], [10, 300], [1a, 300], [true, 300]]");
-  EXPECT_EQ(exact(Value(runJob(input, constOne(), countValues(), 4))),
+  EXPECT_EQ(exact(Value(runJob(input, constOne(), countValues(),
+                               {.workers = 4}))),
             exact(Value(sequential)));
 }
 

@@ -341,6 +341,13 @@ TEST(Chaos, MapReducePoolSaturationDegradesSequentially) {
     auto out = mr::run(input, one, count, {.workers = 4}, &stats);
     EXPECT_TRUE(stats.degraded);
     EXPECT_EQ(out->display(), reference->display());
+    // The Job behind run() reports the inline drain through both views.
+    mr::Job job(input, one, count, {.workers = 4});
+    job.wait();
+    ASSERT_FALSE(job.failed()) << job.errorMessage();
+    EXPECT_TRUE(job.wasDegraded());
+    EXPECT_TRUE(job.stats().degraded);
+    EXPECT_EQ(job.result()->display(), reference->display());
   }
   EXPECT_GT(substrateStats().downgrades.load(std::memory_order_relaxed),
             downgradesBefore);
@@ -476,7 +483,7 @@ TEST(Chaos, CompletionDropOnPipelineChainKeepsOutputExact) {
       job.onComplete([&fired] { fired.fetch_add(1); });
       awaitCallback(fired);
       EXPECT_EQ(fired.load(), 1);
-      ASSERT_TRUE(job.resolved());
+      job.wait();
       ASSERT_FALSE(job.failed()) << job.errorMessage();
       EXPECT_EQ(job.result()->display(), reference->display());
     }
