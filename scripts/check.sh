@@ -35,6 +35,16 @@
 #   gracefully (exit 0 with a notice) when no C compiler is on PATH,
 #   since the tier itself degrades to the interpreter there.
 #
+# Usage: scripts/check.sh --differential
+#   Builds the asan preset and runs the cross-path differential suites
+#   once under AddressSanitizer: opcode parity (the VM against the worker
+#   evaluator, values and error classes, plus the pure-op table guard)
+#   and dispatch parity (ById against ByString) and the mapReduce shuffle
+#   differential in test_properties; then the native tier's random-ring
+#   property sweep and its error-contract test (every `err` helper at
+#   boundary inputs against applyPure) in test_native. The native suites
+#   skip themselves when no C compiler is on PATH.
+#
 # Usage: scripts/check.sh --persist
 #   Builds the asan preset and runs the persistence suites (test_persist:
 #   snapshot round-trips, mmap aliasing, the property sweep, and the
@@ -159,6 +169,20 @@ if [ "${1:-}" = "--native" ]; then
   # Same leak-accounting stance as the asan ctest preset (see header).
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_native"
   echo "== native tier sweep green under asan =="
+  exit 0
+fi
+
+if [ "${1:-}" = "--differential" ]; then
+  cmake --preset asan
+  cmake --build --preset asan -j "${jobs}" --target test_properties test_native
+  echo "== differential: asan, VM vs worker vs shuffle reference =="
+  # Same leak-accounting stance as the asan ctest preset (see header).
+  ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_properties" \
+    --gtest_filter='*OpcodeParity*:*DispatchParity*:*ShuffleDifferential*'
+  echo "== differential: asan, native tier vs applyPure =="
+  ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_native" \
+    --gtest_filter='*NativeTierProperty*:*ErrCallsMatchTheApplyPureContract'
+  echo "== differential sweep green under asan =="
   exit 0
 fi
 

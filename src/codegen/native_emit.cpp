@@ -55,7 +55,7 @@ std::string hexDouble(double v) {
 }
 
 // The double closest to pi, spelled so the emitted trig matches
-// pure_eval's `x * kPi / 180.0` bit for bit.
+// applyPure's `x * kPi / 180.0` bit for bit.
 constexpr const char* kPiHex = "0x1.921fb54442d18p+1";
 
 /// One scalar C expression plus its kind (the emitter's two-type world:

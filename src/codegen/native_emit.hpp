@@ -5,15 +5,17 @@
 // produces the *internal* translation unit the JIT tier compiles with
 // `cc -O2 -shared -fPIC` and dlopens back into the process. The contract
 // is much stricter than the template path: the emitted C must compute
-// bit-identical doubles to core/pure_eval.cpp for every input the tier
-// marshals (see the byte-identical validation gate in native/tier.hpp), so
+// bit-identical doubles to blocks/pure_ops.hpp's applyPure for every input
+// the tier marshals (see the byte-identical validation gate in
+// native/tier.hpp), so
 //
 //   * only a whitelisted subset of the pure-block palette is emitted —
 //     anything else throws CodegenError and the ring stays interpreted;
-//   * error conditions the interpreter turns into typed exceptions
-//     (division by zero, sqrt of a negative, item out of range, …) set an
-//     `err` out-parameter instead of producing a value; the caller then
-//     re-runs the interpreter, which raises the exact error;
+//   * every input that raises under the error contract in
+//     blocks/pure_ops.hpp (division by zero, sqrt of a negative, item out
+//     of range, …) sets an `err` out-parameter instead of producing a
+//     value; the caller then re-runs the interpreter, which raises the
+//     exact error;
 //   * strict-evaluation semantics are preserved: the interpreter evaluates
 //     every input before dispatching, so `and`/`or`/`if else` are emitted
 //     as helper *calls* (C function arguments are strictly evaluated),

@@ -12,8 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <limits>
 
 #include "blocks/builder.hpp"
+#include "blocks/pure_ops.hpp"
 #include "codegen/toolchain.hpp"
 #include "core/pure_eval.hpp"
 #include "native/loader.hpp"
@@ -33,6 +36,8 @@ using blocks::BlockRegistry;
 using blocks::Environment;
 using blocks::EnvPtr;
 using blocks::List;
+using blocks::ListPtr;
+using blocks::Op;
 using blocks::RingPtr;
 using blocks::Value;
 using codegen::KernelShape;
@@ -414,6 +419,126 @@ TEST(NativeTier, DifferentCaptureSnapshotsGetDifferentKernels) {
   }
   EXPECT_NE(TierManager::instance().lookup(*ringA, KernelShape::Unary),
             TierManager::instance().lookup(*ringB, KernelShape::Unary));
+}
+
+// --- the error contract: native err paths mirror applyPure -----------------
+
+/// One call's outcome: the value it reported, or the error it raised.
+struct Outcome {
+  Value value;
+  ErrorClass errorClass = ErrorClass::None;
+  std::string message;
+};
+
+Outcome outcomeOf(const std::function<Value()>& call) {
+  Outcome out;
+  try {
+    out.value = call();
+  } catch (const Error& e) {
+    out.errorClass = classifyError(std::current_exception());
+    out.message = e.what();
+  }
+  return out;
+}
+
+void expectSameOutcome(const Outcome& got, const Outcome& want,
+                       const std::string& what) {
+  EXPECT_EQ(std::string(errorClassName(got.errorClass)),
+            errorClassName(want.errorClass))
+      << what << ": " << got.message;
+  EXPECT_EQ(got.message, want.message) << what;
+  if (want.errorClass == ErrorClass::None) {
+    EXPECT_TRUE(sameBits(got.value, want.value))
+        << what << ": got " << got.value.display() << " want "
+        << want.value.display();
+  }
+}
+
+Value applyPure2(Op op, const Value& a, const Value& b) {
+  const Value in[] = {a, b};
+  return blocks::applyPure(op, in, 2);
+}
+
+TEST(NativeTier, ErrCallsMatchTheApplyPureContract) {
+  if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
+  // Every C helper that sets `err`, driven to Trusted and then called at
+  // boundary inputs: each call must report applyPure's bits or raise its
+  // class and message, and none may cost the kernel its Trusted state.
+  // The formal name is unique to this test, so every ring gets a fresh
+  // dispatch record.
+  TierScope scope(syncConfig(1));
+  const double boundaries[] = {0.0, -0.0, -1.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               std::numeric_limits<double>::quiet_NaN()};
+  // Each helper's op, its fixed first operand, and a ring applying the op
+  // to that operand and the boundary input.
+  struct Case {
+    const char* helper;
+    Op op;
+    Value first;
+    blocks::BlockPtr body;
+  };
+  const Case cases[] = {
+      {"psnap_div", Op::reportQuotient, Value(7.0),
+       quotient(7.0, getVar("contract"))},
+      {"psnap_mod", Op::reportModulus, Value(7.0),
+       modulus(7.0, getVar("contract"))},
+      {"psnap_sqrt", Op::reportMonadic, Value("sqrt"),
+       monadic("sqrt", getVar("contract"))},
+      {"psnap_ln", Op::reportMonadic, Value("ln"),
+       monadic("ln", getVar("contract"))},
+      {"psnap_log", Op::reportMonadic, Value("log"),
+       monadic("log", getVar("contract"))},
+  };
+  for (const Case& c : cases) {
+    RingPtr ring = makeRing(build::ring(c.body, {"contract"}));
+    TieredUnary tiered = tieredUnary(ring);
+    for (double x : {2.0, 3.0, 4.0}) tiered.fn(Value(x));
+    ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted)
+        << c.helper;
+    for (double x : boundaries) {
+      expectSameOutcome(outcomeOf([&] { return tiered.fn(Value(x)); }),
+                        outcomeOf([&] {
+                          return applyPure2(c.op, c.first, Value(x));
+                        }),
+                        std::string(c.helper) + " at " + std::to_string(x));
+    }
+    EXPECT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted)
+        << c.helper << " downgraded";
+    EXPECT_GT(TierManager::instance()
+                  .lookup(*ring, KernelShape::Unary)
+                  ->nativeCalls.load(),
+              0u)
+        << c.helper;
+  }
+
+  // psnap_item: `item (item 1 of L) of L` over the fold's list parameter,
+  // so the list's first element is the index under test. The empty list
+  // makes the inner `item 1` itself the erring call.
+  RingPtr ring = makeRing(build::ring(
+      itemOf(itemOf(1.0, getVar("contractList")), getVar("contractList")),
+      {"contractList"}));
+  auto reduce = tieredListReduce(ring);
+  auto numbers = [](std::vector<double> items) {
+    return List::make(std::vector<Value>(items.begin(), items.end()));
+  };
+  for (double i : {1.0, 2.0, 3.0}) reduce(numbers({i, 5.0, 6.0}));
+  ASSERT_EQ(stateOf(ring, KernelShape::Fold), KernelState::Trusted);
+  std::vector<ListPtr> lists = {numbers({}), numbers({4.0, 5.0, 6.0}),
+                                numbers({1.5, 5.0, 6.0})};
+  for (double x : boundaries) lists.push_back(numbers({x, 5.0, 6.0}));
+  for (const ListPtr& list : lists) {
+    auto reference = [&] {
+      const Value l(list);
+      return applyPure2(Op::reportListItem,
+                        applyPure2(Op::reportListItem, Value(1.0), l), l);
+    };
+    expectSameOutcome(outcomeOf([&] { return reduce(list); }),
+                      outcomeOf(reference),
+                      "psnap_item over " + Value(list).display());
+  }
+  EXPECT_EQ(stateOf(ring, KernelShape::Fold), KernelState::Trusted)
+      << "psnap_item downgraded";
 }
 
 // --- property: random pure arithmetic rings are bit-exact -------------------

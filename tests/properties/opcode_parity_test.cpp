@@ -10,9 +10,11 @@
 
 #include "blocks/builder.hpp"
 #include "blocks/opcodes.hpp"
+#include "blocks/pure_ops.hpp"
 #include "core/parallel_blocks.hpp"
 #include "core/pure_eval.hpp"
 #include "sched/thread_manager.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "tests/properties/generators.hpp"
 #include "vm/process.hpp"
@@ -76,6 +78,7 @@ std::vector<Sample> samples() {
       {"reportCombine", combineUsing(listOf({In(empty()), In(4), In(6)}),
                                      ring(sum(empty(), empty())))},
       {"evaluate", callRing(ring(sum(empty(), 100)), {In(empty())})},
+      {"reportSplit", splitText(join({In("a--b--"), In(empty())}), "--")},
   };
 }
 
@@ -110,8 +113,69 @@ INSTANTIATE_TEST_SUITE_P(AllPureOpcodes, OpcodeParity,
                                   "_" + std::to_string(info.param);
                          });
 
-// Every sample above names a real registered pure opcode — keeps the
-// table honest as the palette grows.
+// Error parity: an input that makes a pure op raise must raise the same
+// ErrorClass on both engines, and the interpreter's message must contain
+// the worker's (the VM may only add context around it). Each expression
+// raises for the argument 1.
+std::vector<Sample> errorSamples() {
+  return {
+      {"reportCDR",
+       blk("reportCDR", {In(blk("reportCDR", {In(listOf({In(empty())}))}))})},
+      {"reportListItem", itemOf(0, listOf({In(empty()), In(2)}))},
+      {"reportListItem", itemOf(-1, listOf({In(empty()), In(2)}))},
+      {"reportListItem", itemOf(3, listOf({In(empty()), In(2)}))},
+      {"reportMonadic", monadic("cube", empty())},
+      {"reportQuotient", quotient(empty(), 0)},
+      {"reportMonadic", monadic("sqrt", difference(empty(), 2))},
+      {"reportUnicode",
+       blk("reportUnicode", {In(letter(2, join({In(empty())})))})},
+  };
+}
+
+class OpcodeParityErrors : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(OpcodeParityErrors, InterpreterAndPureEvaluatorRaiseAlike) {
+  Sample sample = errorSamples()[GetParam()];
+  static vm::PrimitiveTable prims = fullPrimitiveTable();
+  vm::NullHost host;
+  vm::Process ringMaker(&BlockRegistry::standard(), &prims, &host);
+  ringMaker.startExpression(ring(In(sample.expr)), Environment::make());
+  blocks::RingPtr ringValue = ringMaker.runToCompletion().asRing();
+
+  vm::Process vmProcess(&BlockRegistry::standard(), &prims, &host);
+  vmProcess.startExpression(callRing(ring(In(sample.expr)), {In(1)}),
+                            Environment::make());
+  EXPECT_THROW(vmProcess.runToCompletion(), Error) << sample.opcode;
+
+  ErrorClass workerClass = ErrorClass::None;
+  std::string workerMessage;
+  try {
+    compileRing(ringValue)({Value(1)});
+  } catch (const Error& e) {
+    workerClass = classifyError(std::current_exception());
+    workerMessage = e.what();
+  }
+  ASSERT_NE(workerClass, ErrorClass::None) << sample.opcode;
+  EXPECT_EQ(errorClassName(vmProcess.errorClass()),
+            std::string(errorClassName(workerClass)))
+      << sample.opcode << "\n  interpreter: " << vmProcess.error()
+      << "\n  pure:        " << workerMessage;
+  EXPECT_NE(vmProcess.error().find(workerMessage), std::string::npos)
+      << sample.opcode << "\n  interpreter: " << vmProcess.error()
+      << "\n  pure:        " << workerMessage;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPureOpcodes, OpcodeParityErrors,
+                         ::testing::Range<size_t>(0, errorSamples().size()),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return std::string(
+                                      errorSamples()[info.param].opcode) +
+                                  "_" + std::to_string(info.param);
+                         });
+
+// Every sample above names a real registered pure opcode, and every op in
+// the pure-op table is registered pure, has a VM handler and has a parity
+// sample — so an op cannot join the table without parity coverage.
 TEST(OpcodeParityTable, CoversOnlyRegisteredPureOpcodes) {
   const BlockRegistry& registry = BlockRegistry::standard();
   for (const Sample& sample : samples()) {
@@ -119,6 +183,19 @@ TEST(OpcodeParityTable, CoversOnlyRegisteredPureOpcodes) {
     if (std::string(sample.opcode) != "evaluate") {
       EXPECT_TRUE(registry.get(sample.opcode).pure) << sample.opcode;
     }
+  }
+  const vm::PrimitiveTable prims = vm::PrimitiveTable::standard();
+  const std::vector<Sample> all = samples();
+  for (const blocks::Op op : blocks::kPureOps) {
+    const std::string& opcode = blocks::opcodeName(blocks::id(op));
+    const blocks::BlockSpec* spec = registry.specOf(blocks::id(op));
+    ASSERT_NE(spec, nullptr) << opcode;
+    EXPECT_TRUE(spec->pure) << opcode;
+    EXPECT_NE(prims.findById(blocks::id(op)), nullptr) << opcode;
+    EXPECT_TRUE(std::any_of(
+        all.begin(), all.end(),
+        [&](const Sample& sample) { return opcode == sample.opcode; }))
+        << opcode << " has no parity sample";
   }
 }
 
