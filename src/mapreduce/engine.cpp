@@ -56,20 +56,30 @@ void withStageRetries(int maxRetries, workers::SubstrateStats* stats,
   }
 }
 
-// A pair's sort key, computed once per pair instead of once per
-// comparison. `hash` is the full 64-bit hash of the key's order class:
-// keys the order treats as equivalent always hash equal, which is what
-// lets a shard find a key's class in a hash table and lets the shuffle
-// shard by `hash % shards` (the ordering argument is in DESIGN.md,
-// "Executor architecture").
+// An order class's sort key, built once per class head (its first pair)
+// rather than once per pair. `hash` is the full 64-bit hash of the key's
+// order class: keys the order treats as equivalent always hash equal,
+// which is what lets a slice or shard find a key's class in a hash table
+// and lets the shuffle shard by `hash % shards` (the ordering argument is
+// in DESIGN.md, "Hash-grouped shuffle").
 //
 // A text key's rank is its own bytes, compared case-insensitively on the
 // fly (strings::compareIgnoreCase orders exactly like toLower-then-< over
 // unsigned bytes). Numeric keys never need a rank, so only booleans,
 // lists and nothing render their display.
 struct SortKey {
-  const Value* key = nullptr;  // the pair's key slot, owned by the Shuffle
+  const Value* key = nullptr;  // the head pair's key slot (Shuffle-owned)
   std::string shown;           // display(), for non-numeric non-text keys
+  double num = 0;
+  uint64_t hash = 0;
+  bool numeric = false;
+};
+
+/// What the per-pair pass computes of a key: its number or its rank, and
+/// its class hash. It owns nothing; `rank` views the key's text or a
+/// display held by the caller.
+struct Probe {
+  std::string_view rank;
   double num = 0;
   uint64_t hash = 0;
   bool numeric = false;
@@ -79,21 +89,40 @@ std::string_view rankOf(const SortKey& k) {
   return k.key->isText() ? k.key->textView() : std::string_view(k.shown);
 }
 
-SortKey makeKey(const Value& key) {
-  SortKey k;
-  k.key = &key;
-  k.numeric = key.numericValue(k.num);
-  if (k.numeric) {
+/// `key`'s probe. A non-numeric non-text key renders its display into
+/// `shown`, which the probe's rank then views.
+Probe probeOf(const Value& key, std::string& shown) {
+  Probe p;
+  p.numeric = key.numericValue(p.num);
+  if (p.numeric) {
     // -0 and 0 are one key, and all NaNs are one class.
-    k.hash = std::isnan(k.num) ? 0x7ff8000000000000ull
-                               : std::hash<double>{}(k.num == 0 ? 0.0 : k.num);
+    p.hash = std::isnan(p.num) ? 0x7ff8000000000000ull
+                               : std::hash<double>{}(p.num == 0 ? 0.0 : p.num);
   } else if (key.isText()) {
-    k.hash = key.loweredHash();  // cached on the shared rep for long text
+    p.rank = key.textView();
+    p.hash = key.loweredHash();  // cached on the shared rep for long text
   } else {
-    k.shown = key.display();
-    k.hash = strings::hashLowered(k.shown);
+    shown = key.display();
+    p.rank = shown;
+    p.hash = strings::hashLowered(shown);
   }
-  return k;
+  return p;
+}
+
+Probe probeOf(const SortKey& k) {
+  return {k.numeric ? std::string_view() : rankOf(k), k.num, k.hash,
+          k.numeric};
+}
+
+/// True when `p` is in `head`'s order class, i.e. neither orders before
+/// the other: the same number (all NaNs are one), or case-insensitively
+/// equal ranks.
+bool sameClass(const SortKey& head, const Probe& p) {
+  if (head.hash != p.hash || head.numeric != p.numeric) return false;
+  if (head.numeric) {
+    return head.num == p.num || (std::isnan(head.num) && std::isnan(p.num));
+  }
+  return strings::equalsIgnoreCase(rankOf(head), p.rank);
 }
 
 /// The shuffle's key order, a strict weak ordering over every key: all
@@ -110,14 +139,15 @@ bool keyLess(const SortKey& a, const SortKey& b) {
   return strings::compareIgnoreCase(rankOf(a), rankOf(b)) < 0;
 }
 
-/// `a.key->equals(*b.key)` for two keys of one order class. Where both
-/// are numeric or both are text, the class already decides it: numbers
-/// of one class are equal unless NaN, and non-numeric texts of one class
-/// are equal ignoring case, which is what Value::equals compares.
-bool sameKey(const SortKey& a, const SortKey& b) {
-  if (a.numeric) return a.num == b.num;
-  if (a.key->isText() && b.key->isText()) return true;
-  return a.key->equals(*b.key);
+/// `a.equals(b)` for two keys of the class headed by `head`. Where the
+/// class is numeric or both keys are text, the class already decides it:
+/// numbers of one class are equal unless NaN, and non-numeric texts of
+/// one class are equal ignoring case, which is what Value::equals
+/// compares.
+bool sameKey(const SortKey& head, const Value& a, const Value& b) {
+  if (head.numeric) return !std::isnan(head.num);
+  if (a.isText() && b.isText()) return true;
+  return a.equals(b);
 }
 
 /// One group of the shuffle: its key (the first pair's key), its value
@@ -131,17 +161,85 @@ struct Group {
 
 constexpr uint32_t kNone = UINT32_MAX;
 
+/// Open addressing on the full class hash; each slot holds a class id.
+struct ClassTable {
+  /// Empty, with room for `expected` classes at half load.
+  void reset(size_t expected) {
+    size_t capacity = 16;
+    while (capacity < 2 * expected) capacity *= 2;
+    slots.assign(capacity, kNone);
+  }
+
+  /// The slot holding the class for which `same(id)` holds, or else the
+  /// empty slot where that class belongs.
+  template <typename Same>
+  uint32_t& find(uint64_t hash, const Same& same) {
+    const size_t mask = slots.size() - 1;
+    size_t slot = hash & mask;
+    while (slots[slot] != kNone && !same(slots[slot])) {
+      slot = (slot + 1) & mask;
+    }
+    return slots[slot];
+  }
+
+  std::vector<uint32_t> slots;
+};
+
+/// One stage-1 slice's order classes, in first-appearance order: each
+/// class's head key and member count, and its ids listed by shard.
+struct SliceClasses {
+  void reset(size_t shards) {
+    table.reset(0);
+    heads.clear();
+    sizes.clear();
+    byShard.assign(shards, {});
+  }
+
+  /// Count the pair key `key` (probed as `p`) into its class and return
+  /// the class id. A key the slice has not seen opens a class headed by
+  /// itself, which takes over `shown` as its display.
+  uint32_t classify(const Value& key, const Probe& p, std::string& shown) {
+    uint32_t& slot =
+        table.find(p.hash, [&](uint32_t c) { return sameClass(heads[c], p); });
+    if (slot != kNone) {
+      ++sizes[slot];
+      return slot;
+    }
+    const uint32_t c = uint32_t(heads.size());
+    slot = c;
+    SortKey head{&key, {}, p.num, p.hash, p.numeric};
+    if (!p.numeric && !key.isText()) head.shown = std::move(shown);
+    heads.push_back(std::move(head));
+    sizes.push_back(1);
+    byShard[p.hash % byShard.size()].push_back(c);
+    if (2 * heads.size() > table.slots.size()) {
+      table.reset(heads.size());
+      for (uint32_t h = 0; h < heads.size(); ++h) {
+        table.find(heads[h].hash, [](uint32_t) { return false; }) = h;
+      }
+    }
+    return c;
+  }
+
+  ClassTable table;
+  std::vector<SortKey> heads;
+  std::vector<uint32_t> sizes;
+  std::vector<std::vector<uint32_t>> byShard;  // [shard] → class ids
+};
+
 /// The shuffle over flat pair arrays: pair i is {pairKeys[i],
-/// pairValues[i]}. Slot i of every array is written by the one slice task
-/// covering i, and binned[slice] by that slice alone, so a slice that
-/// restarts from scratch rewrites all of its state exactly.
+/// pairValues[i]}, and classOf[i] is its class in its slice's table.
+/// Slot i of every array is written by the one slice task covering i,
+/// and slices[slice] and binned[slice] by that slice alone, so a slice
+/// that restarts from scratch rewrites all of its state exactly.
 struct Shuffle {
   Shuffle(size_t count, size_t shards)
       : n(count),
         shardCount(shards),
         pairKeys(count),
         pairValues(count),
-        keys(count),
+        classOf(count),
+        slices(shards),
         binned(shards, std::vector<std::vector<uint32_t>>(shards)) {}
 
   /// Slice s covers [s * per(), min((s + 1) * per(), n)).
@@ -167,69 +265,86 @@ struct Shuffle {
     pairValues[i] = std::move(mapped);
   }
 
-  /// Compute pair i's sort key and bin its index by shard under `slice`.
-  void bin(size_t slice, size_t i) {
-    keys[i] = makeKey(pairKeys[i]);
-    binned[slice][keys[i].hash % shardCount].push_back(uint32_t(i));
+  /// Forget everything `slice` has classed and binned.
+  void resetSlice(size_t slice) {
+    slices[slice].reset(shardCount);
+    for (auto& bin : binned[slice]) bin.clear();
+  }
+
+  /// Class pair i's key in `slice`'s table and bin its index by shard.
+  /// `shown` is the slice's scratch for a key's display.
+  void bin(size_t slice, size_t i, std::string& shown) {
+    const Probe p = probeOf(pairKeys[i], shown);
+    classOf[i] = slices[slice].classify(pairKeys[i], p, shown);
+    binned[slice][p.hash % shardCount].push_back(uint32_t(i));
   }
 
   /// One shard's groups in key order — exactly the groups a stable sort
   /// of the shard's pairs plus adjacent Value::equals grouping forms,
   /// at the cost of sorting only the distinct keys.
   std::vector<Group> group(size_t shard) const {
-    // Slices cover ascending contiguous ranges, so `indices` is ascending
-    // and every class below lists its members in pair order.
-    std::vector<uint32_t> indices;
-    for (const auto& slice : binned) {
-      indices.insert(indices.end(), slice[shard].begin(), slice[shard].end());
+    // 1. Merge the slices' classes for this shard in slice order: a slice
+    //    class joins the shard class whose head it matches, or heads a
+    //    new one. Slice t's classes map through merged[firstOf[t] + c].
+    std::vector<size_t> firstOf(slices.size() + 1, 0);
+    size_t incoming = 0;
+    for (size_t t = 0; t < slices.size(); ++t) {
+      firstOf[t + 1] = firstOf[t] + slices[t].heads.size();
+      incoming += slices[t].byShard[shard].size();
     }
-    // 1. Hash classes: open addressing on the full hash. A slot matches
-    //    only a key that neither orders before nor after its class head.
-    size_t capacity = 16;
-    while (capacity < 2 * indices.size()) capacity *= 2;
-    std::vector<uint32_t> slots(capacity, kNone);
-    std::vector<uint32_t> heads;  // per class: its first member
-    std::vector<uint32_t> last;   // per class: its latest member
-    std::vector<uint32_t> next(indices.size(), kNone);  // member chains
-    for (uint32_t m = 0; m < indices.size(); ++m) {
-      const SortKey& key = keys[indices[m]];
-      size_t slot = key.hash & (capacity - 1);
-      for (; slots[slot] != kNone; slot = (slot + 1) & (capacity - 1)) {
-        const SortKey& head = keys[indices[heads[slots[slot]]]];
-        if (head.hash == key.hash && !keyLess(head, key) &&
-            !keyLess(key, head)) {
-          break;
+    ClassTable table;
+    table.reset(incoming);
+    std::vector<const SortKey*> heads;  // per shard class
+    std::vector<uint32_t> offsets;      // per shard class: members, then start
+    std::vector<uint32_t> merged(firstOf.back(), kNone);
+    for (size_t t = 0; t < slices.size(); ++t) {
+      for (uint32_t c : slices[t].byShard[shard]) {
+        const SortKey& key = slices[t].heads[c];
+        const Probe p = probeOf(key);
+        uint32_t& slot = table.find(
+            p.hash, [&](uint32_t m) { return sameClass(*heads[m], p); });
+        if (slot == kNone) {
+          slot = uint32_t(heads.size());
+          heads.push_back(&key);
+          offsets.push_back(0);
         }
-      }
-      if (slots[slot] == kNone) {
-        slots[slot] = uint32_t(heads.size());
-        heads.push_back(m);
-        last.push_back(m);
-      } else {
-        next[last[slots[slot]]] = m;
-        last[slots[slot]] = m;
+        merged[firstOf[t] + c] = slot;
+        offsets[slot] += slices[t].sizes[c];
       }
     }
-    // 2. Sort only the class heads.
+    // 2. Lay the members out flat, class by class: prefix sums give each
+    //    class its range, and walking the slices in order fills every
+    //    range in pair order.
+    offsets.push_back(0);
+    std::exclusive_scan(offsets.begin(), offsets.end(), offsets.begin(), 0u);
+    std::vector<uint32_t> members(offsets.back());
+    std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (size_t t = 0; t < slices.size(); ++t) {
+      for (uint32_t i : binned[t][shard]) {
+        members[cursor[merged[firstOf[t] + classOf[i]]]++] = i;
+      }
+    }
+    // 3. Sort only the class heads.
     std::vector<uint32_t> order(heads.size());
     std::iota(order.begin(), order.end(), 0u);
     std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return keyLess(keys[indices[heads[a]]], keys[indices[heads[b]]]);
+      return keyLess(*heads[a], *heads[b]);
     });
-    // 3. In key order, split each class into runs of keys equal to the
+    // 4. In key order, split each class into runs of keys equal to the
     //    run's first key; each run's values list is built once.
     std::vector<Group> groups;
     for (uint32_t c : order) {
-      const SortKey* head = &keys[indices[heads[c]]];
-      for (uint32_t m = heads[c]; m != kNone;) {
-        const SortKey& run = keys[indices[m]];
+      const uint32_t end = offsets[c + 1];
+      for (uint32_t m = offsets[c]; m < end;) {
+        const Value& run = pairKeys[members[m]];
         std::vector<Value> values;
+        values.reserve(end - m);
         do {
-          values.push_back(pairValues[indices[m]]);
-          m = next[m];
-        } while (m != kNone && sameKey(run, keys[indices[m]]));
-        groups.push_back({*run.key, Value(List::make(std::move(values))),
-                          head});
+          values.push_back(pairValues[members[m]]);
+          ++m;
+        } while (m < end && sameKey(*heads[c], run, pairKeys[members[m]]));
+        groups.push_back({run, Value(List::make(std::move(values))),
+                          heads[c]});
       }
     }
     return groups;
@@ -239,7 +354,8 @@ struct Shuffle {
   size_t shardCount;
   std::vector<Value> pairKeys;
   std::vector<Value> pairValues;
-  std::vector<SortKey> keys;
+  std::vector<uint32_t> classOf;
+  std::vector<SliceClasses> slices;                        // [slice]
   std::vector<std::vector<std::vector<uint32_t>>> binned;  // [slice][shard]
 };
 
@@ -302,7 +418,8 @@ struct Job::Pipeline {
   Options options;
   workers::SubstrateStats* stats = nullptr;  // the constructing tenant's
 
-  // Stage 1 output: the flat pairs, their sort keys and shard bins.
+  // Stage 1 output: the flat pairs, each slice's key classes and the
+  // pairs' shard bins.
   Shuffle shuffle{0, 1};
   // Stage 2 output: per shard, its reduced groups in key order.
   std::vector<std::vector<Group>> shards;
@@ -364,7 +481,7 @@ void Job::mapSlice(size_t slice, bool pooled) {
   const size_t end = std::min(begin + s.per(), s.n);
   // mapFn is pure and every slot this slice writes is its own, so a
   // retry restarts the slice exactly.
-  for (auto& bin : s.binned[slice]) bin.clear();
+  s.resetSlice(slice);
   // Native chunk path: copy the slice's items into its pairValues slots
   // and transform them there (pairs stay keyed by the ORIGINAL items,
   // which p.input still holds). A false return writes nothing, and the
@@ -378,12 +495,13 @@ void Job::mapSlice(size_t slice, bool pooled) {
     if (batched) fault::inject(fault::Point::TaskThrow);
   }
   const bool inject = pooled && !batched;
+  std::string shown;
   for (size_t i = begin; i < end; ++i) {
     if (inject) fault::inject(fault::Point::TaskThrow);
     if ((i - begin) % 512 == 511) token_->checkpoint();
     s.setPair(i, items[i],
               batched ? std::move(s.pairValues[i]) : p.mapFn(items[i]));
-    s.bin(slice, i);
+    s.bin(slice, i, shown);
   }
 }
 

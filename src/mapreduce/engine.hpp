@@ -106,9 +106,10 @@ ReduceFn identityReduce();
 /// scheduler — a completion-chained pipeline with no phase barriers:
 ///
 ///   stage 1   W slice tasks: map each item into flat key/value arrays,
-///             compute its SortKey, bin its index by shard (the map phase
-///             and the shuffle's key pass, fused);
-///   stage 2   W shard tasks: hash the shard's keys into order classes,
+///             class its key in the slice's hash table of order classes,
+///             bin its index by shard (the map phase and the shuffle's
+///             key pass, fused);
+///   stage 2   W shard tasks: merge the slices' classes for the shard,
 ///             sort the class heads, split each class into runs of equal
 ///             keys, reduce each run (the shuffle's group and the reduce
 ///             phase, fused);

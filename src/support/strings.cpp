@@ -10,6 +10,25 @@
 
 namespace psnap::strings {
 
+namespace {
+
+/// ASCII lower-casing of one byte. The program never calls setlocale, so
+/// this is exactly std::tolower in the C locale, without the call.
+inline unsigned char foldAscii(unsigned char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<unsigned char>(c + ('a' - 'A'))
+                              : c;
+}
+
+/// True when strtod could accept text starting with `c` (after trimming):
+/// a digit, a sign, a decimal point, or the first letter of "inf",
+/// "infinity" or "nan" in either case ("0x…" starts with a digit).
+inline bool mayStartNumber(unsigned char c) {
+  return (c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.' ||
+         c == 'i' || c == 'I' || c == 'n' || c == 'N';
+}
+
+}  // namespace
+
 std::vector<std::string> split(std::string_view text, char sep) {
   std::vector<std::string> out;
   size_t start = 0;
@@ -96,7 +115,7 @@ std::string replaceAll(std::string_view text, std::string_view from,
 std::string toLower(std::string_view text) {
   std::string out(text);
   std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
+    return static_cast<char>(foldAscii(c));
   });
   return out;
 }
@@ -111,8 +130,8 @@ bool isBlank(std::string_view text) {
 bool equalsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
+    if (foldAscii(static_cast<unsigned char>(a[i])) !=
+        foldAscii(static_cast<unsigned char>(b[i]))) {
       return false;
     }
   }
@@ -122,8 +141,8 @@ bool equalsIgnoreCase(std::string_view a, std::string_view b) {
 int compareIgnoreCase(std::string_view a, std::string_view b) {
   const size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {
-    const int ca = std::tolower(static_cast<unsigned char>(a[i]));
-    const int cb = std::tolower(static_cast<unsigned char>(b[i]));
+    const int ca = foldAscii(static_cast<unsigned char>(a[i]));
+    const int cb = foldAscii(static_cast<unsigned char>(b[i]));
     if (ca != cb) return ca < cb ? -1 : 1;
   }
   if (a.size() == b.size()) return 0;
@@ -134,8 +153,7 @@ uint64_t hashLowered(std::string_view text) {
   // FNV-1a over lowered bytes.
   uint64_t hash = 1469598103934665603ull;
   for (char c : text) {
-    hash ^= static_cast<uint64_t>(
-        std::tolower(static_cast<unsigned char>(c)));
+    hash ^= foldAscii(static_cast<unsigned char>(c));
     hash *= 1099511628211ull;
   }
   return hash;
@@ -195,7 +213,7 @@ bool parseNumber(std::string_view text, double& out) {
     --end;
   }
   const std::string_view trimmed = text.substr(begin, end - begin);
-  if (trimmed.empty()) return false;
+  if (trimmed.empty() || !mayStartNumber(trimmed.front())) return false;
   char stack[64];
   std::string heap;
   const char* cstr;

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
 
 #include "support/error.hpp"
@@ -96,6 +97,33 @@ TEST(MapReduce, SequentialAndParallelAgree) {
   auto par = run(input, constOne(), countValues(), {.workers = 4});
   auto seq = run(input, constOne(), countValues(), {.sequential = true});
   EXPECT_EQ(par->display(), seq->display());
+}
+
+// Pooled stage-1 tasks fill their slices' class tables and pooled stage-2
+// tasks read every slice's table (the tsan preset runs this suite). Each
+// of 3000 keys comes in several spellings spread over every slice.
+TEST(MapReduce, ManyKeysAcrossSlicesAgreeWithSequential) {
+  auto input = List::make();
+  for (int i = 0; i < 12000; ++i) {
+    const int k = (i * 7919) % 3000;  // every k once per 3000 items
+    const int occurrence = i / 3000;
+    if (k % 4 == 0) {
+      // Numbers and numeric text of one value are one key.
+      input->add(occurrence % 2 ? Value(k) : Value(std::to_string(k)));
+    } else {
+      const char* spelling[] = {"Key", "KEY", "key", "kEY"};
+      input->add(Value(spelling[occurrence] + std::to_string(k)));
+    }
+  }
+  auto seq = run(input, constOne(), countValues(), {.sequential = true});
+  ASSERT_EQ(seq->length(), 3000u);
+  for (size_t width : {2, 4, 8}) {
+    Stats stats;
+    auto par =
+        run(input, constOne(), countValues(), {.workers = width}, &stats);
+    EXPECT_EQ(par->display(), seq->display()) << "width " << width;
+    EXPECT_EQ(stats.distinctKeys, 3000u);
+  }
 }
 
 TEST(MapReduce, StatsAccounting) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <future>
 #include <iterator>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -281,12 +282,11 @@ ListPtr runJob(const ListPtr& input, const MapFn& mapFn,
   return job.result();
 }
 
-class ShuffleDifferential : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShuffleDifferential, EveryPathMatchesTheReference) {
-  const uint64_t seed = uint64_t(GetParam());
-  const ListPtr input = differentialInput(seed);
-  const MapFn mapper = differentialMapper();
+/// Every engine path — pooled at widths 1/2/4, sequential, degraded by a
+/// saturated pool, and run() — against the reference shuffle, under the
+/// identity and the counting reduce.
+void expectEveryPathMatchesTheReference(const ListPtr& input,
+                                        const MapFn& mapper, uint64_t seed) {
   for (const ReduceFn& reduce : {identityReduce(), countValues()}) {
     const std::string expected =
         exact(Value(referenceMapReduce(input, mapper, reduce)));
@@ -325,6 +325,14 @@ TEST_P(ShuffleDifferential, EveryPathMatchesTheReference) {
   }
 }
 
+class ShuffleDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShuffleDifferential, EveryPathMatchesTheReference) {
+  const uint64_t seed = uint64_t(GetParam());
+  expectEveryPathMatchesTheReference(differentialInput(seed),
+                                     differentialMapper(), seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ShuffleDifferential, ::testing::Range(1, 61));
 
 // The mixed numeric/text input that used to order differently on the
@@ -344,6 +352,47 @@ TEST(ShuffleDifferential, MixedNumericAndTextKeysHaveOneOrder) {
   EXPECT_EQ(exact(Value(runJob(input, constOne(), countValues(),
                                {.workers = 4}))),
             exact(Value(sequential)));
+}
+
+// Thousands of distinct keys, so every slice's class table grows past its
+// first capacity, and case variants whose first spelling sits in slice 0
+// while another spelling dominates every later slice: the slices' classes
+// must merge into one class per key, named by its first pair.
+TEST(ShuffleDifferential, ManyKeysAcrossSlicesMatchTheReference) {
+  constexpr int kFamilies = 40;
+  constexpr int kDistinct = 5000;
+  const std::vector<Value> hard = {
+      Value(0), Value(-0.0), Value(std::nan("")), Value("NaN"),
+      Value("1"), Value("1.0"), Value(1), Value("-0"),
+      Value(List::make({Value(1)})), Value(List::make({Value("1.0")}))};
+  Rng rng(5);
+  auto input = List::make();
+  for (int f = 0; f < kFamilies; ++f) {
+    input->add(Value("Case" + std::to_string(f)));
+  }
+  for (int j = 0; j < kDistinct; ++j) {
+    // Distinct keys, numeric and text, some as explicit pairs.
+    const Value key = j % 3 == 0 ? Value(j * 1.5)
+                                 : Value("key" + std::to_string(j));
+    if (j % 5 == 0) {
+      input->add(Value(List::make({Value("pair"), key, Value(j)})));
+    } else {
+      input->add(key);
+    }
+    if (j % 2 == 0) {
+      const std::string family = std::to_string(rng.below(kFamilies));
+      input->add(Value((j % 4 == 0 ? "CASE" : "case") + family));
+    }
+    if (j % 7 == 0) {
+      const Value& special = hard[rng.below(hard.size())];
+      if (j % 3 == 0) {
+        input->add(Value(List::make({Value("pair"), special, Value(j)})));
+      } else {
+        input->add(special);
+      }
+    }
+  }
+  expectEveryPathMatchesTheReference(input, differentialMapper(), 5);
 }
 
 }  // namespace

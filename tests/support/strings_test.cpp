@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "support/rng.hpp"
+
 namespace psnap::strings {
 namespace {
 
@@ -70,6 +78,41 @@ TEST(ReplaceAll, EmptyFromReturnsInput) {
 
 TEST(ToLower, Ascii) { EXPECT_EQ(toLower("MiXeD"), "mixed"); }
 
+// The case-insensitive helpers fold bytes themselves; every byte value
+// must fold exactly as the C locale's std::tolower does.
+TEST(CaseFolding, EveryByteFoldsLikeTolower) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const char lowered = static_cast<char>(std::tolower(b));
+    const std::string one(1, c);
+    EXPECT_EQ(toLower(one), std::string(1, lowered)) << "byte " << b;
+    EXPECT_TRUE(equalsIgnoreCase(one, std::string(1, lowered))) << b;
+    EXPECT_EQ(hashLowered(one), hashLowered(std::string(1, lowered))) << b;
+    for (int other = 0; other < 256; ++other) {
+      const int expected =
+          std::tolower(b) == std::tolower(other)
+              ? 0
+              : (std::tolower(b) < std::tolower(other) ? -1 : 1);
+      ASSERT_EQ(compareIgnoreCase(one, std::string(1, char(other))),
+                expected)
+          << "bytes " << b << ", " << other;
+    }
+  }
+}
+
+// hashLowered shards mapReduce keys, so its values are part of the
+// engine's behavior: pin them.
+TEST(CaseFolding, HashLoweredValuesArePinned) {
+  EXPECT_EQ(hashLowered(""), 0x14650fb0739d0383ull);
+  EXPECT_EQ(hashLowered("Hello, World"), 0x4998e47a7a8b57e3ull);
+  EXPECT_EQ(hashLowered("MiXeD CaSe 42"), 0xe542b61dfef6a974ull);
+  EXPECT_EQ(hashLowered("\xC3\x84pfel \xC3\xA9t\xC3\xA9"),
+            0x7f020f8c831dadcfull);
+  EXPECT_EQ(hashLowered("ZZ\x80\xFF"
+                        "az@[`{"),
+            0x6db910ad27acdb81ull);
+}
+
 TEST(Indent, MultiLine) {
   EXPECT_EQ(indent("a\nb", 2), "  a\n  b");
   EXPECT_EQ(indent("a\n\nb", 2), "  a\n\n  b");  // blank lines stay blank
@@ -111,6 +154,49 @@ TEST(ParseNumber, Invalid) {
   EXPECT_FALSE(parseNumber("abc", out));
   EXPECT_FALSE(parseNumber("1.2.3", out));
   EXPECT_FALSE(parseNumber("4 2", out));
+}
+
+/// What parseNumber promises: trim ASCII whitespace, then strtod must
+/// consume the whole (non-empty) rest.
+bool strtodParse(const std::string& text, double& out) {
+  const std::string trimmed = trim(text);
+  if (trimmed.empty()) return false;
+  char* end = nullptr;
+  const double value = std::strtod(trimmed.c_str(), &end);
+  if (end != trimmed.c_str() + trimmed.size()) return false;
+  out = value;
+  return true;
+}
+
+void expectSameAsStrtod(const std::string& text) {
+  double expected = 0;
+  double actual = 0;
+  const bool accepted = strtodParse(text, expected);
+  ASSERT_EQ(parseNumber(text, actual), accepted) << '"' << text << '"';
+  if (accepted) {
+    EXPECT_EQ(std::memcmp(&actual, &expected, sizeof(double)), 0)
+        << '"' << text << '"';
+  }
+}
+
+// parseNumber rejects text strtod cannot start a number with before
+// calling it; accept/reject and the parsed bits must not change.
+TEST(ParseNumber, MatchesStrtod) {
+  for (const char* text :
+       {"Infinity", "nan", "NaN(1)", "0x10", "+.5", "-", ".", "e5", " 7 ",
+        "1a", "a1", "", "INF", "-inf", "N", "i", "\t-0\n", "1e", "0X1p3"}) {
+    expectSameAsStrtod(text);
+  }
+  const std::string alphabet = "0123456789+-.eExXpPiInNaAfFtTyY( )\t,z";
+  Rng rng(2024);
+  for (int i = 0; i < 200; ++i) {
+    std::string text;
+    const size_t length = rng.below(7);
+    for (size_t k = 0; k < length; ++k) {
+      text += alphabet[rng.below(alphabet.size())];
+    }
+    expectSameAsStrtod(text);
+  }
 }
 
 }  // namespace
