@@ -83,22 +83,22 @@ void printReproduction() {
   std::printf("#       weighted virtual-time simulation)\n");
   std::printf("#   strategy        uniform   skewed   (ideal skewed = %g)\n",
               (9.0 * 500 + 1.0 * 500) / 4);
-  struct Row {
+  struct Strategy {
     const char* name;
     Distribution distribution;
     size_t chunk;
-  } rows[] = {
+  } strategies[] = {
       {"dynamic(1)", Distribution::Dynamic, 1},
       {"dynamic(16)", Distribution::Dynamic, 16},
       {"contiguous", Distribution::Contiguous, 1},
       {"blockcyclic(8)", Distribution::BlockCyclic, 8},
   };
-  for (const Row& row : rows) {
-    std::printf("#   %-14s %8.0f %8.0f\n", row.name,
-                simulateMakespan(uniformCosts(1000), row.distribution, 4,
-                                 row.chunk),
-                simulateMakespan(skewedCosts(1000), row.distribution, 4,
-                                 row.chunk));
+  for (const Strategy& s : strategies) {
+    std::printf("#   %-14s %8.0f %8.0f\n", s.name,
+                simulateMakespan(uniformCosts(1000), s.distribution, 4,
+                                 s.chunk),
+                simulateMakespan(skewedCosts(1000), s.distribution, 4,
+                                 s.chunk));
   }
   std::printf(
       "#   (dynamic self-scheduling — the paper's Parallel.js policy —\n"

@@ -1,16 +1,11 @@
 // Dispatch microbenchmark: how fast can one Process step blocks, and how
 // fast can the worker-side pure evaluator walk a ring body?
 //
-// Every interpreter step used to pay two string-hash lookups (registry
-// spec + primitive handler) and the pure evaluator dispatched via chained
-// string comparisons. The interned-opcode layer (blocks/opcodes.hpp)
-// replaces both with dense integer indexing; this bench measures the
-// difference directly:
+// The interned-opcode layer (blocks/opcodes.hpp) dispatches both by dense
+// integer indexing:
 //
-//   * BM_Vm*  /id      — Process::runSlice with the default id dispatch
-//   * BM_Vm*  /string  — the same Process in the retained string-dispatch
-//                        reference mode (DispatchMode::ByString)
-//   * BM_PureEval*     — compileRing'd bodies through the pure evaluator
+//   * BM_Vm*ById   — Process::runSlice with the default id dispatch
+//   * BM_PureEval* — compileRing'd bodies through the pure evaluator
 //
 // Counters are blocks/sec (items_per_second), the number the EXPERIMENTS
 // table records. The workloads are warped tight loops so the scheduler
@@ -80,13 +75,11 @@ blocks::EnvPtr freshEnv(bool withLists) {
 }
 
 void runVmLoop(benchmark::State& state, const blocks::ScriptPtr& script,
-               bool withLists, int64_t blocksPerIteration,
-               vm::DispatchMode mode) {
+               bool withLists, int64_t blocksPerIteration) {
   const int64_t n = state.range(0);
   for (auto _ : state) {
     vm::NullHost host;
     vm::Process proc(&blocks::BlockRegistry::standard(), &prims(), &host);
-    proc.setDispatchMode(mode);
     proc.startScript(script, freshEnv(withLists));
     proc.runToCompletion();
     benchmark::DoNotOptimize(proc.state());
@@ -96,27 +89,14 @@ void runVmLoop(benchmark::State& state, const blocks::ScriptPtr& script,
 
 void BM_VmArithById(benchmark::State& state) {
   runVmLoop(state, arithLoop(state.range(0)), false,
-            kBlocksPerArithIteration, vm::DispatchMode::ById);
+            kBlocksPerArithIteration);
 }
 BENCHMARK(BM_VmArithById)->Arg(10000)->Arg(100000);
 
-void BM_VmArithByString(benchmark::State& state) {
-  runVmLoop(state, arithLoop(state.range(0)), false,
-            kBlocksPerArithIteration, vm::DispatchMode::ByString);
-}
-BENCHMARK(BM_VmArithByString)->Arg(10000)->Arg(100000);
-
 void BM_VmListById(benchmark::State& state) {
-  runVmLoop(state, listLoop(state.range(0)), true, kBlocksPerListIteration,
-            vm::DispatchMode::ById);
+  runVmLoop(state, listLoop(state.range(0)), true, kBlocksPerListIteration);
 }
 BENCHMARK(BM_VmListById)->Arg(10000);
-
-void BM_VmListByString(benchmark::State& state) {
-  runVmLoop(state, listLoop(state.range(0)), true, kBlocksPerListIteration,
-            vm::DispatchMode::ByString);
-}
-BENCHMARK(BM_VmListByString)->Arg(10000);
 
 // -------------------------------------------------------------------------
 // Pure evaluator: the worker-thread half of parallelMap. One compiled

@@ -1,4 +1,4 @@
-// Native execution tier benchmark, emitted as BENCH_native.json.
+// Native execution tier benchmark.
 //
 // Three claims are measured end to end:
 //
@@ -16,7 +16,8 @@
 //   * end-to-end word count — the full mapReduce engine with the tiered
 //     batch hook vs the interpreter-only tier, byte-identical output.
 //
-// Usage: bench_native [--quick] [--out FILE.json]
+// Prints one table and exits non-zero unless every acceptance condition
+// holds. Usage: bench_native [--quick]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -88,7 +89,8 @@ struct MapResult {
 
 /// Interpreted loop vs tiered batch over `n` items, `reps` repetitions
 /// each, outputs bit-compared element by element.
-MapResult benchMapper(psnap::blocks::BlockPtr reify, size_t n, size_t reps) {
+MapResult measureMapper(psnap::blocks::BlockPtr reify, size_t n,
+                        size_t reps) {
   MapResult r;
   RingPtr ring = makeRing(std::move(reify));
   psnap::core::PureFn reference = psnap::core::compileRing(ring);
@@ -140,6 +142,16 @@ MapResult benchMapper(psnap::blocks::BlockPtr reify, size_t n, size_t reps) {
   return r;
 }
 
+MapResult benchMapper(const char* label, psnap::blocks::BlockPtr reify,
+                      size_t n, size_t reps) {
+  const MapResult r = measureMapper(std::move(reify), n, reps);
+  std::printf(
+      "#   %s mapper  %zu items: interp %.1fms  native %.2fms  (%.1fx, %s)\n",
+      label, n, r.interpSeconds * 1e3, r.nativeSeconds * 1e3, r.speedup,
+      r.byteIdentical ? "byte-identical" : "MISMATCH");
+  return r;
+}
+
 const char* kWords[] = {
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
     "hotel", "india", "juliet", "kilo", "lima", "mike", "november",
@@ -160,17 +172,13 @@ int main(int argc, char** argv) {
   size_t mapItems = 200'000;
   size_t mapReps = 20;
   size_t words = 60'000;
-  std::string outPath;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       mapItems = 40'000;
       mapReps = 5;
       words = 15'000;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      outPath = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out FILE.json]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
       return 2;
     }
   }
@@ -182,25 +190,13 @@ int main(int argc, char** argv) {
   std::printf("# bench_native — hot rings compiled to C and swapped in\n");
 
   // --- Fig. 11 word-count mapper: item -> 1 ------------------------------
-  MapResult wordcountMap =
-      benchMapper(ring(In(1.0)), mapItems, mapReps);
-  std::printf(
-      "#   fig11 mapper  %zu items: interp %.1fms  native %.2fms  "
-      "(%.1fx, %s)\n",
-      mapItems, wordcountMap.interpSeconds * 1e3,
-      wordcountMap.nativeSeconds * 1e3, wordcountMap.speedup,
-      wordcountMap.byteIdentical ? "byte-identical" : "MISMATCH");
+  const MapResult wordcountMap =
+      benchMapper("fig11", ring(In(1.0)), mapItems, mapReps);
 
   // --- Fig. 13 climate mapper: (5 * (x - 32)) / 9 ------------------------
-  MapResult climateMap = benchMapper(
-      ring(quotient(product(5.0, difference(empty(), 32.0)), 9.0)),
+  const MapResult climateMap = benchMapper(
+      "fig13", ring(quotient(product(5.0, difference(empty(), 32.0)), 9.0)),
       mapItems, mapReps);
-  std::printf(
-      "#   fig13 mapper  %zu items: interp %.1fms  native %.2fms  "
-      "(%.1fx, %s)\n",
-      mapItems, climateMap.interpSeconds * 1e3,
-      climateMap.nativeSeconds * 1e3, climateMap.speedup,
-      climateMap.byteIdentical ? "byte-identical" : "MISMATCH");
 
   // --- non-blocking promotion: async compile vs the hot path -------------
   double compileSeconds = 0;
@@ -309,52 +305,5 @@ int main(int argc, char** argv) {
                     e2eIdentical &&
                     slowestHotCallMs < compileSeconds * 1e3;
   std::printf("#   acceptance: %s\n", pass ? "PASS" : "FAIL");
-
-  if (!outPath.empty()) {
-    FILE* f = std::fopen(outPath.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", outPath.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"bench_native\",\n");
-    std::fprintf(f, "  \"map_items\": %zu,\n", mapItems);
-    std::fprintf(f, "  \"fig11_interp_ms\": %.3f,\n",
-                 wordcountMap.interpSeconds * 1e3);
-    std::fprintf(f, "  \"fig11_native_ms\": %.3f,\n",
-                 wordcountMap.nativeSeconds * 1e3);
-    std::fprintf(f, "  \"fig11_speedup\": %.1f,\n", wordcountMap.speedup);
-    std::fprintf(f, "  \"fig11_byte_identical\": %s,\n",
-                 wordcountMap.byteIdentical ? "true" : "false");
-    std::fprintf(f, "  \"fig13_interp_ms\": %.3f,\n",
-                 climateMap.interpSeconds * 1e3);
-    std::fprintf(f, "  \"fig13_native_ms\": %.3f,\n",
-                 climateMap.nativeSeconds * 1e3);
-    std::fprintf(f, "  \"fig13_speedup\": %.1f,\n", climateMap.speedup);
-    std::fprintf(f, "  \"fig13_byte_identical\": %s,\n",
-                 climateMap.byteIdentical ? "true" : "false");
-    std::fprintf(f, "  \"async_compile_ms\": %.1f,\n", compileSeconds * 1e3);
-    std::fprintf(f, "  \"slowest_hot_call_while_compiling_ms\": %.3f,\n",
-                 slowestHotCallMs);
-    std::fprintf(f, "  \"wordcount_words\": %zu,\n", words);
-    std::fprintf(f, "  \"wordcount_e2e_interp_ms\": %.3f,\n",
-                 e2eInterpSeconds * 1e3);
-    std::fprintf(f, "  \"wordcount_e2e_tiered_ms\": %.3f,\n",
-                 e2eTieredSeconds * 1e3);
-    std::fprintf(f, "  \"wordcount_e2e_speedup\": %.2f,\n", e2eSpeedup);
-    std::fprintf(f, "  \"wordcount_e2e_identical\": %s,\n",
-                 e2eIdentical ? "true" : "false");
-    std::fprintf(f, "  \"tier_compiles\": %llu,\n",
-                 (unsigned long long)tierStats.compiles);
-    std::fprintf(f, "  \"tier_installs\": %llu,\n",
-                 (unsigned long long)tierStats.installs);
-    std::fprintf(f, "  \"tier_downgrades\": %llu,\n",
-                 (unsigned long long)tierStats.downgrades);
-    std::fprintf(f, "  \"tier_native_items\": %llu,\n",
-                 (unsigned long long)tierStats.nativeItems);
-    std::fprintf(f, "  \"toolchain_cache_hits\": %llu,\n",
-                 (unsigned long long)psnap::codegen::Toolchain::cacheHits());
-    std::fprintf(f, "  \"acceptance\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(f);
-  }
   return pass ? 0 : 1;
 }

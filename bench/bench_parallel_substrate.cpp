@@ -1,31 +1,21 @@
-// Parallel-substrate benchmark: the perf trajectory for the pooled
-// executor (task-pool PR). Three workloads, each emitted as a
-// machine-readable row of BENCH_parallel.json:
+// Parallel-substrate benchmark: per-operation cost and throughput of the
+// pooled executor. Three workloads, wall-clock timed (the work runs on
+// pool threads), rates in items_per_second:
 //
-//   * oplaunch/n=<k>   — ops/s for a complete Parallel::map round trip
-//                        (construct, map, wait) on tiny inputs. This is
-//                        pure per-operation overhead: thread spawn+join
-//                        in the seed, pooled task submission now.
-//   * mapthroughput    — items/s for one Parallel::map at n = 10'000.
-//   * wordcount        — words/s for an end-to-end mapReduce word count
-//                        (map, sharded shuffle, reduce) on a Zipf corpus.
+//   * oplaunch/n:<k>      — ops/s for a complete Parallel::map round trip
+//                           (construct, map, wait) on tiny inputs: pure
+//                           per-operation overhead (pooled task submission).
+//   * mapthroughput/n:<k> — items/s for one Parallel::map at n = 10'000.
+//   * wordcount/n:<k>     — words/s for an end-to-end mapReduce word count
+//                           (map, sharded shuffle, reduce) on a Zipf corpus.
 //
-// Every workload also runs against `LegacyParallel`, a faithful replica
-// of the seed substrate (one std::thread per logical worker per op,
-// serial structured-clone on the caller), so the seed-vs-new comparison
-// regenerates on any checkout instead of relying on numbers measured
-// once. Usage:
-//
-//   bench_parallel_substrate [--variant NAME] [--out FILE.json]
-//
-// `--variant` tags the rows (default "new"); the driver script runs the
-// seed build with `--variant seed` to produce the baseline rows.
-#include <chrono>
-#include <cstdint>
-#include <cstdio>
-#include <cstring>
+// Usage: bench_parallel_substrate [google-benchmark flags], e.g.
+//   --benchmark_out=FILE --benchmark_out_format=json
+// (the JSON records the host: CPUs, MHz, caches, build type, date).
+#include <benchmark/benchmark.h>
+
+#include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "blocks/value.hpp"
@@ -38,64 +28,6 @@ namespace {
 using psnap::blocks::List;
 using psnap::blocks::ListPtr;
 using psnap::blocks::Value;
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// -------------------------------------------------------------------------
-// LegacyParallel: the seed's per-op execution model, kept as the baseline.
-// Serial clone-in on the caller, then one freshly spawned std::thread per
-// logical worker, dynamic self-scheduling over an atomic cursor, joined
-// at wait(). Counter traffic is the seed's per-item fetch_add.
-// -------------------------------------------------------------------------
-class LegacyParallel {
- public:
-  LegacyParallel(const std::vector<Value>& data, size_t workers)
-      : workers_(workers) {
-    data_.reserve(data.size());
-    for (const Value& v : data) data_.push_back(v.structuredClone());
-    counters_ = std::vector<std::atomic<uint64_t>>(workers_);
-  }
-
-  void map(const std::function<Value(const Value&)>& fn) {
-    const size_t n = data_.size();
-    threads_.reserve(workers_);
-    for (size_t w = 0; w < workers_; ++w) {
-      threads_.emplace_back([this, &fn, n, w] {
-        while (true) {
-          size_t i = cursor_.fetch_add(1);
-          if (i >= n) break;
-          data_[i] = fn(data_[i]);
-          counters_[w].fetch_add(1);
-        }
-      });
-    }
-  }
-
-  const std::vector<Value>& wait() {
-    for (std::thread& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-    return data_;
-  }
-
- private:
-  std::vector<Value> data_;
-  size_t workers_;
-  std::vector<std::thread> threads_;
-  std::vector<std::atomic<uint64_t>> counters_;
-  std::atomic<size_t> cursor_{0};
-};
-
-struct Row {
-  std::string bench;
-  double rate = 0;       // primary metric, unit-tagged below
-  std::string unit;
-  double seconds = 0;    // total measured wall time
-  uint64_t reps = 0;
-};
 
 std::vector<Value> numbers(size_t n) {
   std::vector<Value> out;
@@ -106,64 +38,40 @@ std::vector<Value> numbers(size_t n) {
 
 Value doubleIt(const Value& v) { return Value(v.asNumber() * 2); }
 
-// Run `body` repeatedly until ~minSeconds elapsed; returns reps and time.
-template <typename F>
-Row timed(const std::string& name, const std::string& unit, double perRep,
-          double minSeconds, F body) {
-  // Warm-up: one rep outside the clock (first op pays pool creation).
-  body();
-  uint64_t reps = 0;
-  auto start = Clock::now();
-  double elapsed = 0;
-  do {
-    body();
-    ++reps;
-    elapsed = secondsSince(start);
-  } while (elapsed < minSeconds);
-  Row row;
-  row.bench = name;
-  row.unit = unit;
-  row.seconds = elapsed;
-  row.reps = reps;
-  row.rate = perRep * double(reps) / elapsed;
-  return row;
+void mapOnce(const std::vector<Value>& input) {
+  psnap::workers::ParallelOptions options;
+  options.maxWorkers = 4;
+  psnap::workers::Parallel p(input, options);
+  p.map(doubleIt);
+  p.wait();
 }
 
-Row benchOpLaunch(size_t n, bool legacy, double minSeconds) {
-  const std::vector<Value> input = numbers(n);
-  const std::string name =
-      std::string(legacy ? "legacy_" : "") + "oplaunch/n=" + std::to_string(n);
-  return timed(name, "ops/s", 1.0, minSeconds, [&] {
-    if (legacy) {
-      LegacyParallel p(input, 4);
-      p.map(doubleIt);
-      p.wait();
-    } else {
-      psnap::workers::Parallel p(input, {.maxWorkers = 4});
-      p.map(doubleIt);
-      p.wait();
-    }
-  });
+void BM_OpLaunch(benchmark::State& state) {
+  const std::vector<Value> input = numbers(size_t(state.range(0)));
+  for (auto _ : state) mapOnce(input);
+  state.SetItemsProcessed(state.iterations());  // one op per iteration
 }
+BENCHMARK(BM_OpLaunch)
+    ->Name("oplaunch")
+    ->ArgName("n")
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->UseRealTime();
 
-Row benchMapThroughput(size_t n, bool legacy, double minSeconds) {
-  const std::vector<Value> input = numbers(n);
-  const std::string name = std::string(legacy ? "legacy_" : "") +
-                           "mapthroughput/n=" + std::to_string(n);
-  return timed(name, "items/s", double(n), minSeconds, [&] {
-    if (legacy) {
-      LegacyParallel p(input, 4);
-      p.map(doubleIt);
-      p.wait();
-    } else {
-      psnap::workers::Parallel p(input, {.maxWorkers = 4});
-      p.map(doubleIt);
-      p.wait();
-    }
-  });
+void BM_MapThroughput(benchmark::State& state) {
+  const std::vector<Value> input = numbers(size_t(state.range(0)));
+  for (auto _ : state) mapOnce(input);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+BENCHMARK(BM_MapThroughput)
+    ->Name("mapthroughput")
+    ->ArgName("n")
+    ->Arg(10'000)
+    ->UseRealTime();
 
-Row benchWordCount(size_t words, double minSeconds) {
+void BM_WordCount(benchmark::State& state) {
+  const size_t words = size_t(state.range(0));
   auto list = List::make();
   for (const std::string& w : psnap::data::tokenize(
            psnap::data::generateText(words, 200, /*seed=*/7))) {
@@ -173,68 +81,20 @@ Row benchWordCount(size_t words, double minSeconds) {
   psnap::mr::ReduceFn count = [](const ListPtr& values) {
     return Value(values->length());
   };
-  return timed("wordcount/n=" + std::to_string(words), "words/s",
-               double(words), minSeconds, [&] {
-                 auto result =
-                     psnap::mr::run(list, one, count, {.workers = 4});
-                 if (result->empty()) std::abort();  // keep it honest
-               });
-}
-
-void writeJson(const std::string& path, const std::string& variant,
-               const std::vector<Row>& rows) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(1);
+  psnap::mr::Options options;
+  options.workers = 4;
+  for (auto _ : state) {
+    auto result = psnap::mr::run(list, one, count, options);
+    if (result->empty()) std::abort();  // keep it honest
   }
-  std::fprintf(f, "{\n  \"bench\": \"bench_parallel_substrate\",\n");
-  std::fprintf(f, "  \"variant\": \"%s\",\n  \"rows\": [\n",
-               variant.c_str());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"rate\": %.1f, \"unit\": \"%s\", "
-                 "\"reps\": %llu, \"seconds\": %.3f}%s\n",
-                 r.bench.c_str(), r.rate, r.unit.c_str(),
-                 static_cast<unsigned long long>(r.reps), r.seconds,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+BENCHMARK(BM_WordCount)
+    ->Name("wordcount")
+    ->ArgName("n")
+    ->Arg(20'000)
+    ->UseRealTime();
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string variant = "new";
-  std::string out = "BENCH_parallel.json";
-  double minSeconds = 0.4;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--variant") && i + 1 < argc) {
-      variant = argv[++i];
-    } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-      out = argv[++i];
-    } else if (!std::strcmp(argv[i], "--quick")) {
-      minSeconds = 0.1;
-    }
-  }
-
-  std::vector<Row> rows;
-  for (size_t n : {1, 4, 16}) {
-    rows.push_back(benchOpLaunch(n, /*legacy=*/false, minSeconds));
-    rows.push_back(benchOpLaunch(n, /*legacy=*/true, minSeconds));
-  }
-  rows.push_back(benchMapThroughput(10'000, /*legacy=*/false, minSeconds));
-  rows.push_back(benchMapThroughput(10'000, /*legacy=*/true, minSeconds));
-  rows.push_back(benchWordCount(20'000, minSeconds));
-
-  std::printf("%-28s %14s %10s %8s\n", "bench", "rate", "unit", "reps");
-  for (const Row& r : rows) {
-    std::printf("%-28s %14.1f %10s %8llu\n", r.bench.c_str(), r.rate,
-                r.unit.c_str(), static_cast<unsigned long long>(r.reps));
-  }
-  writeJson(out, variant, rows);
-  std::printf("wrote %s (variant=%s)\n", out.c_str(), variant.c_str());
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,6 +1,5 @@
-// Persistence benchmark: the perf trajectory for the zero-copy snapshot
-// layer (src/persist). Workloads, each emitted as a machine-readable row
-// of BENCH_persist.json:
+// Persistence benchmark: the zero-copy snapshot layer (src/persist).
+// Workloads, each printed as one row of the stdout table:
 //
 //   * cold_open/generate_parse/rows=<n> — the seed's path to a first
 //       query: generate the climate dataset in memory (generateClimate +
@@ -9,10 +8,10 @@
 //       materialization tax.
 //   * cold_open/snapshot_mmap/rows=<n>  — the snapshot path to the SAME
 //       query: mmap the dataset (loadList, O(1)) and run the identical
-//       mapReduce over the identical window. The `speedup` field on this
-//       row is generate-path seconds / snapshot-path seconds, and
-//       `identical` records that both paths produced byte-identical
-//       query output (and bit-identical sampled rows).
+//       mapReduce over the identical window. The `speedup` column on this
+//       row is generate-path seconds / snapshot-path seconds; the run
+//       fails unless both paths produced byte-identical query output
+//       (and bit-identical sampled rows).
 //   * open_only/rows=<n>                — loadList alone: the constant
 //       cost of mapping, independent of row count.
 //   * page_touch/rows=<n>/touch=<k>     — fresh open + sum of the first
@@ -24,7 +23,7 @@
 //       (rows * sizeof(Value) each).
 //
 // Usage:
-//   bench_persist [--rows N] [--out FILE.json] [--quick|--smoke]
+//   bench_persist [--rows N] [--quick|--smoke]
 //
 // The acceptance run uses >= 100M rows (the default); `--quick` drops to
 // ~10M and `--smoke` to ~100k so scripts/check.sh can exercise every
@@ -60,16 +59,12 @@ double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-struct Row {
-  std::string bench;
-  double seconds = 0;
-  double rate = 0;
-  std::string unit;
-  double speedup = -1;    // generate-path / snapshot-path, where measured
-  double extraValue = -1; // bench-specific (see extraKey)
-  std::string extraKey;
-  int identical = -1;     // 1 = query outputs byte-identical; -1 = n/a
-};
+/// One row of the stdout table; `extra` is an optional trailing column.
+void report(const std::string& name, double seconds, double rate,
+            const char* unit, const std::string& extra = "") {
+  std::printf("%-44s %10.4f %14.1f %-16s %s\n", name.c_str(), seconds, rate,
+              unit, extra.c_str());
+}
 
 /// Resident set size in bytes, from /proc/self/status.
 uint64_t residentBytes() {
@@ -132,47 +127,14 @@ bool rowsBitIdentical(const ListPtr& a, const ListPtr& b) {
   return std::memcmp(&x, &y, sizeof(double)) == 0;
 }
 
-void writeJson(const std::string& path, uint64_t rows,
-               const std::vector<Row>& out) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"bench_persist\",\n");
-  std::fprintf(f, "  \"rows\": %" PRIu64 ",\n", rows);
-  std::fprintf(f, "  \"value_bytes\": %zu,\n", sizeof(Value));
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < out.size(); ++i) {
-    const Row& r = out[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"seconds\": %.4f, "
-                 "\"rate\": %.1f, \"unit\": \"%s\"",
-                 r.bench.c_str(), r.seconds, r.rate, r.unit.c_str());
-    if (r.speedup >= 0) std::fprintf(f, ", \"speedup\": %.2f", r.speedup);
-    if (r.identical >= 0) {
-      std::fprintf(f, ", \"identical\": %s", r.identical ? "true" : "false");
-    }
-    if (!r.extraKey.empty()) {
-      std::fprintf(f, ", \"%s\": %.1f", r.extraKey.c_str(), r.extraValue);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < out.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   uint64_t targetRows = 100'000'000;
-  std::string out = "BENCH_persist.json";
   size_t tenants = 64;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--rows") && i + 1 < argc) {
       targetRows = std::strtoull(argv[++i], nullptr, 10);
-    } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-      out = argv[++i];
     } else if (!std::strcmp(argv[i], "--quick")) {
       targetRows = 10'000'000;
     } else if (!std::strcmp(argv[i], "--smoke")) {
@@ -198,9 +160,10 @@ int main(int argc, char** argv) {
   const std::string path = (dir / "climate_f.psnap").string();
 
   std::printf("# bench_persist: rows=%" PRIu64 " (%zu stations), window=%zu, "
-              "file=%s\n", rows, config.stations, window, path.c_str());
-
-  std::vector<Row> results;
+              "file=%s, %zu-byte Value\n",
+              rows, config.stations, window, path.c_str(), sizeof(Value));
+  std::printf("%-44s %10s %14s %s\n", "bench", "seconds", "rate", "unit");
+  const std::string rowsTag = "/rows=" + std::to_string(rows);
 
   // -- Write the snapshot (streamed, O(1) memory), reported for context.
   {
@@ -211,14 +174,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "row count mismatch: %" PRIu64 "\n", written);
       return 1;
     }
-    Row r;
-    r.bench = "snapshot_write/rows=" + std::to_string(rows);
-    r.seconds = s;
-    r.rate = double(rows) / s;
-    r.unit = "rows/s";
-    results.push_back(r);
-    std::printf("# wrote %.2f GB in %.1fs\n",
-                double(std::filesystem::file_size(path)) / (1 << 30), s);
+    report("snapshot_write" + rowsTag, s, double(rows) / s, "rows/s",
+           std::to_string(std::filesystem::file_size(path)) + " bytes");
   }
 
   // -- Cold open, generate/parse path: materialize everything, then query.
@@ -231,12 +188,8 @@ int main(int argc, char** argv) {
         psnap::data::generateClimate(config));
     generateQuery = windowMeanCelsius(generated, window);
     generateSeconds = secondsSince(start);
-    Row r;
-    r.bench = "cold_open/generate_parse/rows=" + std::to_string(rows);
-    r.seconds = generateSeconds;
-    r.rate = double(rows) / generateSeconds;
-    r.unit = "rows/s";
-    results.push_back(r);
+    report("cold_open/generate_parse" + rowsTag, generateSeconds,
+           double(rows) / generateSeconds, "rows/s");
   }
 
   // -- Cold open, snapshot path: mmap + the identical query.
@@ -249,17 +202,11 @@ int main(int argc, char** argv) {
     const bool identical =
         snapshotQuery->display() == generateQuery->display() &&
         rowsBitIdentical(mapped, generated);
-    Row r;
-    r.bench = "cold_open/snapshot_mmap/rows=" + std::to_string(rows);
-    r.seconds = s;
-    r.rate = double(rows) / s;
-    r.unit = "rows/s";
-    r.speedup = generateSeconds / s;
-    r.identical = identical ? 1 : 0;
-    results.push_back(r);
-    std::printf("# cold open: generate %.2fs vs snapshot %.3fs — %.1fx, "
-                "query output %s\n", generateSeconds, s, r.speedup,
-                identical ? "IDENTICAL" : "MISMATCH");
+    char extra[64];
+    std::snprintf(extra, sizeof(extra), "speedup=%.1fx, %s",
+                  generateSeconds / s, identical ? "IDENTICAL" : "MISMATCH");
+    report("cold_open/snapshot_mmap" + rowsTag, s, double(rows) / s,
+           "rows/s", extra);
     if (!identical) return 1;
   }
   generated.reset();
@@ -271,12 +218,7 @@ int main(int argc, char** argv) {
     auto start = Clock::now();
     ListPtr mapped = psnap::persist::loadList(path);
     const double s = secondsSince(start);
-    Row r;
-    r.bench = "open_only/rows=" + std::to_string(rows);
-    r.seconds = s;
-    r.rate = double(mapped->length());
-    r.unit = "rows_mapped";
-    results.push_back(r);
+    report("open_only" + rowsTag, s, double(mapped->length()), "rows_mapped");
   }
 
   // -- Page-touch scaling: time grows with rows touched, not rows stored.
@@ -291,15 +233,9 @@ int main(int argc, char** argv) {
       sum += v.asNumber();
     }
     const double s = secondsSince(start);
-    Row r;
-    r.bench = "page_touch/rows=" + std::to_string(rows) +
-              "/touch=" + std::to_string(touch);
-    r.seconds = s;
-    r.rate = double(touch) / s;
-    r.unit = "rows/s";
-    r.extraKey = "pages";
-    r.extraValue = double(touch * sizeof(Value) + 4095) / 4096.0;
-    results.push_back(r);
+    report("page_touch" + rowsTag + "/touch=" + std::to_string(touch), s,
+           double(touch) / s, "rows/s",
+           std::to_string((touch * sizeof(Value) + 4095) / 4096) + " pages");
     if (sum == -1) return 1;  // keep the scan observable
   }
 
@@ -319,31 +255,14 @@ int main(int argc, char** argv) {
     double sum = 0;
     for (const ListPtr& view : views) sum += view->item(1).asNumber();
     const uint64_t rssAfter = residentBytes();
-    Row r;
-    r.bench = "serve/shared_mapping/tenants=" + std::to_string(tenants);
-    r.seconds = s;
-    r.rate = rssAfter > rssBefore
-                 ? double(rssAfter - rssBefore) / double(tenants)
-                 : 0;
-    r.unit = "rss_bytes/tenant";
-    r.extraKey = "deep_copy_bytes_per_tenant";
-    r.extraValue = double(rows) * double(sizeof(Value));
-    results.push_back(r);
-    std::printf("# serve: %zu tenants share one mapping — %.0f resident "
-                "bytes/tenant (deep copy would be %.0f)\n",
-                tenants, r.rate, r.extraValue);
+    report("serve/shared_mapping/tenants=" + std::to_string(tenants), s,
+           rssAfter > rssBefore
+               ? double(rssAfter - rssBefore) / double(tenants)
+               : 0,
+           "rss_bytes/tenant",
+           "deep copy " + std::to_string(rows * sizeof(Value)) + " bytes");
     if (sum == -1) return 1;
   }
-
-  std::printf("%-44s %10s %14s %14s\n", "bench", "seconds", "rate", "unit");
-  for (const Row& r : results) {
-    std::printf("%-44s %10.3f %14.1f %14s", r.bench.c_str(), r.seconds,
-                r.rate, r.unit.c_str());
-    if (r.speedup >= 0) std::printf("  speedup=%.1fx", r.speedup);
-    std::printf("\n");
-  }
-  writeJson(out, rows, results);
-  std::printf("wrote %s\n", out.c_str());
   std::filesystem::remove_all(dir);
   return 0;
 }

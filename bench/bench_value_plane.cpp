@@ -1,44 +1,34 @@
-// Value-plane benchmark: the perf trajectory for the copy-on-write value
-// representation (COW value-plane PR). Workloads, each emitted as a
-// machine-readable row of BENCH_value.json:
+// Value-plane benchmark: the copy-on-write value representation. Rates
+// are items_per_second (one clone, comparison or op per iteration):
 //
-//   * clone/flat_numbers/n=<k>  — structuredClone/s of a flat numeric list
-//                                 (O(1) buffer share vs eager deep copy).
-//   * clone/flat_text/n=<k>     — same, list of 64-byte texts (shared
-//                                 immutable TextRep vs per-string copies).
-//   * clone/nested_pairs/n=<k>  — list of [text, number] pairs: the spine
+//   * clone/flat_numbers/n:<k>  — structuredClone of a flat numeric list
+//                                 (O(1) buffer share).
+//   * clone/flat_text/n:<k>     — same, list of 64-byte texts (shared
+//                                 immutable TextRep).
+//   * clone/nested_pairs/n:<k>  — list of [text, number] pairs: the spine
 //                                 is rebuilt, leaf buffers/texts shared.
-//   * entry/parallel_text/n=<k> — a full Parallel constructor (clone-in):
+//   * entry/parallel_text/n:<k> — a full Parallel constructor (clone-in):
 //                                 the worker-boundary cost the paper's
 //                                 Listing 1 pays before map() starts.
-//   * equals/num_text           — numeric-text equality (the seed parsed
-//                                 both sides twice; now once, cached).
-//   * equals/longtext_ci        — case-insensitive text equality (the seed
-//                                 allocated two toLower copies per compare).
+//   * equals/num_text           — numeric-text equality (parsed once,
+//                                 cached).
+//   * equals/longtext_ci        — case-insensitive text equality.
 //   * asNumber/longtext         — repeated coercion of one long text value
 //                                 (cached parse on the shared rep).
 //
-// The clone/entry workloads also run against `legacyClone`, a faithful
-// replica of the seed's eager structured clone (fresh buffers, fresh
-// string bytes, element-wise recursion), so the seed-vs-new comparison
-// regenerates on any checkout. The equals/asNumber rows additionally
-// report heap allocations per repetition (a global operator-new counter;
-// only meaningful for these single-threaded rows — the seed's hot
-// comparisons allocated, the COW plane's must not). Usage:
+// The equals/asNumber rows also report `allocs_per_rep`, heap allocations
+// per iteration from a global operator-new counter (single-threaded rows
+// only; the COW plane's hot comparisons must not allocate).
 //
-//   bench_value_plane [--variant NAME] [--out FILE.json] [--quick|--smoke]
-//
-// `--smoke` shrinks sizes ~1000x and the measurement window to ~20 ms so
-// `scripts/check.sh --bench-smoke` can exercise every code path cheaply.
+// Usage: bench_value_plane [google-benchmark flags], e.g.
+//   --benchmark_out=FILE --benchmark_out_format=json
+#include <benchmark/benchmark.h>
+
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 #include <string>
-#include <vector>
 
 #include "blocks/value.hpp"
 #include "support/rng.hpp"
@@ -57,8 +47,13 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
+// The replaced operator new is malloc-backed, so free() is the matching
+// release; gcc pairs inlined deletes with the builtin new and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -66,65 +61,6 @@ using psnap::Rng;
 using psnap::blocks::List;
 using psnap::blocks::ListPtr;
 using psnap::blocks::Value;
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// -------------------------------------------------------------------------
-// legacyClone: the seed's eager structured clone. Fresh List nodes with
-// fresh buffers, fresh string bytes for every text, element-wise
-// recursion — the cost model the COW snapshot replaces.
-// -------------------------------------------------------------------------
-Value legacyClone(const Value& v) {
-  if (v.isList()) {
-    const ListPtr& src = v.asList();
-    auto out = List::make();
-    out->reserve(src->length());
-    for (const Value& item : src->items()) out->add(legacyClone(item));
-    return Value(out);
-  }
-  if (v.isText()) return Value(std::string(v.textView()));
-  return v;
-}
-
-struct Row {
-  std::string bench;
-  double rate = 0;      // primary metric, unit-tagged below
-  std::string unit;
-  double seconds = 0;   // total measured wall time
-  uint64_t reps = 0;
-  double allocsPerRep = -1;  // heap allocations per rep; -1 = not tracked
-};
-
-// Run `body` repeatedly until ~minSeconds elapsed. `trackAllocs` also
-// divides the operator-new delta by reps (single-threaded rows only).
-template <typename F>
-Row timed(const std::string& name, const std::string& unit, double perRep,
-          double minSeconds, bool trackAllocs, F body) {
-  body();  // warm-up: first rep pays lazy caches / pool creation
-  uint64_t reps = 0;
-  const uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-  auto start = Clock::now();
-  double elapsed = 0;
-  do {
-    body();
-    ++reps;
-    elapsed = secondsSince(start);
-  } while (elapsed < minSeconds);
-  Row row;
-  row.bench = name;
-  row.unit = unit;
-  row.seconds = elapsed;
-  row.reps = reps;
-  row.rate = perRep * double(reps) / elapsed;
-  if (trackAllocs) {
-    const uint64_t allocs1 = g_allocs.load(std::memory_order_relaxed);
-    row.allocsPerRep = double(allocs1 - allocs0) / double(reps);
-  }
-  return row;
-}
 
 ListPtr flatNumbers(size_t n) {
   auto list = List::make();
@@ -156,158 +92,78 @@ ListPtr nestedPairs(size_t n) {
   return list;
 }
 
-uint64_t g_sink = 0;  // defeats clone elision without atomics in the loop
+template <ListPtr (*Make)(size_t)>
+void BM_Clone(benchmark::State& state) {
+  const Value source(Make(size_t(state.range(0))));
+  for (auto _ : state) {
+    Value clone = source.structuredClone();
+    benchmark::DoNotOptimize(clone);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Clone<flatNumbers>)
+    ->Name("clone/flat_numbers")
+    ->ArgName("n")
+    ->Arg(1'000'000);
+BENCHMARK(BM_Clone<flatTexts>)
+    ->Name("clone/flat_text")
+    ->ArgName("n")
+    ->Arg(100'000);
+BENCHMARK(BM_Clone<nestedPairs>)
+    ->Name("clone/nested_pairs")
+    ->ArgName("n")
+    ->Arg(100'000);
 
-Row benchClone(const std::string& shape, const ListPtr& list, bool legacy,
-               double minSeconds) {
-  const Value source(list);
-  const std::string name = std::string(legacy ? "legacy_" : "") + "clone/" +
-                           shape + "/n=" + std::to_string(list->length());
-  return timed(name, "clones/s", 1.0, minSeconds, /*trackAllocs=*/false, [&] {
-    Value clone = legacy ? legacyClone(source) : source.structuredClone();
-    g_sink += clone.asList()->length();
-  });
+void BM_ParallelEntry(benchmark::State& state) {
+  const ListPtr list = flatTexts(size_t(state.range(0)));
+  psnap::workers::ParallelOptions options;
+  options.maxWorkers = 4;
+  for (auto _ : state) {
+    psnap::workers::Parallel p(list, options);
+    benchmark::DoNotOptimize(p.workerCount());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParallelEntry)
+    ->Name("entry/parallel_text")
+    ->ArgName("n")
+    ->Arg(100'000)
+    ->UseRealTime();
+
+/// Time `op` per iteration and report its heap allocations per iteration.
+template <typename F>
+void countingAllocs(benchmark::State& state, F op) {
+  op();  // warm-up: the first call fills the lazy caches
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) benchmark::DoNotOptimize(op());
+  const uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["allocs_per_rep"] = benchmark::Counter(
+      double(after - before), benchmark::Counter::kAvgIterations);
 }
 
-Row benchParallelEntry(const ListPtr& list, bool legacy, double minSeconds) {
-  const std::string name = std::string(legacy ? "legacy_" : "") +
-                           "entry/parallel_text/n=" +
-                           std::to_string(list->length());
-  return timed(name, "ops/s", 1.0, minSeconds, /*trackAllocs=*/false, [&] {
-    if (legacy) {
-      std::vector<Value> data;
-      data.reserve(list->length());
-      for (const Value& v : list->items()) data.push_back(legacyClone(v));
-      g_sink += data.size();
-    } else {
-      psnap::workers::Parallel p(list, {.maxWorkers = 4});
-      g_sink += p.workerCount();
-    }
-  });
-}
-
-Row benchEqualsNumText(double minSeconds) {
+void BM_EqualsNumText(benchmark::State& state) {
   const Value text("3.14159");
   const Value number(3.14159);
-  return timed("equals/num_text", "cmp/s", 1.0, minSeconds,
-               /*trackAllocs=*/true, [&] {
-                 g_sink += text.equals(number) ? 1 : 0;
-               });
+  countingAllocs(state, [&] { return text.equals(number); });
 }
+BENCHMARK(BM_EqualsNumText)->Name("equals/num_text");
 
-Row benchEqualsLongTextCi(double minSeconds) {
+void BM_EqualsLongTextCi(benchmark::State& state) {
   const std::string base(100, 'q');
-  Value a(base + "SUFFIXCASE");
-  Value b(base + "suffixCASE");
-  return timed("equals/longtext_ci", "cmp/s", 1.0, minSeconds,
-               /*trackAllocs=*/true, [&] {
-                 g_sink += a.equals(b) ? 1 : 0;
-               });
+  const Value a(base + "SUFFIXCASE");
+  const Value b(base + "suffixCASE");
+  countingAllocs(state, [&] { return a.equals(b); });
 }
+BENCHMARK(BM_EqualsLongTextCi)->Name("equals/longtext_ci");
 
-Row benchAsNumberLongText(double minSeconds) {
+void BM_AsNumberLongText(benchmark::State& state) {
   // > 15 bytes so it lives in a shared TextRep with a cached parse.
   const Value v("        31415.926535897932        ");
-  return timed("asNumber/longtext", "coercions/s", 1.0, minSeconds,
-               /*trackAllocs=*/true, [&] {
-                 g_sink += uint64_t(v.asNumber());
-               });
+  countingAllocs(state, [&] { return v.asNumber(); });
 }
-
-void writeJson(const std::string& path, const std::string& variant,
-               const std::vector<Row>& rows) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"bench_value_plane\",\n");
-  std::fprintf(f, "  \"variant\": \"%s\",\n  \"rows\": [\n", variant.c_str());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"rate\": %.1f, \"unit\": \"%s\", "
-                 "\"reps\": %llu, \"seconds\": %.3f",
-                 r.bench.c_str(), r.rate, r.unit.c_str(),
-                 static_cast<unsigned long long>(r.reps), r.seconds);
-    if (r.allocsPerRep >= 0) {
-      std::fprintf(f, ", \"allocs_per_rep\": %.2f", r.allocsPerRep);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
+BENCHMARK(BM_AsNumberLongText)->Name("asNumber/longtext");
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string variant = "new";
-  std::string out = "BENCH_value.json";
-  double minSeconds = 0.4;
-  size_t scale = 1;  // divides workload sizes in smoke mode
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--variant") && i + 1 < argc) {
-      variant = argv[++i];
-    } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-      out = argv[++i];
-    } else if (!std::strcmp(argv[i], "--quick")) {
-      minSeconds = 0.1;
-    } else if (!std::strcmp(argv[i], "--smoke")) {
-      minSeconds = 0.02;
-      scale = 1000;
-    }
-  }
-
-  const size_t big = 1'000'000 / scale;
-  const size_t mid = 100'000 / scale;
-
-  std::vector<Row> rows;
-  {
-    ListPtr list = flatNumbers(big);
-    rows.push_back(benchClone("flat_numbers", list, /*legacy=*/false,
-                              minSeconds));
-    rows.push_back(benchClone("flat_numbers", list, /*legacy=*/true,
-                              minSeconds));
-  }
-  {
-    ListPtr list = flatTexts(mid);
-    rows.push_back(benchClone("flat_text", list, /*legacy=*/false,
-                              minSeconds));
-    rows.push_back(benchClone("flat_text", list, /*legacy=*/true,
-                              minSeconds));
-  }
-  {
-    ListPtr list = nestedPairs(mid);
-    rows.push_back(benchClone("nested_pairs", list, /*legacy=*/false,
-                              minSeconds));
-    rows.push_back(benchClone("nested_pairs", list, /*legacy=*/true,
-                              minSeconds));
-  }
-  rows.push_back(benchEqualsNumText(minSeconds));
-  rows.push_back(benchEqualsLongTextCi(minSeconds));
-  rows.push_back(benchAsNumberLongText(minSeconds));
-  {
-    ListPtr list = flatTexts(mid);
-    rows.push_back(benchParallelEntry(list, /*legacy=*/false, minSeconds));
-    rows.push_back(benchParallelEntry(list, /*legacy=*/true, minSeconds));
-  }
-
-  std::printf("%-34s %16s %12s %8s %10s\n", "bench", "rate", "unit", "reps",
-              "allocs/rep");
-  for (const Row& r : rows) {
-    if (r.allocsPerRep >= 0) {
-      std::printf("%-34s %16.1f %12s %8llu %10.2f\n", r.bench.c_str(),
-                  r.rate, r.unit.c_str(),
-                  static_cast<unsigned long long>(r.reps), r.allocsPerRep);
-    } else {
-      std::printf("%-34s %16.1f %12s %8llu %10s\n", r.bench.c_str(), r.rate,
-                  r.unit.c_str(), static_cast<unsigned long long>(r.reps),
-                  "-");
-    }
-  }
-  writeJson(out, variant, rows);
-  std::printf("wrote %s (variant=%s)\n", out.c_str(), variant.c_str());
-  if (g_sink == uint64_t(-1)) std::abort();  // keep the sink observable
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -9,10 +9,11 @@
 #
 # Usage: scripts/check.sh --bench-smoke
 #   Builds the release preset and runs every bench_* binary at a tiny
-#   size (gbench benches get --benchmark_min_time=0.01; the custom-main
-#   benches get their --quick/--smoke modes). Fails if any bench
-#   crashes or exits non-zero — a cheap guard that the measured code
-#   paths still run, without caring about the numbers.
+#   size: the google-benchmark benches get --benchmark_min_time=0.01,
+#   bench_native runs --quick and bench_persist --smoke. Fails if any
+#   bench crashes or exits non-zero — a cheap guard that the measured
+#   code paths still run and that bench_native's and bench_persist's
+#   pass/fail checks hold, without caring about the numbers.
 #
 # Usage: scripts/check.sh --chaos [seed...]
 #   Builds the asan and tsan presets and sweeps the seeded chaos suite
@@ -70,9 +71,7 @@
 #   sweep, and the fork+SIGKILL crash-kill test (a real dead writer, a
 #   real successor, byte-identical recovered outputs). Also runs the
 #   suites once under tsan (the pooled checkpoint writes and the
-#   stats-lease registry are the concurrency surface), then smoke-runs
-#   bench_supervise so the measured checkpoint/recovery paths stay
-#   alive.
+#   stats-lease registry are the concurrency surface).
 #
 # The asan test preset sets ASAN_OPTIONS=detect_leaks=0: rings are
 # shared_ptr closures over their defining environment, so storing a ring
@@ -102,22 +101,9 @@ if [ "${1:-}" = "--bench-smoke" ]; then
     [ -x "${bin}" ] || continue
     name=$(basename "${bin}")
     case "${name}" in
-      bench_parallel_substrate)
-        args=(--quick --out "${scratch}/${name}.json") ;;
-      bench_value_plane)
-        args=(--smoke --out "${scratch}/${name}.json") ;;
-      bench_serve)
-        args=(--quick --out "${scratch}/${name}.json") ;;
-      bench_async)
-        args=(--quick --out "${scratch}/${name}.json") ;;
-      bench_native)
-        args=(--quick --out "${scratch}/${name}.json") ;;
-      bench_persist)
-        args=(--smoke --out "${scratch}/${name}.json") ;;
-      bench_supervise)
-        args=(--quick --out "${scratch}/${name}.json") ;;
-      *)
-        args=(--benchmark_min_time=0.01) ;;
+      bench_native) args=(--quick) ;;
+      bench_persist) args=(--smoke) ;;
+      *) args=(--benchmark_min_time=0.01) ;;
     esac
     echo "== bench smoke: ${name} =="
     if ! "${bin}" "${args[@]}" > "${scratch}/${name}.log" 2>&1; then
@@ -194,10 +180,8 @@ if [ "${1:-}" = "--persist" ]; then
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_persist"
   cmake --preset release
   cmake --build --preset release -j "${jobs}" --target bench_persist
-  scratch=$(mktemp -d)
-  trap 'rm -rf "${scratch}"' EXIT
   echo "== persist: bench smoke =="
-  build-release/bench/bench_persist --smoke --out "${scratch}/persist.json"
+  build-release/bench/bench_persist --smoke
   echo "== persist sweep green: asan + chaos + bench smoke =="
   exit 0
 fi
@@ -242,14 +226,7 @@ if [ "${1:-}" = "--supervise" ]; then
   cmake --build --preset tsan -j "${jobs}" --target test_serve
   echo "== supervise: tsan =="
   "build-tsan/tests/test_serve" --gtest_filter='Supervise*:SuperviseChaos*'
-  cmake --preset release
-  cmake --build --preset release -j "${jobs}" --target bench_supervise
-  scratch=$(mktemp -d)
-  trap 'rm -rf "${scratch}"' EXIT
-  echo "== supervise: bench smoke =="
-  build-release/bench/bench_supervise --quick --out "${scratch}/supervise.json"
-  echo "== supervise sweep green: seeds ${seeds[*]} under asan," \
-    "tsan, bench smoke =="
+  echo "== supervise sweep green: seeds ${seeds[*]} under asan and tsan =="
   exit 0
 fi
 

@@ -493,27 +493,7 @@ NativeKernelSource KernelEmitter::emit() {
       tu += "        out[i] = psnap_kernel(in[i], &e);\n";
       tu += "        if (e) return i;\n";
       tu += "    }\n";
-      tu += "    return -1;\n}\n\n";
-      // The paper's Listing 5 shape: the same loop under an OpenMP
-      // parallel-for, for callers that hand the kernel a whole array
-      // instead of pool-sized chunks. Error indices still report the
-      // smallest erring element so the fallback is deterministic.
-      tu += "#ifdef _OPENMP\n";
-      tu += "long psnap_kernel_batch_omp(const double *in, double *out, "
-            "long n) {\n";
-      tu += "    long bad = -1;\n";
-      tu += "    long i;\n";
-      tu += "    #pragma omp parallel for\n";
-      tu += "    for (i = 0; i < n; i++) {\n";
-      tu += "        int e = 0;\n";
-      tu += "        out[i] = psnap_kernel(in[i], &e);\n";
-      tu += "        if (e) {\n";
-      tu += "            #pragma omp critical\n";
-      tu += "            { if (bad < 0 || i < bad) bad = i; }\n";
-      tu += "        }\n";
-      tu += "    }\n";
-      tu += "    return bad;\n}\n";
-      tu += "#endif\n";
+      tu += "    return -1;\n}\n";
       break;
     }
     case KernelShape::Binary:

@@ -28,7 +28,6 @@
 //
 //   Unary   double psnap_kernel(double x, int *err)
 //           long   psnap_kernel_batch(const double *in, double *out, long n)
-//           long   psnap_kernel_batch_omp(...)   (OpenMP variant, Listing 5)
 //   Binary  double psnap_kernel2(double a, double b, int *err)
 //   Fold    double psnap_kernel_fold(const double *a, long n, int *err)
 //

@@ -129,12 +129,10 @@ fs::path Toolchain::compile(const SourceSet& sources,
 }
 
 fs::path Toolchain::compileShared(const SourceSet& sources,
-                                  const std::string& libraryName,
-                                  bool openmp) {
+                                  const std::string& libraryName) {
   // -ffp-contract=off: no fused multiply-add, so kernel arithmetic rounds
   // exactly like the interpreter's one-operation-at-a-time evaluation.
-  std::string flags = "-O2 -shared -fPIC -ffp-contract=off";
-  if (openmp) flags += " -fopenmp";
+  const std::string flags = "-O2 -shared -fPIC -ffp-contract=off";
   return compileWith(sources, libraryName, flags,
                      hashSources(sources, "so|" + flags));
 }

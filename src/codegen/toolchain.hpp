@@ -65,8 +65,7 @@ class Toolchain {
   /// native tier's byte-identical-output gate holds (a fused
   /// multiply-add would round differently from the interpreter).
   std::filesystem::path compileShared(const SourceSet& sources,
-                                      const std::string& libraryName,
-                                      bool openmp);
+                                      const std::string& libraryName);
 
   /// Did the last compile()/compileShared() hit the content cache?
   bool lastCompileCached() const { return lastCompileCached_; }

@@ -134,13 +134,8 @@ TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
       in.assign(n, 0.0);  // constant body: the inputs are never read
     }
     std::vector<double> out(n);
-    // The OpenMP entry point earns its thread-spawn overhead only on
-    // large chunks; below that the serial loop wins.
-    native::UnaryBatchFn batchFn =
-        (kernel->unaryBatchOmp && n >= native::kOmpBatchThreshold)
-            ? kernel->unaryBatchOmp
-            : kernel->unaryBatch;
-    if (batchFn(in.data(), out.data(), static_cast<long>(n)) >= 0) {
+    if (kernel->unaryBatch(in.data(), out.data(), static_cast<long>(n)) >=
+        0) {
       return false;  // an element erred: the per-item loop raises it
     }
     if (state == KernelState::Ready) {

@@ -48,8 +48,7 @@ fs::path KernelCache::compile(const codegen::SourceSet& kernelSource,
     named[stem + ".c"] = contents;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  fs::path out = toolchain_.compileShared(named, stem + ".so",
-                                          /*openmp=*/true);
+  fs::path out = toolchain_.compileShared(named, stem + ".so");
   lastCached_ = toolchain_.lastCompileCached();
   return out;
 }

@@ -180,9 +180,6 @@ void TierManager::compileTask(RingKernel* kernel, const RingPtr& ring,
         kernel->unary = library.require<UnaryFn>("psnap_kernel");
         kernel->unaryBatch =
             library.require<UnaryBatchFn>("psnap_kernel_batch");
-        // Present only when the compiler had OpenMP; optional.
-        kernel->unaryBatchOmp = reinterpret_cast<UnaryBatchFn>(
-            library.symbol("psnap_kernel_batch_omp"));
         break;
       case KernelShape::Binary:
         kernel->binary = library.require<BinaryFn>("psnap_kernel2");

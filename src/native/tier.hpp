@@ -62,10 +62,6 @@ enum class KernelState : uint8_t {
 
 const char* kernelStateName(KernelState state);
 
-/// Chunk size from which the OpenMP batch entry point beats the serial
-/// one (thread-spawn amortization).
-inline constexpr size_t kOmpBatchThreshold = 65536;
-
 using UnaryFn = double (*)(double, int*);
 using UnaryBatchFn = long (*)(const double*, double*, long);
 using BinaryFn = double (*)(double, double, int*);
@@ -85,9 +81,6 @@ struct RingKernel {
   bool returnsBool = false;
   UnaryFn unary = nullptr;
   UnaryBatchFn unaryBatch = nullptr;
-  /// The `#ifdef _OPENMP` entry point; null when the kernel was built
-  /// without OpenMP support.
-  UnaryBatchFn unaryBatchOmp = nullptr;
   BinaryFn binary = nullptr;
   FoldFn fold = nullptr;
 

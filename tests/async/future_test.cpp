@@ -1,6 +1,6 @@
 // Completion-driven async suite: Future semantics (launch/compute/join),
-// parked-process frame accounting, and scheduler attribution for
-// processes that fail while parked.
+// parked-process frame accounting and wake latency, and scheduler
+// attribution for processes that fail while parked.
 //
 // The launch blocks return a pending Future immediately; `await` joins
 // it, parking the process on the future's settlement instead of polling.
@@ -10,10 +10,13 @@
 // owning process, and non-transferability across the worker boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "blocks/builder.hpp"
 #include "blocks/future.hpp"
@@ -251,6 +254,63 @@ TEST_F(AsyncBlocksTest, ParkedAwaitConsumesZeroFrames) {
   ASSERT_FALSE(handle.status->errored) << handle.status->error;
   EXPECT_EQ(handle.status->result.asList()->length(), 20000u);
   EXPECT_LE(frames, 8u);
+}
+
+TEST_F(AsyncBlocksTest, WakeFromParkBeatsTheHubWaitBound) {
+  // The wake is notify-driven: a parked scheduler re-checks on its own
+  // only every parkedWaitBound(), so a settle-to-finish latency below
+  // that bound (p99 over the rounds) can only come from the completion
+  // callback's hub notify, not from the wait timing out. No frame runs
+  // while the only live process is parked.
+  constexpr size_t kRounds = 40;
+  constexpr double kItems = 8000;
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> wakeSeconds;
+  double boundSeconds = 0;
+  uint64_t framesWhileParked = 0;
+  for (size_t round = 0; round < kRounds; ++round) {
+    ThreadManager tm(&BlockRegistry::standard(), &prims_);
+    auto env = Environment::make();
+    env->declare("f", Value());
+    env->declare("result", Value());
+    tm.spawnScript(
+        scriptOf({setVar("f", launchParallelMap(ring(product(empty(), 3)),
+                                                numbersFromTo(1, kItems), 4)),
+                  setVar("result", awaitValue(getVar("f")))}),
+        env);
+    // The launch and the park happen in the process's first slice.
+    for (int guard = 0; !env->get("f").isFuture() && guard < 8; ++guard) {
+      tm.runFrame();
+    }
+    ASSERT_TRUE(env->get("f").isFuture()) << "round " << round;
+    if (round == 0) boundSeconds = tm.parkedWaitBound();
+    // This callback runs after the park's wake functor, possibly after
+    // the process has finished, so it owns its slot (never this frame).
+    auto settledAt = std::make_shared<std::atomic<int64_t>>(0);
+    env->get("f").asFuture()->onSettle([settledAt] {
+      settledAt->store(Clock::now().time_since_epoch().count());
+    });
+    const uint64_t executed = tm.runUntilIdle();
+    const int64_t finishedAt = Clock::now().time_since_epoch().count();
+    while (settledAt->load() == 0) std::this_thread::yield();
+    const Clock::duration wake(finishedAt - settledAt->load());
+    wakeSeconds.push_back(
+        std::max(0.0, std::chrono::duration<double>(wake).count()));
+    ASSERT_TRUE(env->get("result").isList()) << "round " << round;
+    ASSERT_EQ(env->get("result").asList()->length(), size_t(kItems));
+    // One frame resumes and finishes the woken process; any more ran
+    // while it was parked.
+    framesWhileParked += executed > 1 ? executed - 1 : 0;
+  }
+  std::sort(wakeSeconds.begin(), wakeSeconds.end());
+  const double rank = 0.99 * double(kRounds - 1);
+  const size_t lo = size_t(rank);
+  const double p99 =
+      wakeSeconds[lo] +
+      (wakeSeconds[lo + 1] - wakeSeconds[lo]) * (rank - double(lo));
+  EXPECT_GT(boundSeconds, 0.0);
+  EXPECT_LT(p99, boundSeconds);
+  EXPECT_EQ(framesWhileParked, 0u);
 }
 
 TEST_F(AsyncBlocksTest, DeadlineWhileParkedFailsWithOwnAttribution) {

@@ -6,8 +6,10 @@
 
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -239,6 +241,29 @@ TEST(MapReduceJob, AsyncCompletion) {
   ASSERT_FALSE(job.failed()) << job.errorMessage();
   EXPECT_EQ(job.result()->length(), 7u);
   EXPECT_EQ(job.stats().inputItems, 2000u);
+}
+
+TEST(MapReduceJob, ConcurrentJobsMatchTheSequentialReference) {
+  // Eight chained jobs in flight at once: their stages interleave freely
+  // on the shared pool (no phase barriers), and each output is still
+  // byte-identical to the sequential run's.
+  const char* vocabulary[] = {"alpha", "bravo", "charlie", "delta",
+                              "echo",  "foxtrot", "golf", "hotel",
+                              "india", "juliet", "kilo", "lima", "mike"};
+  auto input = List::make();
+  for (int i = 0; i < 4000; ++i) input->add(Value(vocabulary[(i * 7) % 13]));
+  const std::string reference =
+      run(input, constOne(), countValues(), {.sequential = true})->display();
+  std::vector<std::unique_ptr<Job>> inflight;
+  for (int j = 0; j < 8; ++j) {
+    inflight.push_back(std::make_unique<Job>(input, constOne(), countValues(),
+                                             Options{.workers = 4}));
+  }
+  for (auto& job : inflight) {
+    job->wait();
+    ASSERT_FALSE(job->failed()) << job->errorMessage();
+    EXPECT_EQ(job->result()->display(), reference);
+  }
 }
 
 TEST(MapReduceJob, AsyncErrorCapture) {

@@ -26,6 +26,7 @@
 #include "support/rng.hpp"
 #include "tests/properties/generators.hpp"
 #include "vm/process.hpp"
+#include "workers/parallel.hpp"
 #include "workers/stats.hpp"
 
 namespace psnap::core {
@@ -336,6 +337,44 @@ TEST(NativeTier, BatchDeclinesChunksWithErrorElements) {
   EXPECT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
 }
 
+TEST(NativeTier, LargeChunkWithAnErringElementRaisesTheInterpreterError) {
+  if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
+  // One 70,000-item chunk (above 64Ki) whose only bad element sits near
+  // its end: the serial batch entry declines the whole chunk, and the
+  // per-item loop raises the interpreter's exact error for that element.
+  RingPtr ring = makeRing(build::ring(quotient(96.0, difference(empty(), 3.0))));
+  PureFn reference = compileRing(ring);
+  TierScope scope(syncConfig(2));
+  TieredUnary tiered = tieredUnary(ring);
+  for (int i = 4; i < 8; ++i) tiered.fn(Value(double(i)));
+  ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
+
+  constexpr size_t kItems = 70'000;
+  constexpr size_t kBad = 69'001;
+  std::vector<Value> input;
+  input.reserve(kItems);
+  for (size_t i = 0; i < kItems; ++i) {
+    input.emplace_back(i == kBad ? 3.0 : double(i) + 4.0);
+  }
+  std::string expected;
+  try {
+    reference({Value(3.0)});
+  } catch (const Error& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+
+  workers::Parallel p(input, {.maxWorkers = 1, .chunkSize = kItems});
+  p.map(tiered.fn, tiered.batch);
+  try {
+    p.data();  // rethrows the failed chunk's error with its own type
+    FAIL() << "the erring element did not raise";
+  } catch (const Error& e) {
+    EXPECT_EQ(expected, e.what());
+  }
+  EXPECT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
+}
+
 // --- binary rings -----------------------------------------------------------
 
 TEST(NativeTier, BinaryRingPromotesAndMatches) {
@@ -586,15 +625,15 @@ TEST(ToolchainCache, IdenticalRecompileHitsTheContentCache) {
   codegen::SourceSet sources;
   sources["k.c"] = "double psnap_probe(double x) { return x + 1.0; }\n";
   const uint64_t before = Toolchain::cacheHits();
-  auto first = tc.compileShared(sources, "k.so", false);
+  auto first = tc.compileShared(sources, "k.so");
   EXPECT_FALSE(tc.lastCompileCached());
-  auto second = tc.compileShared(sources, "k.so", false);
+  auto second = tc.compileShared(sources, "k.so");
   EXPECT_TRUE(tc.lastCompileCached());
   EXPECT_EQ(first, second);
   EXPECT_EQ(Toolchain::cacheHits(), before + 1);
   // Changed bytes invalidate the stamp.
   sources["k.c"] = "double psnap_probe(double x) { return x + 2.0; }\n";
-  tc.compileShared(sources, "k.so", false);
+  tc.compileShared(sources, "k.so");
   EXPECT_FALSE(tc.lastCompileCached());
 }
 
@@ -626,7 +665,7 @@ TEST(SharedLibraryLoader, OpensAndResolvesSymbols) {
   codegen::SourceSet sources;
   sources["probe.c"] =
       "double psnap_probe_fn(double x) { return x * 3.0; }\n";
-  auto lib = tc.compileShared(sources, "probe.so", false);
+  auto lib = tc.compileShared(sources, "probe.so");
   tc.keepDirectory();  // the library must outlive the toolchain's cleanup
   auto library = native::SharedLibrary::open(lib);
   auto fn = library.require<double (*)(double)>("psnap_probe_fn");

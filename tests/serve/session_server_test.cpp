@@ -3,6 +3,7 @@
 // deterministic (fault injection lives in serve_chaos_test.cpp).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -235,6 +236,41 @@ TEST(SessionServer, PerTenantStatsAreIsolatedAndRollUp) {
   EXPECT_EQ(recordOf(server, clean).timeouts, 0u);
   // …and rolls up into the process-wide root ledger.
   EXPECT_GE(workers::processSubstrateStats().timeouts.load(), before + 1);
+}
+
+TEST(SessionServer, MixedStormAllConcurrentCompletesFairly) {
+  // 300 sessions of the mixed workload, all admitted before the first
+  // frame so the whole storm is live at once. Every session completes
+  // with a verified output, and round-robin keeps each workload kind's
+  // max/min frames-to-finish within 2x.
+  constexpr size_t kSessions = 300;
+  ServerConfig config;
+  config.maxSessions = kSessions;
+  config.maxWorkers = 2;
+  SessionServer server(config);
+  for (size_t i = 0; i < kSessions; ++i) {
+    server.admit(scenarios::serveMixedWorkload(i));
+  }
+  ASSERT_EQ(server.activeSessions(), kSessions);
+  server.runUntilQuiet(100000);
+
+  EXPECT_EQ(server.metrics().completed, kSessions);
+  // Labels carry generator parameters after a ':' ("wordcount:24:7");
+  // fairness compares sessions of one workload kind.
+  std::map<std::string, std::vector<uint64_t>> framesByKind;
+  for (const SessionRecord& record : server.records()) {
+    EXPECT_EQ(record.state, SessionState::Completed)
+        << record.label << ": " << record.error;
+    EXPECT_TRUE(record.outputOk) << record.label;
+    framesByKind[record.label.substr(0, record.label.find(':'))].push_back(
+        record.framesRun);
+  }
+  EXPECT_EQ(framesByKind.size(), 3u);
+  for (const auto& [kind, frames] : framesByKind) {
+    const double spread = SessionServer::fairnessSpread(frames);
+    EXPECT_GT(spread, 0.0) << kind;
+    EXPECT_LE(spread, 2.0) << kind;
+  }
 }
 
 TEST(SessionServer, FairnessSpreadEdgeCases) {

@@ -325,19 +325,24 @@ TEST_F(SuperviseTest, ColdRestartResumesByteIdentical) {
     }
   }
   // Interrupted: run a few frames, drain, and hand off to a successor.
+  size_t drained = 0;
   {
     SessionServer first(supervisedConfig());
     for (size_t i = 0; i < 6; ++i) {
       first.admit(scenarios::serveMixedRecoverableWorkload(i));
     }
     for (int f = 0; f < 5; ++f) first.runFrame();
-    EXPECT_EQ(first.drain() + first.metrics().completed, 6u);
+    drained = first.drain();
+    EXPECT_EQ(drained + first.metrics().completed, 6u);
+    EXPECT_EQ(first.metrics().checkpointFailures, 0u);
   }
   SessionServer successor(supervisedConfig());
   const std::vector<uint64_t> recovered =
       successor.recoverSessions(scenarios::serveRecoveryFactory);
   EXPECT_EQ(successor.metrics().recovered, recovered.size());
   EXPECT_GE(recovered.size(), 1u);
+  // The successor resumes exactly the drained population.
+  EXPECT_EQ(recovered.size(), drained);
   successor.runUntilQuiet(200000);
   for (uint64_t id : recovered) {
     const SessionRecord record = recordOf(successor, id);
@@ -353,6 +358,29 @@ TEST_F(SuperviseTest, ColdRestartResumesByteIdentical) {
       successor.admit(scenarios::serveTickerWorkload(8));
   EXPECT_GT(fresh, recovered.empty() ? 0 : recovered.back());
   successor.runUntilQuiet(200000);
+}
+
+TEST_F(SuperviseTest, SupervisedMixedStormCompletesWithoutWriteFailures) {
+  // Checkpointing rides the fault-free path of a 200-session recoverable
+  // storm: every session completes with its self-check intact, writes
+  // land, and none fails.
+  constexpr size_t kSessions = 200;
+  ServerConfig config = supervisedConfig();
+  config.maxSessions = kSessions;
+  config.maxWorkers = 2;
+  SessionServer server(config);
+  for (size_t i = 0; i < kSessions; ++i) {
+    server.admit(scenarios::serveMixedRecoverableWorkload(i));
+  }
+  server.runUntilQuiet(200000);
+  EXPECT_EQ(server.metrics().completed, kSessions);
+  for (const SessionRecord& record : server.records()) {
+    EXPECT_EQ(record.state, SessionState::Completed)
+        << record.label << ": " << record.error;
+    EXPECT_TRUE(record.outputOk) << record.label;
+  }
+  EXPECT_GT(server.metrics().checkpointsWritten, 0u);
+  EXPECT_EQ(server.metrics().checkpointFailures, 0u);
 }
 
 TEST_F(SuperviseTest, RecordsCarryCumulativeStatsAcrossRestart) {
