@@ -27,6 +27,8 @@
 #   (GTEST_FILTER='*ShuffleDifferential*' in test_properties) once under
 #   asan: every engine path (pooled at each width, sequential, and
 #   degraded by a saturated pool) against an in-test reference shuffle.
+#   Then runs that suite and test_mapreduce once under tsan: the stage-1
+#   slices share the read-only input and keep per-slice key memos.
 #
 # Usage: scripts/check.sh --native
 #   Builds the asan preset and runs the native-tier suites (test_native:
@@ -139,8 +141,13 @@ if [ "${1:-}" = "--chaos" ]; then
   echo "== chaos: asan, mapReduce differential =="
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_properties" \
     --gtest_filter='*ShuffleDifferential*'
+  cmake --build --preset tsan -j "${jobs}" \
+    --target test_properties test_mapreduce
+  echo "== chaos: tsan, mapReduce differential and engine suite =="
+  "build-tsan/tests/test_properties" --gtest_filter='*ShuffleDifferential*'
+  "build-tsan/tests/test_mapreduce"
   echo "== chaos sweep green: seeds ${seeds[*]} under asan + tsan," \
-    "differential under asan =="
+    "differential under asan + tsan =="
   exit 0
 fi
 

@@ -65,14 +65,16 @@ namespace {
 constexpr size_t kSmallTextCap = 15;
 }  // namespace
 
+Value::SmallText Value::smallText(std::string_view text) {
+  SmallText small = {};  // zero-filled: the padding invariant
+  std::memcpy(small.bytes, text.data(), text.size());
+  small.size = uint8_t(text.size());
+  return small;
+}
+
 Value::Value(std::string text) {
   if (text.size() <= kSmallTextCap) {
-    // Zero-initialized so the bytes beyond size are deterministic: the
-    // persistence layer snapshots small-text Values by raw byte image.
-    SmallText small = {};
-    std::memcpy(small.bytes, text.data(), text.size());
-    small.size = uint8_t(text.size());
-    v_ = small;
+    v_ = smallText(text);
   } else {
     v_ = TextPtr(std::make_shared<TextRep>(std::move(text)));
   }
@@ -80,10 +82,7 @@ Value::Value(std::string text) {
 
 Value::Value(std::string_view text) {
   if (text.size() <= kSmallTextCap) {
-    SmallText small = {};
-    std::memcpy(small.bytes, text.data(), text.size());
-    small.size = uint8_t(text.size());
-    v_ = small;
+    v_ = smallText(text);
   } else {
     v_ = TextPtr(std::make_shared<TextRep>(std::string(text)));
   }

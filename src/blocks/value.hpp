@@ -186,18 +186,63 @@ class Value {
   /// Throws PurityError when !isTransferable().
   Value structuredClone() const;
 
+  /// The exact representation of a number, boolean or text: which
+  /// alternative holds it, plus its inline image — a number's bits, the
+  /// flag, a short text's zero-padded bytes and size, or a long text's
+  /// rep pointer. Equal identities mean the same kind and the same
+  /// content, so `equals` holds (except for a NaN, which equals nothing).
+  /// Unequal identities say nothing: 0 and -0, or two reps of one long
+  /// text, differ. Nothing, lists, rings and futures have none (tag 0).
+  /// A rep pointer identifies its text only while some Value pins the
+  /// rep.
+  struct Identity {
+    uint64_t bits[2] = {0, 0};
+    uint8_t tag = 0;  // the variant alternative; 0 for no identity
+    bool operator==(const Identity&) const = default;
+  };
+  Identity identity() const;
+
  private:
   /// Inline storage for short text: copying it is a 16-byte move, and the
   /// common case (words, numbers-as-text, flags) never allocates.
+  /// Invariant: the bytes past `size` are zero. Every SmallText is built
+  /// by smallText(), so equal texts have equal 16-byte images — which
+  /// the persistence layer's raw slot images and identity() rely on.
   struct SmallText {
     char bytes[15];
     uint8_t size;
   };
+  static_assert(sizeof(SmallText) == 16);
+
+  /// The zero-padded inline form of `text` (at most 15 bytes).
+  static SmallText smallText(std::string_view text);
 
   std::variant<std::monostate, double, bool, SmallText, TextPtr, ListPtr,
                RingPtr, FuturePtr>
       v_;
 };
+
+inline Value::Identity Value::identity() const {
+  Identity id;
+  switch (v_.index()) {
+    case 1:
+      std::memcpy(&id.bits[0], std::get_if<1>(&v_), sizeof(double));
+      break;
+    case 2:
+      id.bits[0] = *std::get_if<2>(&v_);
+      break;
+    case 3:
+      std::memcpy(id.bits, std::get_if<3>(&v_), sizeof(SmallText));
+      break;
+    case 4:
+      id.bits[0] = reinterpret_cast<uintptr_t>(std::get_if<4>(&v_)->get());
+      break;
+    default:
+      return id;
+  }
+  id.tag = uint8_t(v_.index());
+  return id;
+}
 
 /// Read-only view of a list's item buffer. The view is valid while the
 /// list is alive and unmodified (any mutator may detach and reallocate).

@@ -68,8 +68,10 @@ void withStageRetries(int maxRetries, workers::SubstrateStats* stats,
 // unsigned bytes). Numeric keys never need a rank, so only booleans,
 // lists and nothing render their display.
 struct SortKey {
-  const Value* key = nullptr;  // the head pair's key slot (Shuffle-owned)
-  std::string shown;           // display(), for non-numeric non-text keys
+  // The head pair's key, read in place: an input item, pinned by the
+  // job's input, or an explicit pair's key, pinned by its map result.
+  const Value* key = nullptr;
+  std::string shown;  // display(), for non-numeric non-text keys
   double num = 0;
   uint64_t hash = 0;
   bool numeric = false;
@@ -161,17 +163,17 @@ struct Group {
 
 constexpr uint32_t kNone = UINT32_MAX;
 
-/// Open addressing on the full class hash; each slot holds a class id.
+/// Open addressing on a full 64-bit hash; each slot holds a dense id.
 struct ClassTable {
-  /// Empty, with room for `expected` classes at half load.
+  /// Empty, with room for `expected` ids at half load.
   void reset(size_t expected) {
     size_t capacity = 16;
     while (capacity < 2 * expected) capacity *= 2;
     slots.assign(capacity, kNone);
   }
 
-  /// The slot holding the class for which `same(id)` holds, or else the
-  /// empty slot where that class belongs.
+  /// The slot holding the id for which `same(id)` holds, or else the
+  /// empty slot where that id belongs.
   template <typename Same>
   uint32_t& find(uint64_t hash, const Same& same) {
     const size_t mask = slots.size() - 1;
@@ -182,87 +184,133 @@ struct ClassTable {
     return slots[slot];
   }
 
+  /// Past half load with ids [0, count), grow and reinsert each id at
+  /// `hashOf(id)`.
+  template <typename HashOf>
+  void fit(size_t count, const HashOf& hashOf) {
+    if (2 * count <= slots.size()) return;
+    reset(count);
+    for (uint32_t id = 0; id < count; ++id) {
+      find(hashOf(id), [](uint32_t) { return false; }) = id;
+    }
+  }
+
   std::vector<uint32_t> slots;
 };
 
+/// A hash of a key's exact representation, for the slice memo. Each
+/// multiply is followed by a fold of its high half into the low bits the
+/// table masks, so texts that share a prefix still spread.
+uint64_t identityHash(const Value::Identity& id) {
+  uint64_t h = (id.bits[0] ^ id.tag) * 0x9e3779b97f4a7c15ull;
+  h ^= id.bits[1];
+  h = (h ^ (h >> 32)) * 0xbf58476d1ce4e5b9ull;
+  return h ^ (h >> 29);
+}
+
 /// One stage-1 slice's order classes, in first-appearance order: each
-/// class's head key and member count, and its ids listed by shard.
+/// class's head key, member count and one-run flag, and its ids listed
+/// by shard. In front of the class table sits a memo from each key
+/// representation the slice has classed to its class id.
 struct SliceClasses {
   void reset(size_t shards) {
+    memo.reset(0);
+    memoed.clear();
     table.reset(0);
     heads.clear();
     sizes.clear();
+    oneRun.clear();
     byShard.assign(shards, {});
   }
 
-  /// Count the pair key `key` (probed as `p`) into its class and return
-  /// the class id. A key the slice has not seen opens a class headed by
-  /// itself, which takes over `shown` as its display.
-  uint32_t classify(const Value& key, const Probe& p, std::string& shown) {
+  /// Count the pair key `key` into its class and return the class id.
+  /// A key whose exact representation the slice has classed before is
+  /// one memo probe. Any other key is probed and looked up in the class
+  /// table; a key of a class the slice has not seen opens a class headed
+  /// by itself, which takes over `shown` as its display. The key must
+  /// stay pinned while the slice's classes live.
+  uint32_t classify(const Value& key, std::string& shown) {
+    const Value::Identity id = key.identity();
+    uint32_t* memoSlot = nullptr;
+    if (id.tag != 0) {
+      uint32_t& slot = memo.find(
+          identityHash(id), [&](uint32_t e) { return memoed[e].first == id; });
+      if (slot != kNone) {
+        const uint32_t c = memoed[slot].second;
+        ++sizes[c];
+        return c;
+      }
+      memoSlot = &slot;
+    }
+    const Probe p = probeOf(key, shown);
     uint32_t& slot =
         table.find(p.hash, [&](uint32_t c) { return sameClass(heads[c], p); });
-    if (slot != kNone) {
-      ++sizes[slot];
-      return slot;
+    uint32_t c = slot;
+    if (c != kNone) {
+      ++sizes[c];
+      // A non-numeric class stays one run only while every member is text.
+      if (!p.numeric && !key.isText()) oneRun[c] = false;
+    } else {
+      c = uint32_t(heads.size());
+      slot = c;
+      SortKey head{&key, {}, p.num, p.hash, p.numeric};
+      if (!p.numeric && !key.isText()) head.shown = std::move(shown);
+      heads.push_back(std::move(head));
+      sizes.push_back(1);
+      oneRun.push_back(p.numeric ? !std::isnan(p.num) : key.isText());
+      byShard[p.hash % byShard.size()].push_back(c);
+      table.fit(heads.size(), [&](uint32_t h) { return heads[h].hash; });
     }
-    const uint32_t c = uint32_t(heads.size());
-    slot = c;
-    SortKey head{&key, {}, p.num, p.hash, p.numeric};
-    if (!p.numeric && !key.isText()) head.shown = std::move(shown);
-    heads.push_back(std::move(head));
-    sizes.push_back(1);
-    byShard[p.hash % byShard.size()].push_back(c);
-    if (2 * heads.size() > table.slots.size()) {
-      table.reset(heads.size());
-      for (uint32_t h = 0; h < heads.size(); ++h) {
-        table.find(heads[h].hash, [](uint32_t) { return false; }) = h;
-      }
+    if (memoSlot) {
+      *memoSlot = uint32_t(memoed.size());
+      memoed.emplace_back(id, c);
+      memo.fit(memoed.size(),
+               [&](uint32_t e) { return identityHash(memoed[e].first); });
     }
     return c;
   }
 
+  ClassTable memo;  // identityHash → index into memoed
+  std::vector<std::pair<Value::Identity, uint32_t>> memoed;  // → class id
   ClassTable table;
   std::vector<SortKey> heads;
   std::vector<uint32_t> sizes;
+  /// Per class: sameKey holds between any two members, so the class is a
+  /// single run. True for a numeric non-NaN class and for a class whose
+  /// members are all text.
+  std::vector<uint8_t> oneRun;
   std::vector<std::vector<uint32_t>> byShard;  // [shard] → class ids
 };
 
-/// The shuffle over flat pair arrays: pair i is {pairKeys[i],
-/// pairValues[i]}, and classOf[i] is its class in its slice's table.
-/// Slot i of every array is written by the one slice task covering i,
-/// and slices[slice] and binned[slice] by that slice alone, so a slice
-/// that restarts from scratch rewrites all of its state exactly.
+/// The shuffle over the input items and their flat map results: pair i
+/// is read in place from items[i] and mapped[i] (keyOf, valueOf), and
+/// classOf[i] is its class in its slice's table. Slot i of every array is
+/// written by the one slice task covering i, and slices[slice] and
+/// binned[slice] by that slice alone, so a slice that restarts from
+/// scratch rewrites all of its state exactly.
 struct Shuffle {
-  Shuffle(size_t count, size_t shards)
-      : n(count),
+  Shuffle(blocks::ItemSpan input, size_t shards)
+      : n(input.size()),
         shardCount(shards),
-        pairKeys(count),
-        pairValues(count),
-        classOf(count),
+        items(input),
+        mapped(n),
+        classOf(n),
         slices(shards),
         binned(shards, std::vector<std::vector<uint32_t>>(shards)) {}
 
   /// Slice s covers [s * per(), min((s + 1) * per(), n)).
   size_t per() const { return (n + shardCount - 1) / shardCount; }
 
-  /// Store item i's map result: an explicit [key, value] pair is split
-  /// into the two arrays; any other result is keyed by the item.
-  void setPair(size_t i, const Value& item, Value mapped) {
-    if (mapped.isList() && mapped.asList()->length() == 2) {
-      const Value& key = mapped.asList()->item(1);
-      if (!key.isTransferable()) {
-        throw Error(
-            "mapReduce: explicit [key, value] pair has a non-transferable "
-            "key of kind '" +
-            std::string(blocks::valueKindName(key.kind())) +
-            "'; keys must be cloneable (no rings)");
-      }
-      pairKeys[i] = key;
-      pairValues[i] = mapped.asList()->item(2);
-      return;
-    }
-    pairKeys[i] = item;
-    pairValues[i] = std::move(mapped);
+  /// An explicit [key, value] map result; any other result is keyed by
+  /// its item.
+  static bool isPair(const Value& result) {
+    return result.isList() && result.asList()->length() == 2;
+  }
+  const Value& keyOf(size_t i) const {
+    return isPair(mapped[i]) ? mapped[i].asList()->items()[0] : items[i];
+  }
+  const Value& valueOf(size_t i) const {
+    return isPair(mapped[i]) ? mapped[i].asList()->items()[1] : mapped[i];
   }
 
   /// Forget everything `slice` has classed and binned.
@@ -274,9 +322,18 @@ struct Shuffle {
   /// Class pair i's key in `slice`'s table and bin its index by shard.
   /// `shown` is the slice's scratch for a key's display.
   void bin(size_t slice, size_t i, std::string& shown) {
-    const Probe p = probeOf(pairKeys[i], shown);
-    classOf[i] = slices[slice].classify(pairKeys[i], p, shown);
-    binned[slice][p.hash % shardCount].push_back(uint32_t(i));
+    const Value& key = keyOf(i);
+    if (isPair(mapped[i]) && !key.isTransferable()) {
+      throw Error(
+          "mapReduce: explicit [key, value] pair has a non-transferable "
+          "key of kind '" +
+          std::string(blocks::valueKindName(key.kind())) +
+          "'; keys must be cloneable (no rings)");
+    }
+    SliceClasses& classes = slices[slice];
+    const uint32_t c = classes.classify(key, shown);
+    classOf[i] = c;
+    binned[slice][classes.heads[c].hash % shardCount].push_back(uint32_t(i));
   }
 
   /// One shard's groups in key order — exactly the groups a stable sort
@@ -296,6 +353,7 @@ struct Shuffle {
     table.reset(incoming);
     std::vector<const SortKey*> heads;  // per shard class
     std::vector<uint32_t> offsets;      // per shard class: members, then start
+    std::vector<uint8_t> single;        // per shard class: one run
     std::vector<uint32_t> merged(firstOf.back(), kNone);
     for (size_t t = 0; t < slices.size(); ++t) {
       for (uint32_t c : slices[t].byShard[shard]) {
@@ -307,9 +365,11 @@ struct Shuffle {
           slot = uint32_t(heads.size());
           heads.push_back(&key);
           offsets.push_back(0);
+          single.push_back(true);
         }
         merged[firstOf[t] + c] = slot;
         offsets[slot] += slices[t].sizes[c];
+        single[slot] &= slices[t].oneRun[c];
       }
     }
     // 2. Lay the members out flat, class by class: prefix sums give each
@@ -331,18 +391,20 @@ struct Shuffle {
       return keyLess(*heads[a], *heads[b]);
     });
     // 4. In key order, split each class into runs of keys equal to the
-    //    run's first key; each run's values list is built once.
+    //    run's first key (a one-run class is a single run); each run's
+    //    values list is built once.
     std::vector<Group> groups;
     for (uint32_t c : order) {
       const uint32_t end = offsets[c + 1];
       for (uint32_t m = offsets[c]; m < end;) {
-        const Value& run = pairKeys[members[m]];
+        const Value& run = keyOf(members[m]);
         std::vector<Value> values;
         values.reserve(end - m);
         do {
-          values.push_back(pairValues[members[m]]);
+          values.push_back(valueOf(members[m]));
           ++m;
-        } while (m < end && sameKey(*heads[c], run, pairKeys[members[m]]));
+        } while (m < end &&
+                 (single[c] || sameKey(*heads[c], run, keyOf(members[m]))));
         groups.push_back({run, Value(List::make(std::move(values))),
                           heads[c]});
       }
@@ -352,8 +414,8 @@ struct Shuffle {
 
   size_t n;
   size_t shardCount;
-  std::vector<Value> pairKeys;
-  std::vector<Value> pairValues;
+  blocks::ItemSpan items;      // the job's input, read-only for its life
+  std::vector<Value> mapped;   // map results; pins explicit pairs' keys
   std::vector<uint32_t> classOf;
   std::vector<SliceClasses> slices;                        // [slice]
   std::vector<std::vector<std::vector<uint32_t>>> binned;  // [slice][shard]
@@ -418,9 +480,9 @@ struct Job::Pipeline {
   Options options;
   workers::SubstrateStats* stats = nullptr;  // the constructing tenant's
 
-  // Stage 1 output: the flat pairs, each slice's key classes and the
+  // Stage 1 output: the map results, each slice's key classes and the
   // pairs' shard bins.
-  Shuffle shuffle{0, 1};
+  Shuffle shuffle{{}, 1};
   // Stage 2 output: per shard, its reduced groups in key order.
   std::vector<std::vector<Group>> shards;
 };
@@ -458,7 +520,7 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
   const size_t width = p.options.workers == 0 ? 4 : p.options.workers;
   // A single shard keeps the chain's overhead off short lists without
   // changing the output.
-  p.shuffle = Shuffle(n, n < 256 ? 1 : width);
+  p.shuffle = Shuffle(p.input->items(), n < 256 ? 1 : width);
   p.shards.resize(p.shuffle.shardCount);
   launch(&Job::mapSlice, &Job::startStage2);
 }
@@ -476,21 +538,21 @@ void Job::cancel(const std::string& reason) { token_->cancel(reason); }
 void Job::mapSlice(size_t slice, bool pooled) {
   Pipeline& p = *pipe_;
   Shuffle& s = p.shuffle;
-  const blocks::ItemSpan items = p.input->items();
+  const blocks::ItemSpan items = s.items;
   const size_t begin = slice * s.per();
   const size_t end = std::min(begin + s.per(), s.n);
   // mapFn is pure and every slot this slice writes is its own, so a
   // retry restarts the slice exactly.
   s.resetSlice(slice);
-  // Native chunk path: copy the slice's items into its pairValues slots
-  // and transform them there (pairs stay keyed by the ORIGINAL items,
-  // which p.input still holds). A false return writes nothing, and the
-  // loop below maps every item itself.
+  // Native chunk path: copy the slice's items into its mapped slots and
+  // transform them there (pairs stay keyed by the ORIGINAL items, which
+  // p.input still holds). A false return writes nothing, and the loop
+  // below maps every item itself.
   bool batched = false;
   if (pooled && p.options.mapBatch && end > begin) {
     std::copy(items.begin() + begin, items.begin() + end,
-              s.pairValues.begin() + begin);
-    batched = p.options.mapBatch(s.pairValues.data() + begin, end - begin);
+              s.mapped.begin() + begin);
+    batched = p.options.mapBatch(s.mapped.data() + begin, end - begin);
     // The slots now hold mapped values: a retry must copy afresh.
     if (batched) fault::inject(fault::Point::TaskThrow);
   }
@@ -499,8 +561,7 @@ void Job::mapSlice(size_t slice, bool pooled) {
   for (size_t i = begin; i < end; ++i) {
     if (inject) fault::inject(fault::Point::TaskThrow);
     if ((i - begin) % 512 == 511) token_->checkpoint();
-    s.setPair(i, items[i],
-              batched ? std::move(s.pairValues[i]) : p.mapFn(items[i]));
+    if (!batched) s.mapped[i] = p.mapFn(items[i]);
     s.bin(slice, i, shown);
   }
 }
@@ -553,7 +614,7 @@ void Job::startStage2() { launch(&Job::reduceShard, &Job::finish); }
 void Job::runSequential() {
   Pipeline& p = *pipe_;
   try {
-    p.shuffle = Shuffle(stats_.inputItems, 1);
+    p.shuffle = Shuffle(p.input->items(), 1);
     p.shards.assign(1, {});
     mapSlice(0, false);
     token_->checkpoint();

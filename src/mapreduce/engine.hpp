@@ -76,8 +76,8 @@ struct Options {
   /// tier's compiled kernel). Same contract as workers::MapBatchFn:
   /// all-or-nothing in-place transform, false when not servable. The
   /// pipeline keys pairs by the ORIGINAL items, so the batch transform
-  /// runs on a copy of each slice written straight into its pair-value
-  /// slots.
+  /// runs on a copy of each slice written straight into its map-result
+  /// slots, from which stage 1 reads each pair in place.
   workers::MapBatchFn mapBatch;
 };
 
@@ -105,10 +105,11 @@ ReduceFn identityReduce();
 /// An asynchronous MapReduce job for integration with the cooperative
 /// scheduler — a completion-chained pipeline with no phase barriers:
 ///
-///   stage 1   W slice tasks: map each item into flat key/value arrays,
-///             class its key in the slice's hash table of order classes,
-///             bin its index by shard (the map phase and the shuffle's
-///             key pass, fused);
+///   stage 1   W slice tasks: map each item into a flat array of map
+///             results, class its pair's key (read in place, through the
+///             slice's memo of key representations and its hash table of
+///             order classes), bin its index by shard (the map phase and
+///             the shuffle's key pass, fused);
 ///   stage 2   W shard tasks: merge the slices' classes for the shard,
 ///             sort the class heads, split each class into runs of equal
 ///             keys, reduce each run (the shuffle's group and the reduce
@@ -175,8 +176,9 @@ class Job {
   /// ~Job blocks on the latch and every path settles it last.
   struct Pipeline;
 
-  /// Stage 1's body for one slice: map each item, store its pair, bin
-  /// it. Stage 2's body for one shard: group its pairs, reduce each group.
+  /// Stage 1's body for one slice: map each item into its result slot,
+  /// class its pair's key where the item and result hold it, bin it.
+  /// Stage 2's body for one shard: group its pairs, reduce each group.
   /// `pooled` is false on the sequential pass, which never calls mapBatch
   /// and fires no task fault.
   void mapSlice(size_t slice, bool pooled);

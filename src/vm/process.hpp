@@ -134,8 +134,9 @@ enum class ProcessState { Ready, Blocked, Done, Errored, Terminated };
 /// directly into the registry and primitive table, and consecutive
 /// immediate inputs (literals, blanks, collapsed slots) are deposited in
 /// one interpreter step. ByString preserves the pre-interning behaviour —
-/// hash the opcode string twice per dispatch, one input per step — as a
-/// live reference configuration for benchmarking and parity tests.
+/// hash the opcode string twice per dispatch, one input per step — as the
+/// reference that the DispatchParity property test checks ById against.
+/// No benchmark runs it; its old timings are frozen in EXPERIMENTS.md.
 enum class DispatchMode { ById, ByString };
 
 class Process {
@@ -190,7 +191,7 @@ class Process {
   bool yielded() const { return yielded_; }
 
   /// Select spec/handler resolution (default ById; ByString is the
-  /// string-hashing reference path kept for benchmark comparison).
+  /// string-hashing reference path, kept only for the DispatchParity test).
   void setDispatchMode(DispatchMode mode) { dispatchMode_ = mode; }
   DispatchMode dispatchMode() const { return dispatchMode_; }
 

@@ -4,6 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <limits>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "persist/snapshot.hpp"
 #include "support/error.hpp"
 
 namespace psnap::blocks {
@@ -169,6 +179,87 @@ TEST(EmptySlots, OrdinalsArePreorder) {
   EXPECT_EQ(emptySlotOrdinal(*ring, slots[2]), 2u);
   Input stray = Input::empty();
   EXPECT_THROW(emptySlotOrdinal(*ring, &stray), BlockError);
+}
+
+// --- identity(): a value's exact representation ----------------------------
+
+TEST(ValueIdentity, EqualIdentitiesMeanEqualValuesOfOneKind) {
+  const Value longText(std::string(40, 'x'));
+  const Value copied = longText;  // shares the rep
+  const std::vector<Value> values = {
+      Value(0),        Value(-0.0),     Value(1),
+      Value(1.5),      Value(true),     Value(false),
+      Value(""),       Value("0"),      Value("1"),
+      Value("a"),      Value("A"),      Value("word"),
+      Value(std::string("word")),       Value(std::string_view("word")),
+      longText,        copied,          Value(std::string(40, 'x')),
+      Value(std::numeric_limits<double>::denorm_min())};
+  for (const Value& a : values) {
+    ASSERT_NE(a.identity().tag, 0) << a.display();
+    for (const Value& b : values) {
+      if (a.identity() == b.identity()) {
+        EXPECT_EQ(a.kind(), b.kind()) << a.display() << " / " << b.display();
+        EXPECT_TRUE(a.equals(b)) << a.display() << " / " << b.display();
+      }
+    }
+  }
+  EXPECT_EQ(copied.identity(), longText.identity());
+  // 0 and false share their bits; 1 and true share none, but the least
+  // subnormal does: the kind keeps them apart.
+  EXPECT_NE(Value(0).identity(), Value(false).identity());
+  EXPECT_NE(Value(std::numeric_limits<double>::denorm_min()).identity(),
+            Value(true).identity());
+}
+
+TEST(ValueIdentity, EqualValuesOfDistinctRepresentationsDiffer) {
+  EXPECT_TRUE(Value(0).equals(Value(-0.0)));
+  EXPECT_NE(Value(0).identity(), Value(-0.0).identity());
+
+  const double quiet = std::nan("");
+  const double negated = -quiet;
+  ASSERT_NE(std::memcmp(&quiet, &negated, sizeof(double)), 0);
+  EXPECT_NE(Value(quiet).identity(), Value(negated).identity());
+
+  EXPECT_TRUE(Value("a").equals(Value("A")));
+  EXPECT_NE(Value("a").identity(), Value("A").identity());
+
+  const std::string text = "a text too long to be stored inline";
+  const Value first(text);
+  const Value second(text);
+  EXPECT_TRUE(first.equals(second));
+  EXPECT_NE(first.identity(), second.identity());
+}
+
+TEST(ValueIdentity, OnlyNumbersBooleansAndTextsHaveOne) {
+  EXPECT_EQ(Value().identity().tag, 0);
+  EXPECT_EQ(Value(List::make({Value(1)})).identity().tag, 0);
+  auto ring = Ring::reporter(Block::make("reportIdentity", {Input::empty()}));
+  EXPECT_EQ(Value(ring).identity().tag, 0);
+}
+
+// A short text's identity is its zero-padded inline image, so it is the
+// same however the text was built — including a slot read straight out
+// of a mapped snapshot.
+TEST(ValueIdentity, ShortTextIsOneIdentityOnEveryConstructionPath) {
+  const Value::Identity fromString = Value(std::string("word")).identity();
+  EXPECT_EQ(Value(std::string_view("word")).identity(), fromString);
+  EXPECT_EQ(Value("word").identity(), fromString);
+  // A longer text's bytes do not linger in a shorter one's padding.
+  EXPECT_EQ(Value(std::string("wordy").substr(0, 4)).identity(), fromString);
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("psnap-identity-" +
+                    std::to_string(::testing::UnitTest::GetInstance()
+                                       ->random_seed()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "words.psnap").string();
+  persist::saveList(path, List::make({Value(std::string_view("word"))}));
+  {
+    const ListPtr loaded = persist::loadList(path);
+    ASSERT_TRUE(loaded->mappedBuffer());
+    EXPECT_EQ(loaded->items()[0].identity(), fromString);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -393,6 +394,58 @@ TEST(ShuffleDifferential, ManyKeysAcrossSlicesMatchTheReference) {
     }
   }
   expectEveryPathMatchesTheReference(input, differentialMapper(), 5);
+}
+
+// Classes reached through different representations of one key, inside
+// one slice and across slices: the stage-1 memo keys each representation
+// apart (0 and false share their bits, true and the least subnormal
+// too), and a class is one run only while every member is text, so
+// `true` and the list ["a"], joining text classes late, must split off.
+// Long text comes both as one shared rep and as a fresh rep per pair.
+TEST(ShuffleDifferential, RepresentationsOfOneClassMatchTheReference) {
+  const std::string longText = "A fairly long key of text";
+  const Value sharedLong(longText);
+  const Value list(List::make({Value("a")}));
+  // ["fresh", key, tag] emits [key rebuilt from its text, tag]: a new rep
+  // per pair for long text. Anything else maps as differentialMapper().
+  const MapFn base = differentialMapper();
+  const MapFn mapper = [base](const Value& item) -> Value {
+    if (item.isList() && item.asList()->length() == 3 &&
+        item.asList()->item(1).isText() &&
+        item.asList()->item(1).textView() == "fresh") {
+      return Value(List::make({Value(item.asList()->item(2).asText()),
+                               item.asList()->item(3)}));
+    }
+    return base(item);
+  };
+  const std::vector<Value> everywhere = {
+      Value(0),           Value(-0.0),      Value(false),
+      Value("0"),         Value(std::nan("")), Value(-std::nan("")),
+      Value("1"),         Value(1),         Value("1.0"),
+      Value("true"),      Value("TRUE"),    Value("[a]"),
+      Value("[A]"),       sharedLong,
+      Value(std::numeric_limits<double>::denorm_min())};
+  auto input = List::make();
+  for (int i = 0; i < 1200; ++i) {
+    input->add(everywhere[size_t(i) % everywhere.size()]);
+    if (i % 5 == 0) {
+      input->add(Value(List::make({Value("fresh"),
+                                   Value(i % 10 == 0 ? longText
+                                                     : "a FAIRLY long key "
+                                                       "OF text"),
+                                   Value(i)})));
+    }
+    if (i % 7 == 0) {
+      input->add(Value(List::make({Value("pair"), sharedLong, Value(i)})));
+    }
+    // Late joiners: after the text members, within a slice and in the
+    // later slices only.
+    if (i % 97 == 96) input->add(Value(true));
+    if (i > 600 && i % 89 == 0) {
+      input->add(Value(List::make({Value("pair"), list, Value(i)})));
+    }
+  }
+  expectEveryPathMatchesTheReference(input, mapper, 17);
 }
 
 }  // namespace
