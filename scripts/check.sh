@@ -85,8 +85,9 @@
 # (test_workers, test_mapreduce, test_sched, test_serve, test_async) — the
 # interpreter suites
 # are single-threaded and would just multiply the ~10x tsan slowdown.
-# src/workers and src/mapreduce also compile with -Werror in every
-# preset, so the substrate stays warning-clean by contract.
+# src/workers, src/mapreduce, src/core and src/native also compile with
+# -Werror in every preset, so the substrate and the parallel blocks that
+# drive it stay warning-clean by contract.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -21,24 +21,6 @@ using blocks::RingKind;
 using blocks::RingPtr;
 using blocks::Value;
 
-const char* kernelShapeName(KernelShape shape) {
-  switch (shape) {
-    case KernelShape::Unary: return "unary";
-    case KernelShape::Binary: return "binary";
-    case KernelShape::Fold: return "fold";
-  }
-  return "unknown";
-}
-
-const char* kernelSymbol(KernelShape shape) {
-  switch (shape) {
-    case KernelShape::Unary: return "psnap_kernel";
-    case KernelShape::Binary: return "psnap_kernel2";
-    case KernelShape::Fold: return "psnap_kernel_fold";
-  }
-  return "psnap_kernel";
-}
-
 namespace {
 
 [[noreturn]] void reject(const std::string& why) {
@@ -409,10 +391,6 @@ NativeKernelSource KernelEmitter::emit() {
       if (formals.size() > 1) reject("too many formals for a unary call");
       frame.params = {"x"};
       break;
-    case KernelShape::Binary:
-      if (formals.size() > 2) reject("too many formals for a binary call");
-      frame.params = {"a", "b"};
-      break;
     case KernelShape::Fold:
       if (formals.size() > 1) reject("too many formals for a fold call");
       frame.params = {""};  // the list parameter: list positions only
@@ -496,11 +474,6 @@ NativeKernelSource KernelEmitter::emit() {
       tu += "    return -1;\n}\n";
       break;
     }
-    case KernelShape::Binary:
-      tu += "double psnap_kernel2(double a, double b, int *err) {\n";
-      tu += "    (void) a;\n    (void) b;\n    (void) err;\n";
-      tu += "    return " + ret + ";\n}\n";
-      break;
     case KernelShape::Fold:
       tu += "double psnap_kernel_fold(const double *a, long n, int *err) "
             "{\n";
@@ -511,8 +484,8 @@ NativeKernelSource KernelEmitter::emit() {
 
   NativeKernelSource out;
   out.shape = shape_;
-  // Binary and fold kernels always marshal their inputs; the flag only
-  // relaxes the unary scalar path for constant bodies.
+  // Fold kernels always marshal their inputs; the flag only relaxes the
+  // unary scalar path for constant bodies.
   out.paramUsed = shape_ == KernelShape::Unary ? paramUsed_ : true;
   out.returnsBool = body.isBool;
   out.sources["kernel.c"] = tu;

@@ -28,7 +28,6 @@
 //
 //   Unary   double psnap_kernel(double x, int *err)
 //           long   psnap_kernel_batch(const double *in, double *out, long n)
-//   Binary  double psnap_kernel2(double a, double b, int *err)
 //   Fold    double psnap_kernel_fold(const double *a, long n, int *err)
 //
 // The batch entry returns the index of the first element whose evaluation
@@ -45,13 +44,9 @@
 namespace psnap::codegen {
 
 /// How the tier will call the kernel — decided by the call site
-/// (parallelMap compiles unary rings, reduce combiners are binary,
-/// mapReduce reducers fold a values list).
-enum class KernelShape : uint8_t { Unary, Binary, Fold };
-
-const char* kernelShapeName(KernelShape shape);
-/// The extern-"C" symbol for a shape's scalar/fold entry.
-const char* kernelSymbol(KernelShape shape);
+/// (parallelMap and the mapReduce mapper compile unary rings, mapReduce
+/// reducers fold a values list).
+enum class KernelShape : uint8_t { Unary, Fold };
 
 struct NativeKernelSource {
   KernelShape shape = KernelShape::Unary;

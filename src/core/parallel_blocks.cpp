@@ -11,6 +11,7 @@
 #include "mapreduce/engine.hpp"
 #include "support/error.hpp"
 #include "vm/host.hpp"
+#include "workers/parallel.hpp"
 #include "workers/stats.hpp"
 
 namespace psnap::core {
@@ -55,6 +56,37 @@ bool slotIsDefault(const Context& c, size_t index) {
          (c.inputs[index].isText() && c.inputs[index].asText().empty());
 }
 
+/// The count in an optional worker/parallelism slot: `fallback` when the
+/// slot is default, else its integer value floored at 1.
+size_t slotCount(const Context& c, size_t index, size_t fallback) {
+  if (slotIsDefault(c, index)) return fallback;
+  return static_cast<size_t>(
+      std::max<long long>(1, c.inputs[index].asInteger()));
+}
+
+/// Substrate options for a parallel-map block: the worker slot (default:
+/// the host's worker width), chained under the process's own token (null
+/// when the process has none) — stopping the script, or shedding the
+/// tenant that owns it, cancels the in-flight pool work at its next chunk
+/// boundary. Everything else keeps its ParallelOptions default.
+workers::ParallelOptions parallelMapOptions(Process& p, const Context& c) {
+  workers::ParallelOptions options;
+  options.maxWorkers = slotCount(c, 2, p.host().maxWorkers());
+  options.cancel = p.cancelToken();
+  return options;
+}
+
+/// Pipeline options for a mapReduce block: the host's worker width, the
+/// map ring's native batch entry, and the same process-token chaining as
+/// parallelMapOptions. Everything else keeps its mr::Options default.
+mr::Options mapReduceOptions(Process& p, const TieredUnary& tiered) {
+  mr::Options options;
+  options.workers = p.host().maxWorkers();
+  options.mapBatch = tiered.batch;
+  options.cancel = p.cancelToken();
+  return options;
+}
+
 /// Rethrow a worker-side failure so the process error message carries the
 /// block name and the error keeps its class (a TypeError from the ring
 /// stays a TypeError; a deadline trip stays a TimeoutError).
@@ -90,16 +122,13 @@ void degradeMapJob(MapJob& job) {
 // cooperatively instead of parking). The fallback path has no fault
 // points, so every chaos scenario converges.
 // ---------------------------------------------------------------------------
-void parallelMapHandler(Process& p, Context& c, ParallelBlockOptions opts) {
+void parallelMapHandler(Process& p, Context& c) {
   // First invocation: all three declared inputs are evaluated; build the
   // function, create the Parallel job, stash it, and yield.
   if (!c.state) {
     const RingPtr& ring = c.inputs[0].asRing();
     const ListPtr& list = c.inputs[1].asList();
-    size_t workerCount = slotIsDefault(c, 2)
-                             ? p.host().maxWorkers()
-                             : static_cast<size_t>(std::max<long long>(
-                                   1, c.inputs[2].asInteger()));
+    const workers::ParallelOptions options = parallelMapOptions(p, c);
     // body = 'return ' + expression.mappedCode(); — here: compile the
     // ring into a thread-safe pure function (tiered: a hot ring swaps in
     // its native kernel, and its batch entry serves whole chunks).
@@ -107,23 +136,11 @@ void parallelMapHandler(Process& p, Context& c, ParallelBlockOptions opts) {
     TieredUnary tiered = tieredUnary(ring, p.registry());
     job->fn = tiered.fn;
     job->source = list;
-    workers::ParallelOptions parOptions;
-    parOptions.maxWorkers = workerCount;
-    parOptions.distribution = opts.distribution;
-    parOptions.chunkSize = opts.chunkSize;
-    parOptions.maxRetries = opts.maxRetries;
-    parOptions.deadlineSeconds = opts.deadlineSeconds;
-    parOptions.allowDegrade = opts.allowDegrade;
-    // Chain the op under the process's own token (null when the process
-    // has none): stopping the script — or shedding the tenant that owns
-    // it — cancels the in-flight pool work at its next chunk boundary.
-    parOptions.cancel = p.cancelToken();
     try {
-      job->parallel = std::make_shared<workers::Parallel>(list, parOptions);
+      job->parallel = std::make_shared<workers::Parallel>(list, options);
       job->parallel->map(job->fn, tiered.batch);
     } catch (const SubstrateError&) {
       // Clone-in refused (transfer fault): fall back before launch.
-      if (!opts.allowDegrade) throw;
       degradeMapJob(*job);
     }
     c.state = job;
@@ -143,7 +160,7 @@ void parallelMapHandler(Process& p, Context& c, ParallelBlockOptions opts) {
   if (job->parallel) {
     if (job->parallel->failed()) {
       const ErrorClass errorClass = job->parallel->errorClass();
-      if (errorClass != ErrorClass::Substrate || !opts.allowDegrade) {
+      if (errorClass != ErrorClass::Substrate) {
         failBlock("parallel map", errorClass,
                   job->parallel->errorMessage());
       }
@@ -157,7 +174,6 @@ void parallelMapHandler(Process& p, Context& c, ParallelBlockOptions opts) {
       p.returnValue(Value(List::make(job->parallel->takeData())));
     } catch (const SubstrateError&) {
       // Clone-out refused (transfer fault) on an otherwise clean run.
-      if (!opts.allowDegrade) throw;
       degradeMapJob(*job);
       p.retryAfterYield(c);
     }
@@ -223,12 +239,9 @@ void parallelForEachHandler(Process& p, Context& c) {
       p.finishCommand();
       return;
     }
-    // "If empty, it defaults to the length of the input list."
-    size_t clones = c.inputs[2].isNothing()
-                        ? n
-                        : static_cast<size_t>(std::max<long long>(
-                              1, c.inputs[2].asInteger()));
-    clones = std::min(clones, n);
+    // "If empty, it defaults to the length of the input list." A blank
+    // text slot (`<l></l>` from project XML) is empty too.
+    const size_t clones = std::min(slotCount(c, 2, n), n);
 
     auto job = std::make_shared<ForEachJob>();
     for (size_t j = 0; j < clones; ++j) {
@@ -299,23 +312,15 @@ void parallelForEachHandler(Process& p, Context& c) {
 // failure, inline drain if the pool refuses a stage), so the handler only
 // relays the typed failure.
 // ---------------------------------------------------------------------------
-void mapReduceHandler(Process& p, Context& c, ParallelBlockOptions opts) {
+void mapReduceHandler(Process& p, Context& c) {
   if (!c.state) {
     const RingPtr& mapRing = c.inputs[0].asRing();
     const RingPtr& reduceRing = c.inputs[1].asRing();
     const ListPtr& list = c.inputs[2].asList();
     TieredUnary tiered = tieredUnary(mapRing, p.registry());
-    mr::MapFn mapFn = tiered.fn;
     mr::ReduceFn reduceFn = tieredListReduce(reduceRing, p.registry());
-    mr::Options mrOptions;
-    mrOptions.workers = p.host().maxWorkers();
-    mrOptions.maxRetries = opts.maxRetries;
-    mrOptions.deadlineSeconds = opts.deadlineSeconds;
-    mrOptions.allowDegrade = opts.allowDegrade;
-    mrOptions.mapBatch = tiered.batch;
-    // Same chaining as parallelMap: the pipeline dies with the process.
-    mrOptions.cancel = p.cancelToken();
-    auto job = std::make_shared<mr::Job>(list, mapFn, reduceFn, mrOptions);
+    auto job = std::make_shared<mr::Job>(list, tiered.fn, reduceFn,
+                                         mapReduceOptions(p, tiered));
     c.state = job;
     job->onComplete(p.parkOnCompletion(c));
     return;
@@ -343,30 +348,18 @@ void mapReduceHandler(Process& p, Context& c, ParallelBlockOptions opts) {
 // owning process adopts the future, so terminating or failing the process
 // cancels the in-flight operation through the future's cancel hook.
 // ---------------------------------------------------------------------------
-void launchParallelMapHandler(Process& p, Context& c,
-                              ParallelBlockOptions opts) {
+void launchParallelMapHandler(Process& p, Context& c) {
   auto fut = blocks::Future::make();
   try {
     const RingPtr& ring = c.inputs[0].asRing();
     const ListPtr& list = c.inputs[1].asList();
-    size_t workerCount = slotIsDefault(c, 2)
-                             ? p.host().maxWorkers()
-                             : static_cast<size_t>(std::max<long long>(
-                                   1, c.inputs[2].asInteger()));
-    TieredUnary tiered = tieredUnary(ring, p.registry());
-    workers::MapFn fn = tiered.fn;
-    workers::ParallelOptions parOptions;
-    parOptions.maxWorkers = workerCount;
-    parOptions.distribution = opts.distribution;
-    parOptions.chunkSize = opts.chunkSize;
-    parOptions.maxRetries = opts.maxRetries;
-    parOptions.deadlineSeconds = opts.deadlineSeconds;
+    workers::ParallelOptions options = parallelMapOptions(p, c);
     // No sequential fallback behind a future: the caller chose deferred
     // observation, so failures stay typed and surface at the await.
-    parOptions.allowDegrade = false;
-    parOptions.cancel = p.cancelToken();
-    auto parallel = std::make_shared<workers::Parallel>(list, parOptions);
-    parallel->map(fn, tiered.batch);
+    options.allowDegrade = false;
+    TieredUnary tiered = tieredUnary(ring, p.registry());
+    auto parallel = std::make_shared<workers::Parallel>(list, options);
+    parallel->map(tiered.fn, tiered.batch);
     // The fulfillment callback runs on the worker that finishes the last
     // chunk. It owns the Parallel (the closure keeps it alive until the
     // settle) and charges clone-out/cancellation accounting to the
@@ -390,24 +383,17 @@ void launchParallelMapHandler(Process& p, Context& c,
   p.returnValue(Value(fut));
 }
 
-void launchMapReduceHandler(Process& p, Context& c,
-                            ParallelBlockOptions opts) {
+void launchMapReduceHandler(Process& p, Context& c) {
   auto fut = blocks::Future::make();
   try {
     const RingPtr& mapRing = c.inputs[0].asRing();
     const RingPtr& reduceRing = c.inputs[1].asRing();
     const ListPtr& list = c.inputs[2].asList();
     TieredUnary tiered = tieredUnary(mapRing, p.registry());
-    mr::MapFn mapFn = tiered.fn;
     mr::ReduceFn reduceFn = tieredListReduce(reduceRing, p.registry());
-    mr::Options mrOptions;
-    mrOptions.workers = p.host().maxWorkers();
-    mrOptions.maxRetries = opts.maxRetries;
-    mrOptions.deadlineSeconds = opts.deadlineSeconds;
-    mrOptions.mapBatch = tiered.batch;
-    mrOptions.allowDegrade = false;  // typed failures surface at the await
-    mrOptions.cancel = p.cancelToken();
-    auto job = std::make_shared<mr::Job>(list, mapFn, reduceFn, mrOptions);
+    mr::Options options = mapReduceOptions(p, tiered);
+    options.allowDegrade = false;  // typed failures surface at the await
+    auto job = std::make_shared<mr::Job>(list, tiered.fn, reduceFn, options);
     workers::SubstrateStats* stats = &workers::substrateStats();
     job->onComplete([job, fut, stats]() {
       workers::StatsScope scope(*stats);
@@ -453,21 +439,12 @@ void awaitHandler(Process& p, Context& c) {
 
 }  // namespace
 
-void registerParallelPrimitives(vm::PrimitiveTable& table,
-                                ParallelBlockOptions options) {
-  table.add("reportParallelMap", [options](Process& p, Context& c) {
-    parallelMapHandler(p, c, options);
-  });
+void registerParallelPrimitives(vm::PrimitiveTable& table) {
+  table.add("reportParallelMap", parallelMapHandler);
   table.add("doParallelForEach", parallelForEachHandler);
-  table.add("reportMapReduce", [options](Process& p, Context& c) {
-    mapReduceHandler(p, c, options);
-  });
-  table.add("launchParallelMap", [options](Process& p, Context& c) {
-    launchParallelMapHandler(p, c, options);
-  });
-  table.add("launchMapReduce", [options](Process& p, Context& c) {
-    launchMapReduceHandler(p, c, options);
-  });
+  table.add("reportMapReduce", mapReduceHandler);
+  table.add("launchParallelMap", launchParallelMapHandler);
+  table.add("launchMapReduce", launchMapReduceHandler);
   table.add("reportAwait", awaitHandler);
   // The per-clone chunk driver shares doForEach's iteration logic.
   const vm::Handler* forEach = table.find("doForEach");
@@ -478,9 +455,9 @@ void registerParallelPrimitives(vm::PrimitiveTable& table,
   table.add("__foreachDriver", *forEach);
 }
 
-vm::PrimitiveTable fullPrimitiveTable(ParallelBlockOptions options) {
+vm::PrimitiveTable fullPrimitiveTable() {
   vm::PrimitiveTable table = vm::PrimitiveTable::standard();
-  registerParallelPrimitives(table, options);
+  registerParallelPrimitives(table);
   return table;
 }
 

@@ -30,31 +30,16 @@
 #pragma once
 
 #include "vm/process.hpp"
-#include "workers/parallel.hpp"
 
 namespace psnap::core {
-
-/// Tuning for the parallel blocks (ablation A2 of DESIGN.md).
-struct ParallelBlockOptions {
-  workers::Distribution distribution = workers::Distribution::Dynamic;
-  size_t chunkSize = 1;
-  /// Per-chunk substrate-error retries inside worker jobs.
-  int maxRetries = 2;
-  /// Wall-clock budget per parallel block invocation; 0 means none.
-  /// Expiry fails the block with a timeout-classed error.
-  double deadlineSeconds = 0;
-  /// Permit the sequential fallback when the substrate fails.
-  bool allowDegrade = true;
-};
 
 /// Register reportParallelMap, doParallelForEach, reportMapReduce, the
 /// future-returning launch blocks with reportAwait, and the internal
 /// __foreachDriver into `table`.
-void registerParallelPrimitives(vm::PrimitiveTable& table,
-                                ParallelBlockOptions options = {});
+void registerParallelPrimitives(vm::PrimitiveTable& table);
 
 /// A PrimitiveTable with both the standard palette and the parallel
 /// blocks — the table a full psnap environment runs with.
-vm::PrimitiveTable fullPrimitiveTable(ParallelBlockOptions options = {});
+vm::PrimitiveTable fullPrimitiveTable();
 
 }  // namespace psnap::core

@@ -285,17 +285,12 @@ PureFn compileRing(const RingPtr& ring, const BlockRegistry& registry) {
   };
 }
 
-// The adapters route through the tiering layer (core/tiering.hpp): the
+// The adapter routes through the tiering layer (core/tiering.hpp): the
 // interpreter closure stays the reference path, and a ring that goes hot
 // gains a native kernel behind the same signature at every call site.
 std::function<Value(const Value&)> compileUnary(
     const RingPtr& ring, const BlockRegistry& registry) {
   return tieredUnary(ring, registry).fn;
-}
-
-std::function<Value(const Value&, const Value&)> compileBinary(
-    const RingPtr& ring, const BlockRegistry& registry) {
-  return tieredBinary(ring, registry);
 }
 
 }  // namespace psnap::core

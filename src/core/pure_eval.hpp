@@ -44,15 +44,11 @@ PureFn compileRing(const blocks::RingPtr& ring,
                    const blocks::BlockRegistry& registry =
                        blocks::BlockRegistry::standard());
 
-/// Convenience adapters for the worker facade.
+/// Convenience adapter for the worker facade's MapFn.
 std::function<blocks::Value(const blocks::Value&)> compileUnary(
     const blocks::RingPtr& ring,
     const blocks::BlockRegistry& registry =
         blocks::BlockRegistry::standard());
-std::function<blocks::Value(const blocks::Value&, const blocks::Value&)>
-compileBinary(const blocks::RingPtr& ring,
-              const blocks::BlockRegistry& registry =
-                  blocks::BlockRegistry::standard());
 
 /// Check purity without compiling: returns the offending opcode or an
 /// empty string when the ring body is fully pure.

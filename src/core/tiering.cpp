@@ -167,47 +167,6 @@ TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
   return {std::move(fn), std::move(batch)};
 }
 
-std::function<Value(const Value&, const Value&)> tieredBinary(
-    const RingPtr& ring, const BlockRegistry& registry) {
-  PureFn compiled = compileRing(ring, registry);
-  auto interp = [compiled](const Value& a, const Value& b) {
-    return compiled({a, b});
-  };
-  const TierConfig cfg = native::tierConfig();
-  if (!cfg.enabled) return interp;
-  RingKernel* kernel =
-      TierManager::instance().lookup(*ring, KernelShape::Binary);
-
-  return [interp, kernel, ring, cfg](const Value& a, const Value& b) -> Value {
-    const bool numeric = a.isNumber() && b.isNumber();
-    switch (kernel->currentState()) {
-      case KernelState::Trusted: {
-        if (!numeric) break;
-        int err = 0;
-        const double raw = kernel->binary(a.asNumber(), b.asNumber(), &err);
-        if (err) break;
-        kernel->nativeCalls.fetch_add(1, std::memory_order_relaxed);
-        TierManager::instance().noteNativeItems(1);
-        return boxed(raw, kernel);
-      }
-      case KernelState::Ready: {
-        if (!numeric) break;
-        return validateScalar(
-            kernel, [&] { return interp(a, b); },
-            [&](int* err) {
-              return kernel->binary(a.asNumber(), b.asNumber(), err);
-            });
-      }
-      case KernelState::Cold:
-        TierManager::instance().recordCalls(kernel, ring, 1, cfg);
-        break;
-      default:
-        break;
-    }
-    return interp(a, b);
-  };
-}
-
 std::function<Value(const ListPtr&)> tieredListReduce(
     const RingPtr& ring, const BlockRegistry& registry) {
   PureFn compiled = compileRing(ring, registry);

@@ -5,8 +5,8 @@
 // closure (compileRing's output) is the reference semantics and the
 // permanent fallback; the native kernel, once hot, compiled, installed,
 // and validated, serves the marshalable calls. Call sites need no new
-// protocol: compileUnary()/compileBinary() in pure_eval.hpp already
-// return these tiered functions, so parallelMap, launch blocks, and
+// protocol: compileUnary() in pure_eval.hpp already
+// returns these tiered functions, so parallelMap, launch blocks, and
 // mapReduce all upgrade behind their existing signatures.
 //
 // The tier config is snapshotted when the function is BUILT (on the
@@ -36,11 +36,6 @@ struct TieredUnary {
 TieredUnary tieredUnary(const blocks::RingPtr& ring,
                         const blocks::BlockRegistry& registry =
                             blocks::BlockRegistry::standard());
-
-std::function<blocks::Value(const blocks::Value&, const blocks::Value&)>
-tieredBinary(const blocks::RingPtr& ring,
-             const blocks::BlockRegistry& registry =
-                 blocks::BlockRegistry::standard());
 
 /// The mapReduce reducer shape: ring applied to one key's values list
 /// (compiled to a Fold kernel: psnap_kernel_fold over gathered doubles).

@@ -1,12 +1,10 @@
 #include "mapreduce/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include "support/error.hpp"
@@ -24,37 +22,6 @@ using workers::TaskGroup;
 using workers::WorkerPool;
 
 namespace {
-
-/// Bounded deterministic backoff before a stage-task retry: 100us, 200us,
-/// 400us, … capped at ~2ms — the same curve as Parallel's chunk retries,
-/// and fixed (no jitter) for the same reproducible-chaos reason.
-void stageRetryBackoff(int attempt) {
-  const int64_t micros =
-      std::min<int64_t>(int64_t{100} << std::min(attempt - 1, 8), 2000);
-  std::this_thread::sleep_for(std::chrono::microseconds(micros));
-}
-
-/// A stage task's retry rung: a transient substrate fault restarts `body`
-/// from scratch after a backoff. Anything else, or a fault past
-/// `maxRetries`, fails the task group and reaches the degrade rung.
-template <typename Body>
-void withStageRetries(int maxRetries, workers::SubstrateStats* stats,
-                      const Body& body) {
-  for (int attempt = 0;;) {
-    try {
-      body();
-      return;
-    } catch (...) {
-      std::exception_ptr error = std::current_exception();
-      if (!isRetryableClass(classifyError(error)) || attempt >= maxRetries) {
-        std::rethrow_exception(error);
-      }
-      ++attempt;
-      stats->bump(&workers::SubstrateStats::retries);
-      stageRetryBackoff(attempt);
-    }
-  }
-}
 
 // An order class's sort key, built once per class head (its first pair)
 // rather than once per pair. `hash` is the full 64-bit hash of the key's
@@ -587,8 +554,10 @@ void Job::launch(void (Job::*body)(size_t, bool), void (Job::*next)()) {
   Pipeline& p = *pipe_;
   std::vector<TaskGroup::Task> tasks(
       p.shuffle.shardCount, [this, body](size_t index) {
-        withStageRetries(pipe_->options.maxRetries, pipe_->stats,
-                         [&] { (this->*body)(index, true); });
+        // A stage task restarts from scratch on a retry; a fault past the
+        // last retry fails the group and reaches the degrade rung.
+        workers::withRetries(pipe_->options.maxRetries, pipe_->stats,
+                             [&] { (this->*body)(index, true); });
       });
   auto stage = std::make_shared<TaskGroup>(std::move(tasks), token_);
   // The thread that settles the stage holds it while the callback runs.

@@ -181,9 +181,6 @@ void TierManager::compileTask(RingKernel* kernel, const RingPtr& ring,
         kernel->unaryBatch =
             library.require<UnaryBatchFn>("psnap_kernel_batch");
         break;
-      case KernelShape::Binary:
-        kernel->binary = library.require<BinaryFn>("psnap_kernel2");
-        break;
       case KernelShape::Fold:
         kernel->fold = library.require<FoldFn>("psnap_kernel_fold");
         break;

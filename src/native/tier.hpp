@@ -64,7 +64,6 @@ const char* kernelStateName(KernelState state);
 
 using UnaryFn = double (*)(double, int*);
 using UnaryBatchFn = long (*)(const double*, double*, long);
-using BinaryFn = double (*)(double, double, int*);
 using FoldFn = double (*)(const double*, long, int*);
 
 /// One ring shape's dispatch record. Function pointers are written by the
@@ -81,7 +80,6 @@ struct RingKernel {
   bool returnsBool = false;
   UnaryFn unary = nullptr;
   UnaryBatchFn unaryBatch = nullptr;
-  BinaryFn binary = nullptr;
   FoldFn fold = nullptr;
 
   std::atomic<uint64_t> calls{0};        ///< hotness counter

@@ -191,40 +191,19 @@ void SessionServer::maybeCheckpoint(Session& session) {
   // One write in flight per session: while the previous one is still on
   // the pool, re-check next frame rather than queueing a second.
   if (session.pendingWrite) return;
-  project::Project project;
-  try {
-    project = session.workload.capture(*session.manager, session.state);
-  } catch (...) {
-    // Capture failed (e.g. a transient ring value is in a variable).
-    // The session is unaffected; try again next interval.
-    ++metrics_.checkpointFailures;
-    session.lastCheckpointFrame = session.framesRun;
-    return;
-  }
+  std::optional<CheckpointDraft> draft = draftCheckpoint(session);
+  // A failed capture or an unchanged project waits a full interval too.
   session.lastCheckpointFrame = session.framesRun;
-  const uint64_t fingerprint = session.hasher.fingerprint(project);
-  if (session.hasFingerprint && fingerprint == session.lastFingerprint) {
-    // The COW version stamps say nothing changed since the last written
-    // checkpoint: skip the serialization and the disk entirely.
-    ++session.checkpointsSkipped;
-    ++metrics_.checkpointsSkipped;
-    return;
-  }
-  CheckpointMeta meta;
-  meta.sessionId = session.id;
-  meta.seq = session.checkpointSeq;
-  meta.label = session.workload.label;
-  meta.framesRun = totalFrames(session);
-  meta.restarts = session.restarts;
-  meta.clock = session.manager->clockState();
+  if (!draft) return;
   auto pending = std::make_shared<PendingWrite>();
-  pending->fingerprint = fingerprint;
-  pending->seq = meta.seq;
+  pending->fingerprint = draft->fingerprint;
+  pending->seq = draft->meta.seq;
   const std::string dir = config_.checkpointDir;
   // The task owns its own copies (the captured project's values are COW
   // clones, immune to the session's later mutations); the session is
   // never touched from the pool thread.
-  auto task = [dir, meta, project, pending](size_t) {
+  auto task = [dir, meta = std::move(draft->meta),
+               project = std::move(draft->project), pending](size_t) {
     try {
       writeCheckpoint(dir, meta, project);
       pending->ok.store(true, std::memory_order_release);
@@ -246,39 +225,52 @@ void SessionServer::maybeCheckpoint(Session& session) {
 
 bool SessionServer::checkpointNow(Session& session) {
   observeCheckpointWrite(session, /*wait=*/true);
-  project::Project project;
-  try {
-    project = session.workload.capture(*session.manager, session.state);
-  } catch (...) {
-    ++metrics_.checkpointFailures;
-    return session.checkpointsWritten > 0;  // an older generation exists
+  if (const std::optional<CheckpointDraft> draft = draftCheckpoint(session)) {
+    try {
+      writeCheckpoint(config_.checkpointDir, draft->meta, draft->project);
+      ++session.checkpointsWritten;
+      ++metrics_.checkpointsWritten;
+      session.hasFingerprint = true;
+      session.lastFingerprint = draft->fingerprint;
+      session.checkpointSeq = draft->meta.seq + 1;
+      session.lastCheckpointFrame = session.framesRun;
+      return true;
+    } catch (...) {
+      ++metrics_.checkpointFailures;
+    }
   }
-  const uint64_t fingerprint = session.hasher.fingerprint(project);
-  if (session.hasFingerprint && fingerprint == session.lastFingerprint) {
+  // Nothing was written now, so success means an older generation
+  // exists. An unchanged fingerprint implies one does (only a write sets
+  // the fingerprint), and that generation is already current.
+  return session.checkpointsWritten > 0;
+}
+
+std::optional<SessionServer::CheckpointDraft> SessionServer::draftCheckpoint(
+    Session& session) {
+  CheckpointDraft draft;
+  try {
+    draft.project = session.workload.capture(*session.manager, session.state);
+  } catch (...) {
+    // Capture failed (e.g. a transient ring value is in a variable).
+    // The session is unaffected; the caller tries again later.
+    ++metrics_.checkpointFailures;
+    return std::nullopt;
+  }
+  draft.fingerprint = session.hasher.fingerprint(draft.project);
+  if (session.hasFingerprint && draft.fingerprint == session.lastFingerprint) {
+    // The COW version stamps say nothing changed since the last written
+    // checkpoint: skip the serialization and the disk entirely.
     ++session.checkpointsSkipped;
     ++metrics_.checkpointsSkipped;
-    return true;  // the newest written generation is already current
+    return std::nullopt;
   }
-  CheckpointMeta meta;
-  meta.sessionId = session.id;
-  meta.seq = session.checkpointSeq;
-  meta.label = session.workload.label;
-  meta.framesRun = totalFrames(session);
-  meta.restarts = session.restarts;
-  meta.clock = session.manager->clockState();
-  try {
-    writeCheckpoint(config_.checkpointDir, meta, project);
-  } catch (...) {
-    ++metrics_.checkpointFailures;
-    return session.checkpointsWritten > 0;
-  }
-  ++session.checkpointsWritten;
-  ++metrics_.checkpointsWritten;
-  session.hasFingerprint = true;
-  session.lastFingerprint = fingerprint;
-  session.checkpointSeq = meta.seq + 1;
-  session.lastCheckpointFrame = session.framesRun;
-  return true;
+  draft.meta.sessionId = session.id;
+  draft.meta.seq = session.checkpointSeq;
+  draft.meta.label = session.workload.label;
+  draft.meta.framesRun = totalFrames(session);
+  draft.meta.restarts = session.restarts;
+  draft.meta.clock = session.manager->clockState();
+  return draft;
 }
 
 void SessionServer::watchdog(Session& session) {

@@ -58,6 +58,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -402,6 +403,18 @@ class SessionServer {
   /// Capture + write synchronously (drain path). Returns false when the
   /// session could not be checkpointed (capture or write failed).
   bool checkpointNow(Session& session);
+  /// A captured project that differs from the last written generation,
+  /// with the meta of the next one.
+  struct CheckpointDraft {
+    CheckpointMeta meta;
+    project::Project project;
+    uint64_t fingerprint = 0;
+  };
+  /// The preparation step both checkpoint paths share: capture,
+  /// fingerprint, meta. Returns nullopt when there is nothing to write —
+  /// the capture failed (counted as a checkpoint failure) or the
+  /// fingerprint is unchanged (counted as a skip).
+  std::optional<CheckpointDraft> draftCheckpoint(Session& session);
   /// Total progress (recovered + this life) for checkpoint meta.
   static uint64_t totalFrames(const Session& session) {
     return session.recoveredFrames + session.framesRun;

@@ -1,9 +1,7 @@
 #include "workers/parallel.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "support/fault.hpp"
@@ -16,15 +14,6 @@ using blocks::Value;
 
 namespace {
 constexpr size_t kDefaultWorkers = 4;  // the paper's Web Worker default
-
-/// Bounded deterministic backoff before a chunk retry: 100us, 200us,
-/// 400us, … capped at ~2ms. Fixed durations (no jitter) keep chaos runs
-/// reproducible; the cap keeps a doomed chunk from stalling its group.
-void retryBackoff(int attempt) {
-  const int64_t micros =
-      std::min<int64_t>(int64_t{100} << std::min(attempt - 1, 8), 2000);
-  std::this_thread::sleep_for(std::chrono::microseconds(micros));
-}
 }  // namespace
 
 Parallel::Parallel(blocks::ItemSpan data, ParallelOptions options)
@@ -100,31 +89,18 @@ void Parallel::mapRange(const MapFn& fn, size_t begin, size_t end,
   // TypeError from the user's ring is deterministic and rethrows
   // immediately with its original type.
   size_t i = begin;
-  int attempt = 0;
-  while (true) {
-    try {
-      fault::inject(fault::Point::TaskThrow);
-      // Native chunk path: tried once, on a still-pristine range (batch_
-      // writes all-or-nothing, so a false return or a later retry always
-      // finds the original inputs). A true return means every element of
-      // the range is already mapped.
-      if (i == begin && batch_ && batch_(data_.data() + begin, end - begin)) {
-        i = end;
-      }
-      for (; i < end; ++i) data_[i] = fn(data_[i]);
-      perWorker_[w].items.fetch_add(end - begin, std::memory_order_relaxed);
-      return;
-    } catch (...) {
-      std::exception_ptr error = std::current_exception();
-      if (!isRetryableClass(classifyError(error)) ||
-          attempt >= options_.maxRetries) {
-        std::rethrow_exception(error);
-      }
-      ++attempt;
-      stats_->bump(&SubstrateStats::retries);
-      retryBackoff(attempt);
+  withRetries(options_.maxRetries, stats_, [&] {
+    fault::inject(fault::Point::TaskThrow);
+    // Native chunk path: tried once, on a still-pristine range (batch_
+    // writes all-or-nothing, so a false return or a later retry always
+    // finds the original inputs). A true return means every element of
+    // the range is already mapped.
+    if (i == begin && batch_ && batch_(data_.data() + begin, end - begin)) {
+      i = end;
     }
-  }
+    for (; i < end; ++i) data_[i] = fn(data_[i]);
+  });
+  perWorker_[w].items.fetch_add(end - begin, std::memory_order_relaxed);
 }
 
 void Parallel::launch(std::function<void(size_t)> body, size_t taskCount) {
@@ -239,31 +215,12 @@ void Parallel::reduce(ReduceFn fn) {
         if (begin >= end || !keepGoing()) return;
         // Same exact-resume retry structure as mapRange: a throw from fn
         // leaves acc at the last good fold, so the retry resumes at i.
-        Value acc;
-        size_t i = begin;
-        bool started = false;
-        int attempt = 0;
-        while (true) {
-          try {
-            fault::inject(fault::Point::TaskThrow);
-            if (!started) {
-              acc = data_[begin];
-              i = begin + 1;
-              started = true;
-            }
-            for (; i < end; ++i) acc = fn(acc, data_[i]);
-            break;
-          } catch (...) {
-            std::exception_ptr error = std::current_exception();
-            if (!isRetryableClass(classifyError(error)) ||
-                attempt >= options_.maxRetries) {
-              std::rethrow_exception(error);
-            }
-            ++attempt;
-            stats_->bump(&SubstrateStats::retries);
-            retryBackoff(attempt);
-          }
-        }
+        Value acc = data_[begin];
+        size_t i = begin + 1;
+        withRetries(options_.maxRetries, stats_, [&] {
+          fault::inject(fault::Point::TaskThrow);
+          for (; i < end; ++i) acc = fn(acc, data_[i]);
+        });
         perWorker_[w].items.fetch_add(end - begin,
                                       std::memory_order_relaxed);
         partials_[w] = std::move(acc);

@@ -36,7 +36,9 @@
 //
 // Fault model (the degradation ladder, outermost rung last):
 //   1. *retry*: a chunk that dies with a SubstrateError is retried in
-//      place up to maxRetries times with bounded deterministic backoff.
+//      place up to maxRetries times with bounded deterministic backoff
+//      (withRetries below, the one retry loop, which mr::Job's stage
+//      tasks share).
 //      Safe because map/reduce functions are pure by construction (the
 //      core module only compiles pure rings to MapFn) and the chunk loops
 //      write each element exactly once — a throw from fn leaves the
@@ -65,20 +67,53 @@
 // the metric that carries the paper's speedup shape on a 1-core host.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blocks/value.hpp"
 #include "support/cancel.hpp"
 #include "support/error.hpp"
+#include "workers/stats.hpp"
 #include "workers/task_group.hpp"
 
 namespace psnap::workers {
+
+/// The retry rung of the fault model, shared by Parallel's map and reduce
+/// chunks and mr::Job's stage tasks: run `body`; when it throws a
+/// retryable (substrate-class) error, count the retry in `stats`, back off
+/// 100us, 200us, 400us, … capped at 2ms, and run `body` again — at most
+/// `maxRetries` times. Anything else, or a fault past the last retry,
+/// rethrows with its original type. The backoff is fixed (no jitter) so
+/// chaos runs are reproducible; the cap keeps a doomed task from stalling
+/// its group. Each caller's `body` makes a rerun exact: it either resumes
+/// where the failed attempt stopped or restarts from scratch.
+template <typename Body>
+void withRetries(int maxRetries, SubstrateStats* stats, const Body& body) {
+  for (int attempt = 0;;) {
+    try {
+      body();
+      return;
+    } catch (...) {
+      std::exception_ptr error = std::current_exception();
+      if (!isRetryableClass(classifyError(error)) || attempt >= maxRetries) {
+        std::rethrow_exception(error);
+      }
+      ++attempt;
+      stats->bump(&SubstrateStats::retries);
+      std::this_thread::sleep_for(std::chrono::microseconds(
+          std::min<int64_t>(int64_t{100} << std::min(attempt - 1, 8), 2000)));
+    }
+  }
+}
 
 /// A unary function shipped to workers. Must be thread-safe and must not
 /// touch interpreter state (the core module compiles *pure* rings to this
@@ -213,8 +248,8 @@ class Parallel {
   /// Record the first failure (original exception preserved) and cancel
   /// the group so unstarted siblings are skipped.
   void recordError(std::exception_ptr error);
-  /// Map one range in place with the chunk retry loop. Returns normally
-  /// or rethrows the unretryable / retry-exhausted error.
+  /// Map one range in place under the retry rung. Returns normally or
+  /// rethrows the unretryable / retry-exhausted error.
   void mapRange(const MapFn& fn, size_t begin, size_t end, size_t w);
   /// Should the task keep claiming chunks? False once cancelled, failed,
   /// or past the deadline.

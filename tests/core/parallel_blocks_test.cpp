@@ -147,8 +147,15 @@ TEST_F(ParallelBlocksTest, ForEachParallelConcurrencySpeedup) {
   parTm.spawnScript(makeScript(blank()), Environment::make());
   uint64_t parFrames = parTm.runUntilIdle();
 
+  // A blank text slot (`<l></l>` loaded from project XML) is empty too:
+  // one clone per item, not a single clone.
+  ThreadManager textTm(&BlockRegistry::standard(), &prims_);
+  textTm.spawnScript(makeScript(In("")), Environment::make());
+  uint64_t textFrames = textTm.runUntilIdle();
+
   EXPECT_GE(seqFrames, 9u);
   EXPECT_LT(parFrames, seqFrames);
+  EXPECT_EQ(textFrames, parFrames);
 }
 
 TEST_F(ParallelBlocksTest, ForEachParallelismLimitChunksItems) {

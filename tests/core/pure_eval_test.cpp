@@ -38,9 +38,9 @@ TEST(CompileRing, TimesTen) {
 }
 
 TEST(CompileRing, NamedFormals) {
-  auto fn = compileBinary(
+  auto fn = compileRing(
       makeRing(ring(difference(getVar("a"), getVar("b")), {"a", "b"})));
-  EXPECT_EQ(fn(Value(10), Value(4)).asNumber(), 6);
+  EXPECT_EQ(fn({Value(10), Value(4)}).asNumber(), 6);
 }
 
 TEST(CompileRing, MultipleBlanksPositional) {

@@ -375,24 +375,6 @@ TEST(NativeTier, LargeChunkWithAnErringElementRaisesTheInterpreterError) {
   EXPECT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
 }
 
-// --- binary rings -----------------------------------------------------------
-
-TEST(NativeTier, BinaryRingPromotesAndMatches) {
-  if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
-  RingPtr ring = makeRing(
-      build::ring(sum(product(getVar("a"), 0.5), getVar("b")), {"a", "b"}));
-  PureFn reference = compileRing(ring);
-  TierScope scope(syncConfig(2));
-  auto fn = tieredBinary(ring);
-  Rng rng{77};
-  for (int i = 0; i < 16; ++i) {
-    Value a(double(rng.between(-40, 40)) / 4.0);
-    Value b(double(rng.between(-40, 40)) / 4.0);
-    EXPECT_TRUE(sameBits(fn(a, b), reference({a, b})));
-  }
-  EXPECT_EQ(stateOf(ring, KernelShape::Binary), KernelState::Trusted);
-}
-
 // --- captured environment ---------------------------------------------------
 
 TEST(NativeTier, CapturedVariablesBakeIntoTheKernel) {
