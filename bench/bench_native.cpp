@@ -13,8 +13,9 @@
 //     slowest single call observed while the compiler ran — which must
 //     stay far below the compile latency itself (the caller never waits
 //     on gcc).
-//   * end-to-end word count — the full mapReduce engine with the tiered
-//     batch hook vs the interpreter-only tier, byte-identical output.
+//   * end-to-end word count — the full mapReduce engine wired like the
+//     mapReduce block (numeric map column, batch entry, shard fold), both
+//     kernels Trusted, vs the interpreter-only tier, byte-identical output.
 //
 // Prints one table and exits non-zero unless every acceptance condition
 // holds. Usage: bench_native [--quick]
@@ -259,21 +260,33 @@ int main(int argc, char** argv) {
     e2eInterpSeconds = secondsSince(start);
     interpDisplay = out->display();
   }
+  bool e2eTrusted = false;
   {
     TierConfig cfg;
-    cfg.hotThreshold = 64;
-    cfg.synchronousCompile = true;  // steady-state: kernel ready up front
+    cfg.hotThreshold = 4;
+    cfg.synchronousCompile = true;  // steady-state: kernels ready up front
     TierScope scope(cfg);
     TieredUnary mapper = psnap::core::tieredUnary(mapRing);
     RingKernel* kernel =
         TierManager::instance().lookup(*mapRing, KernelShape::Unary);
     heat(mapper, kernel);
-    auto reducer = psnap::core::tieredListReduce(reduceRing);
-    psnap::mr::MapFn mapFn = mapper.fn;
+    psnap::core::TieredReduce reducer = psnap::core::tieredReduce(reduceRing);
+    RingKernel* fold =
+        TierManager::instance().lookup(*reduceRing, KernelShape::Fold);
+    for (int i = 0; i < 8 && fold->currentState() != KernelState::Trusted;
+         ++i) {
+      reducer.fn(List::make({Value(1.0)}));
+    }
+    e2eTrusted = kernel->currentState() == KernelState::Trusted &&
+                 fold->currentState() == KernelState::Trusted;
+    // The mapReduce block's wiring: the map's numeric column and batch
+    // entries, and the reduce's shard fold.
     psnap::mr::Options options{.workers = 4};
     options.mapBatch = mapper.batch;
+    options.mapNumeric = mapper.numeric;
+    options.reduceNumeric = reducer.numeric;
     const auto start = Clock::now();
-    auto out = psnap::mr::run(input, mapFn, reducer, options);
+    auto out = psnap::mr::run(input, mapper.fn, reducer.fn, options);
     e2eTieredSeconds = secondsSince(start);
     tieredDisplay = out->display();
   }
@@ -283,9 +296,10 @@ int main(int argc, char** argv) {
       e2eTieredSeconds > 0 ? e2eInterpSeconds / e2eTieredSeconds : 0;
   std::printf(
       "#   wordcount end-to-end %zu words: interp %.1fms  tiered %.1fms  "
-      "(%.2fx, %s)\n",
+      "(%.2fx, %s%s)\n",
       words, e2eInterpSeconds * 1e3, e2eTieredSeconds * 1e3, e2eSpeedup,
-      e2eIdentical ? "byte-identical" : "MISMATCH");
+      e2eIdentical ? "byte-identical" : "MISMATCH",
+      e2eTrusted ? "" : ", KERNELS NOT TRUSTED");
 
   const psnap::native::TierStats tierStats = TierManager::instance().stats();
   std::printf(
@@ -302,7 +316,7 @@ int main(int argc, char** argv) {
 
   const bool pass = wordcountMap.byteIdentical && climateMap.byteIdentical &&
                     wordcountMap.speedup >= 10.0 && asyncInstalled &&
-                    e2eIdentical &&
+                    e2eIdentical && e2eTrusted &&
                     slowestHotCallMs < compileSeconds * 1e3;
   std::printf("#   acceptance: %s\n", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;

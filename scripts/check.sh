@@ -43,9 +43,11 @@
 #   once under AddressSanitizer: opcode parity (the VM against the worker
 #   evaluator, values and error classes, plus the pure-op table guard)
 #   and dispatch parity (ById against ByString) and the mapReduce shuffle
-#   differential in test_properties; then the native tier's random-ring
-#   property sweep and its error-contract test (every `err` helper at
-#   boundary inputs against applyPure) in test_native. The native suites
+#   differential (boxed pairs and numeric columns) in test_properties;
+#   then, in test_native, the native tier's random-ring property sweep,
+#   its error-contract test (every `err` helper at boundary inputs against
+#   applyPure), and the mapReduce block with native numeric map and fold
+#   entries against the same block with the tier off. The native suites
 #   skip themselves when no C compiler is on PATH.
 #
 # Usage: scripts/check.sh --persist
@@ -173,9 +175,9 @@ if [ "${1:-}" = "--differential" ]; then
   # Same leak-accounting stance as the asan ctest preset (see header).
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_properties" \
     --gtest_filter='*OpcodeParity*:*DispatchParity*:*ShuffleDifferential*'
-  echo "== differential: asan, native tier vs applyPure =="
+  echo "== differential: asan, native tier vs applyPure and the tier-off block =="
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_native" \
-    --gtest_filter='*NativeTierProperty*:*ErrCallsMatchTheApplyPureContract'
+    --gtest_filter='*NativeTierProperty*:*ErrCallsMatchTheApplyPureContract:*NativeTierMapReduce*'
   echo "== differential sweep green under asan =="
   exit 0
 fi

@@ -77,12 +77,16 @@ workers::ParallelOptions parallelMapOptions(Process& p, const Context& c) {
 }
 
 /// Pipeline options for a mapReduce block: the host's worker width, the
-/// map ring's native batch entry, and the same process-token chaining as
+/// rings' native entries (the map's numeric column and batch, the
+/// reduce's shard fold), and the same process-token chaining as
 /// parallelMapOptions. Everything else keeps its mr::Options default.
-mr::Options mapReduceOptions(Process& p, const TieredUnary& tiered) {
+mr::Options mapReduceOptions(Process& p, const TieredUnary& map,
+                             const TieredReduce& reduce) {
   mr::Options options;
   options.workers = p.host().maxWorkers();
-  options.mapBatch = tiered.batch;
+  options.mapBatch = map.batch;
+  options.mapNumeric = map.numeric;
+  options.reduceNumeric = reduce.numeric;
   options.cancel = p.cancelToken();
   return options;
 }
@@ -318,9 +322,9 @@ void mapReduceHandler(Process& p, Context& c) {
     const RingPtr& reduceRing = c.inputs[1].asRing();
     const ListPtr& list = c.inputs[2].asList();
     TieredUnary tiered = tieredUnary(mapRing, p.registry());
-    mr::ReduceFn reduceFn = tieredListReduce(reduceRing, p.registry());
-    auto job = std::make_shared<mr::Job>(list, tiered.fn, reduceFn,
-                                         mapReduceOptions(p, tiered));
+    TieredReduce reduce = tieredReduce(reduceRing, p.registry());
+    auto job = std::make_shared<mr::Job>(list, tiered.fn, reduce.fn,
+                                         mapReduceOptions(p, tiered, reduce));
     c.state = job;
     job->onComplete(p.parkOnCompletion(c));
     return;
@@ -390,10 +394,10 @@ void launchMapReduceHandler(Process& p, Context& c) {
     const RingPtr& reduceRing = c.inputs[1].asRing();
     const ListPtr& list = c.inputs[2].asList();
     TieredUnary tiered = tieredUnary(mapRing, p.registry());
-    mr::ReduceFn reduceFn = tieredListReduce(reduceRing, p.registry());
-    mr::Options options = mapReduceOptions(p, tiered);
+    TieredReduce reduce = tieredReduce(reduceRing, p.registry());
+    mr::Options options = mapReduceOptions(p, tiered, reduce);
     options.allowDegrade = false;  // typed failures surface at the await
-    auto job = std::make_shared<mr::Job>(list, tiered.fn, reduceFn, options);
+    auto job = std::make_shared<mr::Job>(list, tiered.fn, reduce.fn, options);
     workers::SubstrateStats* stats = &workers::substrateStats();
     job->onComplete([job, fut, stats]() {
       workers::StatsScope scope(*stats);

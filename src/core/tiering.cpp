@@ -64,6 +64,65 @@ Value validateScalar(RingKernel* kernel, const Interp& interp,
   return reference;
 }
 
+/// A state in which the installed kernel may serve a chunk (Ready ones
+/// validate it first).
+bool servesChunks(KernelState state) {
+  return state == KernelState::Ready || state == KernelState::Trusted;
+}
+
+/// Count `calls` native calls covering `items` items.
+void noteServed(RingKernel* kernel, uint64_t calls, uint64_t items) {
+  kernel->nativeCalls.fetch_add(calls, std::memory_order_relaxed);
+  TierManager::instance().noteNativeItems(items);
+}
+
+/// Run a chunk through the kernel's batch entry into `out`, all or
+/// nothing: false when an element is unmarshalable or errs, or, from the
+/// Ready state, when the interpreter disagrees on any element (which
+/// downgrades). A Ready chunk that agrees everywhere promotes. The
+/// caller writes nothing until this returns true, which keeps its
+/// exact-retry invariant (every element written at most once).
+template <typename Interp>
+bool runChunk(RingKernel* kernel, KernelState state, const Interp& interp,
+              const Value* items, size_t n, std::vector<double>& out) {
+  if (!kernel->paramUsed && state == KernelState::Trusted) {
+    // Constant body, already validated: one kernel call fills the chunk.
+    int err = 0;
+    const double raw = kernel->unary(0.0, &err);
+    if (err) return false;
+    out.assign(n, raw);
+    return true;
+  }
+  std::vector<double> in;
+  if (kernel->paramUsed) {
+    if (!native::gatherNumbers(items, n, in)) return false;
+  } else {
+    in.assign(n, 0.0);  // constant body: the inputs are never read
+  }
+  out.resize(n);
+  if (kernel->unaryBatch(in.data(), out.data(), static_cast<long>(n)) >=
+      0) {
+    return false;  // an element erred: the per-item loop raises it
+  }
+  if (state != KernelState::Ready) return true;
+  for (size_t i = 0; i < n; ++i) {
+    Value reference;
+    try {
+      reference = interp(items[i]);
+    } catch (...) {
+      // Native said clean, interpreter raised: divergence.
+      TierManager::instance().downgrade(kernel);
+      return false;
+    }
+    if (!native::byteIdentical(boxed(out[i], kernel), reference)) {
+      TierManager::instance().downgrade(kernel);
+      return false;
+    }
+  }
+  TierManager::instance().promote(kernel);
+  return true;
+}
+
 }  // namespace
 
 TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
@@ -72,7 +131,7 @@ TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
   // Snapshot the session's config here, on the building thread — calls
   // run on pool workers, where no TierScope is installed.
   const TierConfig cfg = native::tierConfig();
-  if (!cfg.enabled) return {interp, {}};
+  if (!cfg.enabled) return {interp, {}, {}};
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Unary);
 
@@ -84,8 +143,7 @@ TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
         const double raw =
             kernel->unary(kernel->paramUsed ? v.asNumber() : 0.0, &err);
         if (err) break;  // interpreter raises the exact typed error
-        kernel->nativeCalls.fetch_add(1, std::memory_order_relaxed);
-        TierManager::instance().noteNativeItems(1);
+        noteServed(kernel, 1, 1);
         return boxed(raw, kernel);
       }
       case KernelState::Ready: {
@@ -106,87 +164,58 @@ TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
     return interp(v);
   };
 
-  auto batch = [interp, kernel, ring, cfg](Value* items, size_t n) -> bool {
+  auto batch = [interp, kernel](Value* items, size_t n) -> bool {
     const KernelState state = kernel->currentState();
-    if (state == KernelState::Cold) {
-      TierManager::instance().recordCalls(kernel, ring, n, cfg);
-      return false;
-    }
-    if (state != KernelState::Ready && state != KernelState::Trusted) {
-      return false;
-    }
+    if (!servesChunks(state)) return false;
     if (!kernel->paramUsed && state == KernelState::Trusted) {
-      // Constant body, already validated: one kernel call, then fill —
-      // no marshalling buffers at all.
+      // Constant body, already validated: one kernel call, then fill
+      // with one boxed value — no buffers at all.
       int err = 0;
       const double raw = kernel->unary(0.0, &err);
       if (err) return false;
       const Value v = boxed(raw, kernel);
       for (size_t i = 0; i < n; ++i) items[i] = v;
-      kernel->nativeCalls.fetch_add(n, std::memory_order_relaxed);
-      TierManager::instance().noteNativeItems(n);
+      noteServed(kernel, n, n);
       return true;
     }
-    std::vector<double> in;
-    if (kernel->paramUsed) {
-      if (!native::gatherNumbers(items, n, in)) return false;
-    } else {
-      in.assign(n, 0.0);  // constant body: the inputs are never read
-    }
-    std::vector<double> out(n);
-    if (kernel->unaryBatch(in.data(), out.data(), static_cast<long>(n)) >=
-        0) {
-      return false;  // an element erred: the per-item loop raises it
-    }
-    if (state == KernelState::Ready) {
-      // Validate the whole chunk before writing anything: all-or-nothing
-      // keeps the caller's exact-retry invariant (every element written
-      // at most once).
-      for (size_t i = 0; i < n; ++i) {
-        Value reference;
-        try {
-          reference = interp(items[i]);
-        } catch (...) {
-          // Native said clean, interpreter raised: divergence.
-          TierManager::instance().downgrade(kernel);
-          return false;
-        }
-        if (!native::byteIdentical(boxed(out[i], kernel), reference)) {
-          TierManager::instance().downgrade(kernel);
-          return false;
-        }
-      }
-      TierManager::instance().promote(kernel);
-    }
+    std::vector<double> out;
+    if (!runChunk(kernel, state, interp, items, n, out)) return false;
     for (size_t i = 0; i < n; ++i) items[i] = boxed(out[i], kernel);
-    kernel->nativeCalls.fetch_add(n, std::memory_order_relaxed);
-    TierManager::instance().noteNativeItems(n);
+    noteServed(kernel, n, n);
     return true;
   };
 
-  return {std::move(fn), std::move(batch)};
+  auto numeric = [interp, kernel](const Value* items, size_t n,
+                                  std::vector<double>& out) -> bool {
+    const KernelState state = kernel->currentState();
+    if (!servesChunks(state) || kernel->returnsBool) return false;
+    std::vector<double> results;
+    if (!runChunk(kernel, state, interp, items, n, results)) return false;
+    out.swap(results);
+    noteServed(kernel, n, n);
+    return true;
+  };
+
+  return {std::move(fn), std::move(batch), std::move(numeric)};
 }
 
-std::function<Value(const ListPtr&)> tieredListReduce(
-    const RingPtr& ring, const BlockRegistry& registry) {
+TieredReduce tieredReduce(const RingPtr& ring, const BlockRegistry& registry) {
   PureFn compiled = compileRing(ring, registry);
   auto interp = [compiled](const ListPtr& values) {
     return compiled({Value(values)});
   };
   const TierConfig cfg = native::tierConfig();
-  if (!cfg.enabled) return interp;
+  if (!cfg.enabled) return {interp, {}};
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Fold);
 
-  return [interp, kernel, ring, cfg](const ListPtr& values) -> Value {
+  auto fn = [interp, kernel, ring, cfg](const ListPtr& values) -> Value {
     const KernelState state = kernel->currentState();
     if (state == KernelState::Cold) {
       TierManager::instance().recordCalls(kernel, ring, 1, cfg);
       return interp(values);
     }
-    if (state != KernelState::Ready && state != KernelState::Trusted) {
-      return interp(values);
-    }
+    if (!servesChunks(state)) return interp(values);
     std::vector<double> in;
     const blocks::ItemSpan items = values ? values->items() : blocks::ItemSpan();
     if (!native::gatherNumbers(items.data(), items.size(), in)) {
@@ -204,10 +233,33 @@ std::function<Value(const ListPtr&)> tieredListReduce(
     const double raw =
         kernel->fold(in.data(), static_cast<long>(in.size()), &err);
     if (err) return interp(values);
-    kernel->nativeCalls.fetch_add(1, std::memory_order_relaxed);
-    TierManager::instance().noteNativeItems(in.size());
+    noteServed(kernel, 1, in.size());
     return boxed(raw, kernel);
   };
+
+  // Only a Trusted kernel folds whole shards: the Ready state's
+  // validation runs per call, through `fn`, on boxed lists.
+  auto numeric = [kernel](const double* values, const uint32_t* bounds,
+                          size_t runs, Value* out) -> bool {
+    if (kernel->currentState() != KernelState::Trusted) return false;
+    std::vector<double> raw(runs);
+    for (size_t r = 0; r < runs; ++r) {
+      int err = 0;
+      raw[r] = kernel->fold(values + bounds[r],
+                            static_cast<long>(bounds[r + 1] - bounds[r]), &err);
+      if (err) return false;  // the run's reduce raises the typed error
+    }
+    for (size_t r = 0; r < runs; ++r) out[r] = boxed(raw[r], kernel);
+    noteServed(kernel, runs, bounds[runs] - bounds[0]);
+    return true;
+  };
+
+  return {std::move(fn), std::move(numeric)};
+}
+
+mr::ReduceFn tieredListReduce(const RingPtr& ring,
+                              const BlockRegistry& registry) {
+  return tieredReduce(ring, registry).fn;
 }
 
 }  // namespace psnap::core

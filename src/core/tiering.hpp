@@ -20,6 +20,7 @@
 #include "blocks/block.hpp"
 #include "blocks/registry.hpp"
 #include "blocks/value.hpp"
+#include "mapreduce/engine.hpp"
 
 namespace psnap::core {
 
@@ -28,20 +29,38 @@ namespace psnap::core {
 /// returns false WITHOUT writing anything when the chunk is not natively
 /// servable (kernel not installed, unmarshalable element, an element
 /// erred, or validation failed) — the caller then runs its per-item loop.
+/// `numeric` is the same chunk entry with unboxed results (the mapReduce
+/// map column, mr::MapNumericFn): it serves only a Ready or Trusted
+/// kernel that returns numbers, and sizes `out` only once it serves.
+/// Declining entries record no calls; the per-item path counts what it
+/// interprets.
 struct TieredUnary {
   std::function<blocks::Value(const blocks::Value&)> fn;
   std::function<bool(blocks::Value*, size_t)> batch;
+  mr::MapNumericFn numeric;
 };
 
 TieredUnary tieredUnary(const blocks::RingPtr& ring,
                         const blocks::BlockRegistry& registry =
                             blocks::BlockRegistry::standard());
 
-/// The mapReduce reducer shape: ring applied to one key's values list
-/// (compiled to a Fold kernel: psnap_kernel_fold over gathered doubles).
-std::function<blocks::Value(const blocks::ListPtr&)> tieredListReduce(
-    const blocks::RingPtr& ring,
-    const blocks::BlockRegistry& registry =
-        blocks::BlockRegistry::standard());
+/// A tiered mapReduce reducer: `fn` is the ring applied to one key's
+/// values list (a Fold kernel, psnap_kernel_fold over gathered doubles,
+/// once hot); `numeric` folds every run of a shard straight from the
+/// shuffle's flat array (mr::ReduceNumericFn), all-or-nothing, and only
+/// for a Trusted kernel.
+struct TieredReduce {
+  mr::ReduceFn fn;
+  mr::ReduceNumericFn numeric;
+};
+
+TieredReduce tieredReduce(const blocks::RingPtr& ring,
+                          const blocks::BlockRegistry& registry =
+                              blocks::BlockRegistry::standard());
+
+/// tieredReduce(ring).fn: the reducer shape alone.
+mr::ReduceFn tieredListReduce(const blocks::RingPtr& ring,
+                              const blocks::BlockRegistry& registry =
+                                  blocks::BlockRegistry::standard());
 
 }  // namespace psnap::core

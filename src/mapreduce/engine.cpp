@@ -249,12 +249,31 @@ struct SliceClasses {
   std::vector<std::vector<uint32_t>> byShard;  // [shard] → class ids
 };
 
+/// Where a job's map results live: every slice's in its mapped slots,
+/// every non-empty slice's in its column, or some of each.
+enum class Results : uint8_t { Slots, Columns, Mixed };
+
+/// One shard's runs in key order, laid out flat: run r is
+/// members[bounds[r], bounds[r + 1]), and groups[r] holds its key and
+/// order head (its value is set by the reduce). Under Results::Columns,
+/// numbers[m] is member m's map result.
+struct Runs {
+  std::vector<Group> groups;
+  std::vector<uint32_t> bounds{0};
+  std::vector<uint32_t> members;
+  std::vector<double> numbers;
+  Results results = Results::Slots;
+};
+
 /// The shuffle over the input items and their flat map results: pair i
-/// is read in place from items[i] and mapped[i] (keyOf, valueOf), and
-/// classOf[i] is its class in its slice's table. Slot i of every array is
-/// written by the one slice task covering i, and slices[slice] and
-/// binned[slice] by that slice alone, so a slice that restarts from
-/// scratch rewrites all of its state exactly.
+/// is read in place from items[i] and its map result (keyOf, valueOf),
+/// and classOf[i] is its class in its slice's table. A map result is
+/// mapped[i], or, when the numeric map entry served i's slice, a double
+/// in that slice's column; a column pair is keyed by its item. Slot i of
+/// every array is written by the one slice task covering i, and
+/// slices[slice], binned[slice], columns[slice] and columnar[slice] by
+/// that slice alone, so a slice that restarts from scratch rewrites all
+/// of its state exactly.
 struct Shuffle {
   Shuffle(blocks::ItemSpan input, size_t shards)
       : n(input.size()),
@@ -263,7 +282,9 @@ struct Shuffle {
         mapped(n),
         classOf(n),
         slices(shards),
-        binned(shards, std::vector<std::vector<uint32_t>>(shards)) {}
+        binned(shards, std::vector<std::vector<uint32_t>>(shards)),
+        columns(shards),
+        columnar(shards, 0) {}
 
   /// Slice s covers [s * per(), min((s + 1) * per(), n)).
   size_t per() const { return (n + shardCount - 1) / shardCount; }
@@ -273,10 +294,33 @@ struct Shuffle {
   static bool isPair(const Value& result) {
     return result.isList() && result.asList()->length() == 2;
   }
-  const Value& keyOf(size_t i) const {
-    return isPair(mapped[i]) ? mapped[i].asList()->items()[0] : items[i];
+
+  Results results() const {
+    bool any = false;
+    bool all = true;
+    for (size_t t = 0; t < shardCount && t * per() < n; ++t) {
+      any = any || columnar[t];
+      all = all && columnar[t];
+    }
+    return !any ? Results::Slots : all ? Results::Columns : Results::Mixed;
   }
-  const Value& valueOf(size_t i) const {
+  /// Pair i's map result is in its slice's column. A column slice's
+  /// mapped slots are never read: an attempt that declined before the
+  /// entry served may have left values there.
+  bool inColumn(size_t i, Results where) const {
+    return where == Results::Columns ||
+           (where == Results::Mixed && columnar[i / per()]);
+  }
+  const Value& keyOf(size_t i, Results where) const {
+    return !inColumn(i, where) && isPair(mapped[i])
+               ? mapped[i].asList()->items()[0]
+               : items[i];
+  }
+  Value valueOf(size_t i, Results where) const {
+    if (inColumn(i, where)) {
+      const size_t t = i / per();
+      return Value(columns[t][i - t * per()]);
+    }
     return isPair(mapped[i]) ? mapped[i].asList()->items()[1] : mapped[i];
   }
 
@@ -284,13 +328,15 @@ struct Shuffle {
   void resetSlice(size_t slice) {
     slices[slice].reset(shardCount);
     for (auto& bin : binned[slice]) bin.clear();
+    columnar[slice] = false;
   }
 
   /// Class pair i's key in `slice`'s table and bin its index by shard.
   /// `shown` is the slice's scratch for a key's display.
   void bin(size_t slice, size_t i, std::string& shown) {
-    const Value& key = keyOf(i);
-    if (isPair(mapped[i]) && !key.isTransferable()) {
+    const bool pair = !columnar[slice] && isPair(mapped[i]);
+    const Value& key = pair ? mapped[i].asList()->items()[0] : items[i];
+    if (pair && !key.isTransferable()) {
       throw Error(
           "mapReduce: explicit [key, value] pair has a non-transferable "
           "key of kind '" +
@@ -303,10 +349,13 @@ struct Shuffle {
     binned[slice][classes.heads[c].hash % shardCount].push_back(uint32_t(i));
   }
 
-  /// One shard's groups in key order — exactly the groups a stable sort
-  /// of the shard's pairs plus adjacent Value::equals grouping forms,
-  /// at the cost of sorting only the distinct keys.
-  std::vector<Group> group(size_t shard) const {
+  /// One shard's runs in key order — exactly the groups a stable sort of
+  /// the shard's pairs plus adjacent Value::equals grouping forms, at the
+  /// cost of sorting only the distinct keys.
+  Runs group(size_t shard) const {
+    Runs runs;
+    runs.results = results();
+    const Results where = runs.results;
     // 1. Merge the slices' classes for this shard in slice order: a slice
     //    class joins the shard class whose head it matches, or heads a
     //    new one. Slice t's classes map through merged[firstOf[t] + c].
@@ -319,7 +368,7 @@ struct Shuffle {
     ClassTable table;
     table.reset(incoming);
     std::vector<const SortKey*> heads;  // per shard class
-    std::vector<uint32_t> offsets;      // per shard class: members, then start
+    std::vector<uint32_t> sizes;        // per shard class: members
     std::vector<uint8_t> single;        // per shard class: one run
     std::vector<uint32_t> merged(firstOf.back(), kNone);
     for (size_t t = 0; t < slices.size(); ++t) {
@@ -331,52 +380,77 @@ struct Shuffle {
         if (slot == kNone) {
           slot = uint32_t(heads.size());
           heads.push_back(&key);
-          offsets.push_back(0);
+          sizes.push_back(0);
           single.push_back(true);
         }
         merged[firstOf[t] + c] = slot;
-        offsets[slot] += slices[t].sizes[c];
+        sizes[slot] += slices[t].sizes[c];
         single[slot] &= slices[t].oneRun[c];
       }
     }
-    // 2. Lay the members out flat, class by class: prefix sums give each
-    //    class its range, and walking the slices in order fills every
-    //    range in pair order.
-    offsets.push_back(0);
-    std::exclusive_scan(offsets.begin(), offsets.end(), offsets.begin(), 0u);
-    std::vector<uint32_t> members(offsets.back());
-    std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (size_t t = 0; t < slices.size(); ++t) {
-      for (uint32_t i : binned[t][shard]) {
-        members[cursor[merged[firstOf[t] + classOf[i]]]++] = i;
-      }
-    }
-    // 3. Sort only the class heads.
+    // 2. Sort only the class heads.
     std::vector<uint32_t> order(heads.size());
     std::iota(order.begin(), order.end(), 0u);
     std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
       return keyLess(*heads[a], *heads[b]);
     });
-    // 4. In key order, split each class into runs of keys equal to the
-    //    run's first key (a one-run class is a single run); each run's
-    //    values list is built once.
-    std::vector<Group> groups;
+    // 3. Lay the members out flat, class by class in key order: the
+    //    classes' sizes give each its range, and walking the slices in
+    //    order fills every range in pair order. Under Columns each
+    //    member's double is copied beside it.
+    std::vector<uint32_t> cursor(heads.size());
+    uint32_t total = 0;
     for (uint32_t c : order) {
-      const uint32_t end = offsets[c + 1];
-      for (uint32_t m = offsets[c]; m < end;) {
-        const Value& run = keyOf(members[m]);
-        std::vector<Value> values;
-        values.reserve(end - m);
-        do {
-          values.push_back(valueOf(members[m]));
-          ++m;
-        } while (m < end &&
-                 (single[c] || sameKey(*heads[c], run, keyOf(members[m]))));
-        groups.push_back({run, Value(List::make(std::move(values))),
-                          heads[c]});
+      cursor[c] = total;
+      total += sizes[c];
+    }
+    runs.members.resize(total);
+    const bool column = where == Results::Columns;
+    if (column) runs.numbers.resize(total);
+    for (size_t t = 0; t < slices.size(); ++t) {
+      const size_t base = t * per();
+      for (uint32_t i : binned[t][shard]) {
+        const uint32_t m = cursor[merged[firstOf[t] + classOf[i]]]++;
+        runs.members[m] = i;
+        if (column) runs.numbers[m] = columns[t][i - base];
       }
     }
-    return groups;
+    // 4. Split each class into runs of keys equal to the run's first key
+    //    (a one-run class is a single run), reading keys only at run
+    //    heads and in classes that are not one run.
+    runs.groups.reserve(heads.size());
+    uint32_t m = 0;
+    for (uint32_t c : order) {
+      const uint32_t end = m + sizes[c];
+      while (m < end) {
+        const Value& run = keyOf(runs.members[m], where);
+        if (single[c]) {
+          m = end;
+        } else {
+          do {
+            ++m;
+          } while (m < end &&
+                   sameKey(*heads[c], run, keyOf(runs.members[m], where)));
+        }
+        runs.groups.push_back({run, Value(), heads[c]});
+        runs.bounds.push_back(m);
+      }
+    }
+    return runs;
+  }
+
+  /// Run r's values list, built from its range.
+  ListPtr valuesOf(const Runs& runs, size_t r) const {
+    std::vector<Value> values;
+    values.reserve(runs.bounds[r + 1] - runs.bounds[r]);
+    for (uint32_t m = runs.bounds[r]; m < runs.bounds[r + 1]; ++m) {
+      if (runs.results == Results::Columns) {
+        values.emplace_back(runs.numbers[m]);
+      } else {
+        values.push_back(valueOf(runs.members[m], runs.results));
+      }
+    }
+    return List::make(std::move(values));
   }
 
   size_t n;
@@ -386,6 +460,8 @@ struct Shuffle {
   std::vector<uint32_t> classOf;
   std::vector<SliceClasses> slices;                        // [slice]
   std::vector<std::vector<std::vector<uint32_t>>> binned;  // [slice][shard]
+  std::vector<std::vector<double>> columns;  // [slice]: numeric results
+  std::vector<uint8_t> columnar;  // [slice]: its results are its column
 };
 
 /// Serial W-way merge of per-shard group lists, each in key order. A
@@ -511,24 +587,34 @@ void Job::mapSlice(size_t slice, bool pooled) {
   // mapFn is pure and every slot this slice writes is its own, so a
   // retry restarts the slice exactly.
   s.resetSlice(slice);
+  // Native numeric path: the kernel's doubles go straight into the
+  // slice's column, and pairs are keyed by their items.
+  bool column = false;
+  if (pooled && p.options.mapNumeric && end > begin) {
+    column = p.options.mapNumeric(items.data() + begin, end - begin,
+                                  s.columns[slice]);
+    s.columnar[slice] = column;
+    if (column) fault::inject(fault::Point::TaskThrow);
+  }
   // Native chunk path: copy the slice's items into its mapped slots and
   // transform them there (pairs stay keyed by the ORIGINAL items, which
   // p.input still holds). A false return writes nothing, and the loop
   // below maps every item itself.
   bool batched = false;
-  if (pooled && p.options.mapBatch && end > begin) {
+  if (pooled && !column && p.options.mapBatch && end > begin) {
     std::copy(items.begin() + begin, items.begin() + end,
               s.mapped.begin() + begin);
     batched = p.options.mapBatch(s.mapped.data() + begin, end - begin);
     // The slots now hold mapped values: a retry must copy afresh.
     if (batched) fault::inject(fault::Point::TaskThrow);
   }
-  const bool inject = pooled && !batched;
+  const bool mapped = column || batched;
+  const bool inject = pooled && !mapped;
   std::string shown;
   for (size_t i = begin; i < end; ++i) {
     if (inject) fault::inject(fault::Point::TaskThrow);
     if ((i - begin) % 512 == 511) token_->checkpoint();
-    if (!batched) s.mapped[i] = p.mapFn(items[i]);
+    if (!mapped) s.mapped[i] = p.mapFn(items[i]);
     s.bin(slice, i, shown);
   }
 }
@@ -538,14 +624,29 @@ void Job::reduceShard(size_t shard, bool pooled) {
   // Everything below is local until the final move into p.shards, so a
   // retry restarts the shard exactly.
   if (pooled) fault::inject(fault::Point::TaskThrow);
-  std::vector<Group> groups = p.shuffle.group(shard);
-  // Reduce each group in place — per-group reduction is independent of
+  Runs runs = p.shuffle.group(shard);
+  std::vector<Group>& groups = runs.groups;
+  // Reduce each run in place — per-group reduction is independent of
   // how groups were formed, so fusing it here leaves the output bytes
-  // unchanged.
-  for (size_t g = 0; g < groups.size(); ++g) {
+  // unchanged. A shard of columns first offers all its runs, unboxed, to
+  // the numeric reduce entry.
+  bool folded = false;
+  if (pooled && p.options.reduceNumeric &&
+      runs.results == Results::Columns) {
+    std::vector<Value> reduced(groups.size());
+    folded = p.options.reduceNumeric(runs.numbers.data(), runs.bounds.data(),
+                                     groups.size(), reduced.data());
+    if (folded) {
+      for (size_t g = 0; g < groups.size(); ++g) {
+        groups[g].value = std::move(reduced[g]);
+      }
+      fault::inject(fault::Point::TaskThrow);
+    }
+  }
+  for (size_t g = 0; !folded && g < groups.size(); ++g) {
     if (pooled) fault::inject(fault::Point::TaskThrow);
     if (g % 256 == 255) token_->checkpoint();
-    groups[g].value = p.reduceFn(groups[g].value.asList());
+    groups[g].value = p.reduceFn(p.shuffle.valuesOf(runs, g));
   }
   p.shards[shard] = std::move(groups);
 }

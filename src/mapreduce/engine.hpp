@@ -37,6 +37,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -55,12 +56,24 @@ namespace psnap::mr {
 using MapFn = std::function<blocks::Value(const blocks::Value&)>;
 /// values-of-one-key → reduced value.
 using ReduceFn = std::function<blocks::Value(const blocks::ListPtr&)>;
+/// A slice of items → their map results as raw doubles: either writes
+/// all `n` results into `out` (sizing it) and returns true, or returns
+/// false with `out` untouched.
+using MapNumericFn = std::function<bool(const blocks::Value* items,
+                                        size_t n, std::vector<double>& out)>;
+/// A shard's runs, reduced straight from their doubles: run r's values
+/// are values[bounds[r], bounds[r + 1]). Either writes every run's reduced
+/// value to out[r] and returns true, or returns false writing nothing.
+using ReduceNumericFn =
+    std::function<bool(const double* values, const uint32_t* bounds,
+                       size_t runs, blocks::Value* out)>;
 
 struct Options {
   /// Shard count for both stages; 0 means 4, the paper's worker count.
   size_t workers = 0;
   /// Run the whole pipeline on the constructing thread at one shard (for
-  /// the sequential baseline rows of the benches). Never batches.
+  /// the sequential baseline rows of the benches). Never calls mapBatch,
+  /// mapNumeric or reduceNumeric: it is the boxed reference path.
   bool sequential = false;
   /// Per-task retries inside each pooled stage (substrate errors only;
   /// see ParallelOptions::maxRetries).
@@ -79,6 +92,18 @@ struct Options {
   /// runs on a copy of each slice written straight into its map-result
   /// slots, from which stage 1 reads each pair in place.
   workers::MapBatchFn mapBatch;
+  /// Optional unboxed fast path for the map phase, tried before
+  /// mapBatch. A slice it serves keeps its results as doubles in the
+  /// slice's own column: no item copy, no boxing, and its pairs are keyed
+  /// by their items. A slice it declines takes the mapBatch path, then
+  /// the per-item loop.
+  MapNumericFn mapNumeric;
+  /// Optional unboxed fast path for the reduce phase. When every slice's
+  /// results are in columns, each shard lays its members' doubles out
+  /// flat in key order and hands all of its runs to this entry at once.
+  /// A shard it declines (or any shard of a job with a boxed slice)
+  /// builds each run's values list and calls the reduce function.
+  ReduceNumericFn reduceNumeric;
 };
 
 struct Stats {
@@ -106,14 +131,20 @@ ReduceFn identityReduce();
 /// scheduler — a completion-chained pipeline with no phase barriers:
 ///
 ///   stage 1   W slice tasks: map each item into a flat array of map
-///             results, class its pair's key (read in place, through the
-///             slice's memo of key representations and its hash table of
-///             order classes), bin its index by shard (the map phase and
-///             the shuffle's key pass, fused);
+///             results — or, where Options::mapNumeric serves the slice,
+///             the whole slice into a column of raw doubles — class its
+///             pair's key (read in place, through the slice's memo of key
+///             representations and its hash table of order classes), bin
+///             its index by shard (the map phase and the shuffle's key
+///             pass, fused);
 ///   stage 2   W shard tasks: merge the slices' classes for the shard,
-///             sort the class heads, split each class into runs of equal
-///             keys, reduce each run (the shuffle's group and the reduce
-///             phase, fused);
+///             sort the class heads, lay the members out flat in key
+///             order (with their doubles, when every slice is a column),
+///             split each class into runs of equal keys, each a range of
+///             that layout, and reduce each run — all runs at once
+///             through Options::reduceNumeric when it serves the shard,
+///             else one values list per run (the shuffle's group and the
+///             reduce phase, fused);
 ///   merge     a serial W-way merge of the per-shard sorted outputs, run
 ///             by whichever worker finishes stage 2 last.
 ///
@@ -176,11 +207,13 @@ class Job {
   /// ~Job blocks on the latch and every path settles it last.
   struct Pipeline;
 
-  /// Stage 1's body for one slice: map each item into its result slot,
-  /// class its pair's key where the item and result hold it, bin it.
-  /// Stage 2's body for one shard: group its pairs, reduce each group.
-  /// `pooled` is false on the sequential pass, which never calls mapBatch
-  /// and fires no task fault.
+  /// Stage 1's body for one slice: map each item into its result slot
+  /// (or the whole slice into its numeric column), class its pair's key
+  /// where the item and result hold it, bin it. Stage 2's body for one
+  /// shard: group its pairs into runs, reduce each run (or fold them all
+  /// through the numeric reduce entry). `pooled` is false on the
+  /// sequential pass, which never calls the native entries and fires no
+  /// task fault.
   void mapSlice(size_t slice, bool pooled);
   void reduceShard(size_t shard, bool pooled);
   /// Submit one pooled stage: a task per shard running `body` under the

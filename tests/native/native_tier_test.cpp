@@ -14,14 +14,19 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "blocks/builder.hpp"
 #include "blocks/pure_ops.hpp"
 #include "codegen/toolchain.hpp"
+#include "core/parallel_blocks.hpp"
 #include "core/pure_eval.hpp"
 #include "native/loader.hpp"
 #include "native/marshal.hpp"
+#include "mapreduce/engine.hpp"
 #include "native/tier.hpp"
+#include "sched/thread_manager.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "tests/properties/generators.hpp"
@@ -286,13 +291,16 @@ TEST(NativeTier, BatchServesWholeChunksAllOrNothing) {
 
   std::vector<Value> chunk;
   for (int i = 0; i < 8; ++i) chunk.emplace_back(double(i));
-  // Cold: the batch declines (writing nothing) but records the chunk's
-  // hotness — which crosses the threshold and compiles here.
+  // Cold: the batch declines, writing nothing and recording nothing; the
+  // caller's per-item calls count what they interpret: the fourth
+  // crosses the threshold and compiles here.
   std::vector<Value> untouched = chunk;
   EXPECT_FALSE(tiered.batch(chunk.data(), chunk.size()));
   for (size_t i = 0; i < chunk.size(); ++i) {
     EXPECT_TRUE(sameBits(chunk[i], untouched[i]));
   }
+  EXPECT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Cold);
+  for (size_t i = 0; i < 4; ++i) tiered.fn(untouched[i]);
   ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Ready);
   // Ready: the batch validates the whole chunk against the interpreter,
   // promotes, and writes every element.
@@ -373,6 +381,255 @@ TEST(NativeTier, LargeChunkWithAnErringElementRaisesTheInterpreterError) {
     EXPECT_EQ(expected, e.what());
   }
   EXPECT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
+}
+
+// --- the mapReduce numeric column -------------------------------------------
+
+TEST(NativeTier, ColdBatchDeclineCountsEachInterpretedCallOnce) {
+  // A declining chunk entry records nothing: the per-item fallback counts
+  // each item it interprets, so a ring goes hot after hotThreshold
+  // interpreted calls, not half of them. The threshold is out of reach,
+  // so the record stays Cold and no compiler is needed.
+  RingPtr ring = makeRing(build::ring(sum(product(empty(), 4.0), 6007.0)));
+  TierConfig cfg;
+  cfg.hotThreshold = uint64_t(1) << 40;
+  TierScope scope(cfg);
+  TieredUnary tiered = tieredUnary(ring);
+  RingKernel* kernel =
+      TierManager::instance().lookup(*ring, KernelShape::Unary);
+  std::vector<Value> items;
+  for (int i = 0; i < 600; ++i) items.emplace_back(double(i));
+
+  uint64_t before = kernel->calls.load();
+  mr::Options options{.workers = 4};
+  options.mapBatch = tiered.batch;
+  mr::run(List::make(items), tiered.fn, mr::identityReduce(), options);
+  EXPECT_EQ(kernel->calls.load() - before, 600u) << "mr::run";
+
+  before = kernel->calls.load();
+  workers::Parallel parallel(items, {.maxWorkers = 4});
+  parallel.map(tiered.fn, tiered.batch);
+  parallel.data();
+  EXPECT_EQ(kernel->calls.load() - before, 600u) << "Parallel::map";
+  EXPECT_EQ(kernel->currentState(), KernelState::Cold);
+}
+
+TEST(NativeTier, NumericEntryServesNumbersAllOrNothing) {
+  if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
+  RingPtr ring = makeRing(build::ring(sum(product(empty(), 0.75), 1021.0)));
+  PureFn reference = compileRing(ring);
+  TierScope scope(syncConfig(4));
+  TieredUnary tiered = tieredUnary(ring);
+  ASSERT_TRUE(tiered.numeric);
+  RingKernel* kernel =
+      TierManager::instance().lookup(*ring, KernelShape::Unary);
+
+  std::vector<Value> chunk;
+  for (int i = 0; i < 8; ++i) chunk.emplace_back(double(i) - 2.5);
+  std::vector<double> out;
+  // Cold: declines, records nothing and leaves `out` unsized.
+  EXPECT_FALSE(tiered.numeric(chunk.data(), chunk.size(), out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(kernel->calls.load(), 0u);
+  // Four interpreted calls install the kernel, not yet validated.
+  for (int i = 0; i < 4; ++i) tiered.fn(chunk[size_t(i)]);
+  ASSERT_EQ(kernel->currentState(), KernelState::Ready);
+  // Ready: the whole chunk is validated against the interpreter, the
+  // kernel promotes, and every result is the interpreter's bits.
+  EXPECT_TRUE(tiered.numeric(chunk.data(), chunk.size(), out));
+  EXPECT_EQ(kernel->currentState(), KernelState::Trusted);
+  ASSERT_EQ(out.size(), chunk.size());
+  for (size_t i = 0; i < chunk.size(); ++i) {
+    EXPECT_TRUE(sameBits(Value(out[i]), reference({chunk[i]})));
+  }
+  // Trusted: one unmarshalable element declines the chunk, `out` intact.
+  const std::vector<double> kept = out;
+  const std::vector<Value> mixed = {Value(1.0), Value("2"), Value(3.0)};
+  EXPECT_FALSE(tiered.numeric(mixed.data(), mixed.size(), out));
+  EXPECT_EQ(out, kept);
+}
+
+TEST(NativeTier, NumericEntryDeclinesPredicateKernels) {
+  if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
+  // A predicate's results box as booleans, so they have no column: the
+  // numeric entry declines and the batch entry serves.
+  RingPtr ring = makeRing(build::ring(lessThan(empty(), 4093.0)));
+  TierScope scope(syncConfig(2));
+  TieredUnary tiered = tieredUnary(ring);
+  for (int i = 0; i < 4; ++i) tiered.fn(Value(double(i)));
+  ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
+  std::vector<Value> chunk = {Value(1.0), Value(5000.0)};
+  std::vector<double> out;
+  EXPECT_FALSE(tiered.numeric(chunk.data(), chunk.size(), out));
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(tiered.batch(chunk.data(), chunk.size()));
+  EXPECT_TRUE(chunk[0].isBoolean() && chunk[0].asBoolean());
+  EXPECT_TRUE(chunk[1].isBoolean() && !chunk[1].asBoolean());
+}
+
+TEST(NativeTier, NumericReduceFoldsOnlyForATrustedKernel) {
+  if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
+  RingPtr ring = makeRing(build::ring(
+      sum(combineUsing(empty(), build::ring(sum(empty(), empty()))), 313.0)));
+  PureFn reference = compileRing(ring);
+  TierScope scope(syncConfig(1));
+  TieredReduce reduce = tieredReduce(ring);
+  ASSERT_TRUE(reduce.numeric);
+  // Three runs over one flat array: [1.5, 2], [], [-4, 0.25, 8].
+  const double values[] = {1.5, 2, -4, 0.25, 8};
+  const uint32_t bounds[] = {0, 2, 2, 5};
+  Value out[3];
+  // Cold and Ready decline, writing nothing; per-list calls heat the
+  // kernel and validate it.
+  EXPECT_FALSE(reduce.numeric(values, bounds, 3, out));
+  reduce.fn(List::make({Value(1.0)}));
+  ASSERT_EQ(stateOf(ring, KernelShape::Fold), KernelState::Ready);
+  EXPECT_FALSE(reduce.numeric(values, bounds, 3, out));
+  EXPECT_TRUE(out[0].isNothing());
+  reduce.fn(List::make({Value(1.0)}));
+  ASSERT_EQ(stateOf(ring, KernelShape::Fold), KernelState::Trusted);
+  ASSERT_TRUE(reduce.numeric(values, bounds, 3, out));
+  for (size_t r = 0; r < 3; ++r) {
+    std::vector<Value> run(values + bounds[r], values + bounds[r + 1]);
+    EXPECT_TRUE(sameBits(out[r], reference({Value(List::make(run))})))
+        << "run " << r << ": " << out[r].display();
+  }
+}
+
+/// Same kinds and bits all the way down (byteIdentical on the leaves it
+/// covers, kind and display on the rest).
+bool sameTree(const Value& a, const Value& b) {
+  if (a.isList() != b.isList()) return false;
+  if (a.isList()) {
+    const auto x = a.asList()->items();
+    const auto y = b.asList()->items();
+    if (x.size() != y.size()) return false;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (!sameTree(x[i], y[i])) return false;
+    }
+    return true;
+  }
+  if (a.isNumber() || a.isBoolean()) return sameBits(a, b);
+  return a.kind() == b.kind() && a.display() == b.display();
+}
+
+/// A scheduler whose sessions run the tier under `cfg` (the scheduler
+/// copies the process default when it is built).
+struct TierSession {
+  explicit TierSession(const TierConfig& cfg)
+      : prims(core::fullPrimitiveTable()) {
+    TierConfig& global = native::globalTierConfig();
+    const TierConfig saved = global;
+    global = cfg;
+    tm = std::make_unique<sched::ThreadManager>(&BlockRegistry::standard(),
+                                                &prims);
+    global = saved;
+  }
+
+  Value run(const blocks::BlockPtr& program) {
+    return tm->evaluate(program, Environment::make());
+  }
+
+  vm::PrimitiveTable prims;
+  std::unique_ptr<sched::ThreadManager> tm;
+};
+
+TEST(NativeTierMapReduce, ColumnMatchesTheTierOffOutputThroughPromotion) {
+  if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
+  // The map reads its item, so keys (the items) and values (the kernel's
+  // doubles) differ; the reduce is a real left fold plus a constant.
+  const auto mapBody = [] { return build::ring(sum(product(empty(), 0.5),
+                                                   8111.0)); };
+  const auto reduceBody = [] {
+    return build::ring(sum(
+        combineUsing(empty(), build::ring(sum(empty(), empty()))), 8209.0));
+  };
+  constexpr size_t kItems = 2000;
+  auto input = List::make();
+  for (size_t i = 0; i < kItems; ++i) {
+    input->add(Value(double(i % 41) - 7.0));
+  }
+  const auto program = [&] {
+    return mapReduce(mapBody(), reduceBody(), In(Value(input)));
+  };
+  TierConfig off;
+  off.enabled = false;
+  const Value expected = TierSession(off).run(program());
+  ASSERT_EQ(expected.asList()->length(), 41u);
+
+  // The scheduler's config never heats a ring by itself; the test moves
+  // each kernel between jobs.
+  TierConfig cold;
+  cold.hotThreshold = uint64_t(1) << 40;
+  cold.synchronousCompile = true;
+  TierSession session(cold);
+  RingPtr mapRing = makeRing(mapBody());
+  RingPtr reduceRing = makeRing(reduceBody());
+
+  // Job 1: both kernels Cold, the boxed path throughout.
+  EXPECT_TRUE(sameTree(session.run(program()), expected)) << "Cold";
+  ASSERT_EQ(stateOf(mapRing, KernelShape::Unary), KernelState::Cold);
+  ASSERT_EQ(stateOf(reduceRing, KernelShape::Fold), KernelState::Cold);
+
+  // Job 2: both installed but unproven. The map column validates each
+  // slice against the interpreter; Ready reduces validate per run.
+  {
+    TierScope heat(syncConfig(1));
+    tieredUnary(mapRing).fn(Value(1.0));
+    tieredReduce(reduceRing).fn(List::make({Value(1.0)}));
+  }
+  ASSERT_EQ(stateOf(mapRing, KernelShape::Unary), KernelState::Ready);
+  ASSERT_EQ(stateOf(reduceRing, KernelShape::Fold), KernelState::Ready);
+  EXPECT_TRUE(sameTree(session.run(program()), expected)) << "Ready";
+  ASSERT_EQ(stateOf(mapRing, KernelShape::Unary), KernelState::Trusted);
+  ASSERT_EQ(stateOf(reduceRing, KernelShape::Fold), KernelState::Trusted);
+
+  // Jobs 3 and 4: both Trusted. Every item is served twice natively, once
+  // by the map column and once by the shard folds.
+  for (int job = 0; job < 2; ++job) {
+    const uint64_t items = TierManager::instance().stats().nativeItems;
+    EXPECT_TRUE(sameTree(session.run(program()), expected)) << "Trusted";
+    EXPECT_EQ(TierManager::instance().stats().nativeItems - items,
+              2 * kItems);
+  }
+}
+
+TEST(NativeTierMapReduce, PredicateMapStaysOnTheBatchPath) {
+  if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
+  const auto mapBody = [] { return build::ring(lessThan(empty(), 8117.5)); };
+  const auto reduceBody = [] { return build::ring(itemOf(1.0, empty())); };
+  constexpr size_t kItems = 1200;
+  auto input = List::make();
+  for (size_t i = 0; i < kItems; ++i) {
+    input->add(Value(double(i % 37) * 450.0));
+  }
+  const auto program = [&] {
+    return mapReduce(mapBody(), reduceBody(), In(Value(input)));
+  };
+  TierConfig off;
+  off.enabled = false;
+  const Value expected = TierSession(off).run(program());
+
+  TierConfig cold;
+  cold.hotThreshold = uint64_t(1) << 40;
+  TierSession session(cold);
+  RingPtr mapRing = makeRing(mapBody());
+  {
+    TierScope heat(syncConfig(1));
+    TieredUnary tiered = tieredUnary(mapRing);
+    tiered.fn(Value(1.0));
+    tiered.fn(Value(2.0));
+  }
+  RingKernel* kernel =
+      TierManager::instance().lookup(*mapRing, KernelShape::Unary);
+  ASSERT_EQ(kernel->currentState(), KernelState::Trusted);
+  ASSERT_TRUE(kernel->returnsBool);
+  const uint64_t served = kernel->nativeCalls.load();
+  const Value got = session.run(program());
+  EXPECT_TRUE(sameTree(got, expected));
+  // The batch entry served every item, boxing booleans.
+  EXPECT_EQ(kernel->nativeCalls.load() - served, kItems);
+  EXPECT_TRUE(got.asList()->item(1).asList()->item(2).isBoolean());
 }
 
 // --- captured environment ---------------------------------------------------

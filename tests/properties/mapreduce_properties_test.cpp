@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <iterator>
 #include <limits>
@@ -284,45 +286,56 @@ ListPtr runJob(const ListPtr& input, const MapFn& mapFn,
 }
 
 /// Every engine path — pooled at widths 1/2/4, sequential, degraded by a
-/// saturated pool, and run() — against the reference shuffle, under the
-/// identity and the counting reduce.
+/// saturated pool, and run() — against the reference shuffle under one
+/// reduce. `base` supplies the native entries, if any, for every path.
+void expectEveryPathMatches(const ListPtr& input, const MapFn& mapper,
+                            const ReduceFn& reduce, const Options& base,
+                            uint64_t seed) {
+  const std::string expected =
+      exact(Value(referenceMapReduce(input, mapper, reduce)));
+  const auto with = [&base](size_t width, bool sequential) {
+    Options options = base;
+    options.workers = width;
+    options.sequential = sequential;
+    return options;
+  };
+  for (size_t width : {1, 2, 4}) {
+    EXPECT_EQ(exact(Value(runJob(input, mapper, reduce, with(width, false)))),
+              expected)
+        << "Job, width " << width;
+  }
+  EXPECT_EQ(exact(Value(runJob(input, mapper, reduce, with(0, true)))),
+            expected)
+      << "Job, sequential";
+  {
+    // Every stage submit is refused, so the Job drains its stages
+    // inline on this thread.
+    fault::Config saturated;
+    saturated.seed = seed;
+    saturated.rateNumerator = 1;
+    saturated.rateDenominator = 1;
+    saturated.pointMask = fault::maskOf(fault::Point::PoolSaturation);
+    fault::ScopedFault armed(saturated);
+    bool degraded = false;
+    EXPECT_EQ(exact(Value(runJob(input, mapper, reduce, with(4, false),
+                                 &degraded))),
+              expected)
+        << "Job, degraded";
+    EXPECT_EQ(degraded, !input->empty());
+  }
+  EXPECT_EQ(exact(Value(run(input, mapper, reduce, with(4, false)))),
+            expected)
+      << "run, parallel";
+  EXPECT_EQ(exact(Value(run(input, mapper, reduce, with(0, true)))),
+            expected)
+      << "run, sequential";
+}
+
+/// expectEveryPathMatches under the identity and the counting reduce.
 void expectEveryPathMatchesTheReference(const ListPtr& input,
                                         const MapFn& mapper, uint64_t seed) {
   for (const ReduceFn& reduce : {identityReduce(), countValues()}) {
-    const std::string expected =
-        exact(Value(referenceMapReduce(input, mapper, reduce)));
-    for (size_t width : {1, 2, 4}) {
-      EXPECT_EQ(exact(Value(runJob(input, mapper, reduce,
-                                   {.workers = width}))),
-                expected)
-          << "Job, width " << width;
-    }
-    EXPECT_EQ(exact(Value(runJob(input, mapper, reduce,
-                                 {.sequential = true}))),
-              expected)
-        << "Job, sequential";
-    {
-      // Every stage submit is refused, so the Job drains its stages
-      // inline on this thread.
-      fault::Config saturated;
-      saturated.seed = seed;
-      saturated.rateNumerator = 1;
-      saturated.rateDenominator = 1;
-      saturated.pointMask = fault::maskOf(fault::Point::PoolSaturation);
-      fault::ScopedFault armed(saturated);
-      bool degraded = false;
-      EXPECT_EQ(exact(Value(runJob(input, mapper, reduce, {.workers = 4},
-                                   &degraded))),
-                expected)
-          << "Job, degraded";
-      EXPECT_EQ(degraded, !input->empty());
-    }
-    EXPECT_EQ(exact(Value(run(input, mapper, reduce, {.workers = 4}))),
-              expected)
-        << "run, parallel";
-    EXPECT_EQ(exact(Value(run(input, mapper, reduce, {.sequential = true}))),
-              expected)
-        << "run, sequential";
+    expectEveryPathMatches(input, mapper, reduce, {}, seed);
   }
 }
 
@@ -446,6 +459,153 @@ TEST(ShuffleDifferential, RepresentationsOfOneClassMatchTheReference) {
     }
   }
   expectEveryPathMatchesTheReference(input, mapper, 17);
+}
+
+// --- Differential: the numeric column ---------------------------------------
+//
+// Plain C++ entries stand in for the native tier's, so no compiler is
+// needed: the map entry computes the boxed mapper's number for every item
+// of a slice, the reduce entry sums each run as the boxed reduce does.
+
+/// A number per item from its kind and display only, so the boxed mapper
+/// and the map entry agree on every representation.
+double numberOf(const Value& item) {
+  double x = double(item.display().size()) * 0.25 + double(int(item.kind()));
+  if (item.isNumber()) x += item.asNumber();
+  return x;
+}
+
+MapFn numberMapper() {
+  return [](const Value& item) { return Value(numberOf(item)); };
+}
+
+ReduceFn sumValues() {
+  return [](const ListPtr& values) {
+    double total = 0;
+    for (const Value& v : values->items()) total += v.asNumber();
+    return Value(total);
+  };
+}
+
+/// Serves a slice unless one of its items satisfies `declines`.
+MapNumericFn numberEntry(std::function<bool(const Value&)> declines,
+                         std::atomic<int>* served) {
+  return [declines, served](const Value* items, size_t n,
+                            std::vector<double>& out) {
+    for (size_t i = 0; i < n; ++i) {
+      if (declines && declines(items[i])) return false;
+    }
+    out.resize(n);
+    for (size_t i = 0; i < n; ++i) out[i] = numberOf(items[i]);
+    served->fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+}
+
+/// sumValues over each run of a shard, or a decline when `serve` is off.
+ReduceNumericFn sumEntry(bool serve, std::atomic<int>* served) {
+  return [serve, served](const double* values, const uint32_t* bounds,
+                         size_t runs, Value* out) {
+    if (!serve) return false;
+    for (size_t r = 0; r < runs; ++r) {
+      double total = 0;
+      for (uint32_t k = bounds[r]; k < bounds[r + 1]; ++k) total += values[k];
+      out[r] = Value(total);
+    }
+    served->fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+}
+
+/// A seeded input of the tricky keys (no explicit pairs: a column pair is
+/// keyed by its item), large enough for several shards.
+ListPtr columnInput(uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<Value> pool = trickyKeys();
+  std::vector<Value> keys;
+  const size_t variety = 1 + rng.below(pool.size());
+  for (size_t k = 0; k < variety; ++k) {
+    keys.push_back(pool[rng.below(pool.size())]);
+  }
+  const size_t sizes[] = {1, 40, 255, 256, 700, 1500};
+  const size_t n = sizes[rng.below(std::size(sizes))];
+  auto input = List::make();
+  for (size_t i = 0; i < n; ++i) input->add(keys[rng.below(keys.size())]);
+  return input;
+}
+
+// Every slice in a column, with the reduce entry folding the runs and
+// with it declining, so each run's list is built from its range.
+TEST_P(ShuffleDifferential, NumericColumnsMatchTheReference) {
+  const uint64_t seed = uint64_t(GetParam());
+  const ListPtr input = columnInput(seed);
+  for (bool folds : {true, false}) {
+    SCOPED_TRACE(folds ? "reduce entry folds" : "reduce entry declines");
+    std::atomic<int> mapped{0};
+    std::atomic<int> reduced{0};
+    Options base;
+    base.mapNumeric = numberEntry({}, &mapped);
+    base.reduceNumeric = sumEntry(folds, &reduced);
+    expectEveryPathMatches(input, numberMapper(), sumValues(), base, seed);
+    base.reduceNumeric = nullptr;  // lists from ranges, for any reduce
+    expectEveryPathMatches(input, numberMapper(), countValues(), base, seed);
+    EXPECT_GT(mapped.load(), 0);
+    EXPECT_EQ(reduced.load() > 0, folds);
+  }
+}
+
+// The hard classes with every slice in a column: 0 and -0, NaN, "1" and
+// 1, case variants, and `true` joining the class of "true" late.
+TEST(ShuffleDifferential, NumericColumnsOfHardKeysMatchTheReference) {
+  const std::vector<Value> keys = {
+      Value(0),      Value(-0.0),   Value(std::nan("")), Value("NaN"),
+      Value("1"),    Value(1),      Value("1.0"),        Value("Apple"),
+      Value("apple"), Value("APPLE"), Value("true"),     Value("TRUE")};
+  auto input = List::make();
+  for (int i = 0; i < 1000; ++i) {
+    input->add(keys[size_t(i) % keys.size()]);
+    if (i % 61 == 60) input->add(Value(true));
+  }
+  std::atomic<int> mapped{0};
+  std::atomic<int> reduced{0};
+  Options base;
+  base.mapNumeric = numberEntry({}, &mapped);
+  base.reduceNumeric = sumEntry(true, &reduced);
+  expectEveryPathMatches(input, numberMapper(), sumValues(), base, 3);
+  base.reduceNumeric = nullptr;
+  expectEveryPathMatches(input, numberMapper(), identityReduce(), base, 3);
+  EXPECT_GT(mapped.load(), 0);
+  EXPECT_GT(reduced.load(), 0);
+}
+
+// Some slices in columns and some boxed in one job: the map entry
+// declines any slice holding a boolean, and booleans appear only in the
+// input's second half, where `true` joins the class of "true" from the
+// first half. Both halves share every other class too.
+TEST(ShuffleDifferential, MixedColumnAndBoxedSlicesMatchTheReference) {
+  const std::vector<Value> keys = {
+      Value(0), Value(-0.0), Value(std::nan("")), Value("1"), Value(1),
+      Value("Pear"), Value("pear"), Value("true"), Value("TRUE")};
+  auto input = List::make();
+  for (int i = 0; i < 1600; ++i) {
+    input->add(keys[size_t(i) % keys.size()]);
+    if (i >= 800 && i % 53 == 0) input->add(Value(i % 2 == 0));
+  }
+  std::atomic<int> mapped{0};
+  std::atomic<int> reduced{0};
+  Options base;
+  base.mapNumeric = numberEntry(
+      [](const Value& item) { return item.isBoolean(); }, &mapped);
+  base.reduceNumeric = sumEntry(true, &reduced);
+  expectEveryPathMatches(input, numberMapper(), sumValues(), base, 9);
+  base.reduceNumeric = nullptr;
+  for (const ReduceFn& reduce : {countValues(), identityReduce()}) {
+    expectEveryPathMatches(input, numberMapper(), reduce, base, 9);
+  }
+  // The first half's slices served at widths 2 and 4; no job was all
+  // columns, so the reduce entry never ran.
+  EXPECT_GT(mapped.load(), 0);
+  EXPECT_EQ(reduced.load(), 0);
 }
 
 }  // namespace

@@ -355,6 +355,77 @@ TEST(Chaos, TaskThrowAfterBatchedSliceRewritesPairValues) {
   }
 }
 
+TEST(Chaos, TaskThrowAfterNumericColumnAndFoldRestartsExactly) {
+  // Plain C++ entries stand in for the native tier's numeric ones: the
+  // map entry writes each slice's doubles into its column, the reduce
+  // entry folds all of a shard's runs. TaskThrow fires after each served
+  // entry, so a retried slice or shard must call its entry again and
+  // rebuild exactly what the failed attempt built.
+  std::atomic<int> mapCalls{0};
+  std::atomic<int> foldCalls{0};
+  auto mapOne = [](const Value& v) { return Value(2 * v.asNumber() + 1); };
+  mr::MapNumericFn column = [&mapCalls](const Value* items, size_t n,
+                                        std::vector<double>& out) {
+    mapCalls.fetch_add(1, std::memory_order_relaxed);
+    out.resize(n);
+    for (size_t i = 0; i < n; ++i) out[i] = 2 * items[i].asNumber() + 1;
+    return true;
+  };
+  mr::ReduceFn sum = [](const ListPtr& values) {
+    double total = 0;
+    for (const Value& v : values->items()) total += v.asNumber();
+    return Value(total);
+  };
+  mr::ReduceNumericFn fold = [&foldCalls](const double* values,
+                                          const uint32_t* bounds, size_t runs,
+                                          Value* out) {
+    foldCalls.fetch_add(1, std::memory_order_relaxed);
+    for (size_t r = 0; r < runs; ++r) {
+      double total = 0;
+      for (uint32_t k = bounds[r]; k < bounds[r + 1]; ++k) total += values[k];
+      out[r] = Value(total);
+    }
+    return true;
+  };
+  auto input = List::make();
+  for (int i = 0; i < 1024; ++i) input->add(Value(i % 97));
+  const std::string reference =
+      mr::run(input, mapOne, sum, {.sequential = true})->display();
+  constexpr int kRounds = 8;
+  constexpr int kSlices = 4;
+  for (uint64_t seed : chaosSeeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const uint64_t retriesBefore =
+        substrateStats().retries.load(std::memory_order_relaxed);
+    mapCalls = 0;
+    foldCalls = 0;
+    {
+      fault::ScopedFault armed(
+          configFor(seed, fault::Point::TaskThrow, 1, 4));
+      for (int round = 0; round < kRounds; ++round) {
+        mr::Job job(input, mapOne, sum,
+                    {.workers = kSlices,
+                     .maxRetries = 40,
+                     .mapNumeric = column,
+                     .reduceNumeric = fold});
+        std::promise<void> settled;
+        job.onComplete([&settled] { settled.set_value(); });
+        settled.get_future().wait();
+        ASSERT_FALSE(job.failed()) << job.errorMessage();
+        EXPECT_FALSE(job.wasDegraded());
+        EXPECT_EQ(job.result()->display(), reference);
+      }
+    }
+    // Every entry call beyond one per slice (or shard) per round is a
+    // retry after a served entry.
+    EXPECT_GT(mapCalls.load(), kRounds * kSlices);
+    EXPECT_GT(foldCalls.load(), kRounds * kSlices);
+    EXPECT_GT(substrateStats().retries.load(std::memory_order_relaxed),
+              retriesBefore);
+    expectPoolUsable();
+  }
+}
+
 TEST(Chaos, MapReducePoolSaturationDegradesSequentially) {
   const uint64_t downgradesBefore =
       substrateStats().downgrades.load(std::memory_order_relaxed);
