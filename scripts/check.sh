@@ -42,9 +42,13 @@
 #   Builds the asan preset and runs the cross-path differential suites
 #   once under AddressSanitizer: opcode parity (the VM against the worker
 #   evaluator, values and error classes, plus the pure-op table guard)
-#   and dispatch parity (ById against ByString) and the mapReduce shuffle
-#   differential (boxed pairs and numeric columns) in test_properties;
-#   then, in test_native, the native tier's random-ring property sweep,
+#   and dispatch parity (ById against ByString), the mapReduce shuffle
+#   differential (boxed pairs and numeric columns) and the text split
+#   differential (the split block and the reference word count against
+#   the copying tokenizer they replaced) in test_properties; the corpus
+#   generator pins (test_data's Corpus suite: the generateText digests and
+#   the words snapshot against the generated text) and the weighted-pick
+#   differential (test_support); then, in test_native, the native tier's random-ring property sweep,
 #   its error-contract test (every `err` helper at boundary inputs against
 #   applyPure), and the mapReduce block with native numeric map and fold
 #   entries against the same block with the tier off. The native suites
@@ -170,11 +174,17 @@ fi
 
 if [ "${1:-}" = "--differential" ]; then
   cmake --preset asan
-  cmake --build --preset asan -j "${jobs}" --target test_properties test_native
+  cmake --build --preset asan -j "${jobs}" \
+    --target test_properties test_native test_data test_support
   echo "== differential: asan, VM vs worker vs shuffle reference =="
   # Same leak-accounting stance as the asan ctest preset (see header).
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_properties" \
-    --gtest_filter='*OpcodeParity*:*DispatchParity*:*ShuffleDifferential*'
+    --gtest_filter='*OpcodeParity*:*DispatchParity*:*ShuffleDifferential*:*TextSplitDifferential*'
+  echo "== differential: asan, corpus generator pins and weighted picks =="
+  ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_data" \
+    --gtest_filter='Corpus.*'
+  ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_support" \
+    --gtest_filter='Rng.Weighted*'
   echo "== differential: asan, native tier vs applyPure and the tier-off block =="
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_native" \
     --gtest_filter='*NativeTierProperty*:*ErrCallsMatchTheApplyPureContract:*NativeTierMapReduce*'

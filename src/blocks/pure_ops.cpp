@@ -41,27 +41,32 @@ Value monadic(const std::string& fn, double x) {
   throw Error("unknown monadic function \"" + fn + "\"");
 }
 
-std::vector<std::string> splitText(const std::string& text,
-                                   const std::string& sep) {
+/// The items of `split text by sep`, each a Value built straight from a
+/// view into `text`. Whitespace mode is the word scanner.
+std::vector<Value> splitItems(std::string_view text, std::string_view sep) {
+  std::vector<Value> items;
   if (sep == "whitespace" || sep == "word" || sep.empty()) {
-    return strings::splitWhitespace(text);
+    strings::forEachWord(
+        text, [&](std::string_view word) { items.emplace_back(word); });
+    return items;
   }
   if (sep == "letter") {
-    std::vector<std::string> parts;
-    for (char ch : text) parts.emplace_back(1, ch);
-    return parts;
+    items.reserve(text.size());
+    for (size_t i = 0; i < text.size(); ++i) {
+      items.emplace_back(text.substr(i, 1));
+    }
+    return items;
   }
-  if (sep == "line") return strings::split(text, '\n');
-  if (sep.size() == 1) return strings::split(text, sep[0]);
-  // Multi-character delimiter.
-  std::vector<std::string> parts;
+  // A line, a single character or a multi-character delimiter: every
+  // field between delimiters, empty ones included.
+  const std::string_view delimiter = sep == "line" ? "\n" : sep;
   size_t start = 0, pos;
-  while ((pos = text.find(sep, start)) != std::string::npos) {
-    parts.push_back(text.substr(start, pos - start));
-    start = pos + sep.size();
+  while ((pos = text.find(delimiter, start)) != std::string_view::npos) {
+    items.emplace_back(text.substr(start, pos - start));
+    start = pos + delimiter.size();
   }
-  parts.push_back(text.substr(start));
-  return parts;
+  items.emplace_back(text.substr(start));
+  return items;
 }
 
 }  // namespace
@@ -154,12 +159,14 @@ Value applyPure(Op op, const Value* in, size_t n) {
       return Value(
           std::string(1, static_cast<char>(in[0].asInteger() & 0xff)));
     case Op::reportSplit: {
-      const std::string text = in[0].asText();
-      auto out = List::make();
-      for (std::string& part : splitText(text, in[1].asText())) {
-        out->add(Value(std::move(part)));
-      }
-      return Value(out);
+      std::string textOwned, sepOwned;
+      const std::string_view text =
+          in[0].isText() ? in[0].textView()
+                         : std::string_view(textOwned = in[0].asText());
+      const std::string_view sep =
+          in[1].isText() ? in[1].textView()
+                         : std::string_view(sepOwned = in[1].asText());
+      return Value(List::make(splitItems(text, sep)));
     }
 
     // --- lists --------------------------------------------------------------

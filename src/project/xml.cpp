@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "support/error.hpp"
+#include "support/strings.hpp"
 
 namespace psnap::project {
 
@@ -76,10 +77,7 @@ class Parser {
     return false;
   }
   void skipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && strings::isSpace(text_[pos_])) ++pos_;
   }
   void skipProlog() {
     skipSpace();

@@ -139,20 +139,7 @@ serve::SessionWorkload serveWordCountWorkload(size_t words, uint64_t seed) {
                       const std::shared_ptr<void>& opaque) {
     auto* state = static_cast<WordCountState*>(opaque.get());
     if (!state->status->done || state->status->errored) return false;
-    const Value& result = state->status->result;
-    if (!result.isList()) return false;
-    const auto reference = data::referenceWordCount(state->text);
-    if (result.asList()->length() != reference.size()) return false;
-    for (const Value& pair : result.asList()->items()) {
-      if (!pair.isList() || pair.asList()->length() != 2) return false;
-      const std::string word = pair.asList()->item(1).asText();
-      const auto expected = reference.find(word);
-      if (expected == reference.end()) return false;
-      if (size_t(pair.asList()->item(2).asNumber()) != expected->second) {
-        return false;
-      }
-    }
-    return true;
+    return wordCountMatches(state->status->result, state->text);
   };
   makeIdempotentRecoverable(
       workload, [](sched::ThreadManager&, const std::shared_ptr<void>& opaque) {
@@ -177,6 +164,21 @@ serve::SessionWorkload serveWordCountWorkload(size_t words, uint64_t seed) {
         return out;
       });
   return workload;
+}
+
+bool wordCountMatches(const Value& result, const std::string& text) {
+  if (!result.isList()) return false;
+  const auto reference = data::referenceWordCount(text);
+  if (result.asList()->length() != reference.size()) return false;
+  for (const Value& pair : result.asList()->items()) {
+    if (!pair.isList() || pair.asList()->length() != 2) return false;
+    const auto expected = reference.find(pair.asList()->item(1).asText());
+    if (expected == reference.end() ||
+        pair.asList()->item(2).asNumber() != double(expected->second)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 namespace {
@@ -310,7 +312,7 @@ serve::SessionWorkload serveTickerWorkload(size_t target) {
     const Value& ticks = state->env->get("ticks");
     if (!ticks.isList() || ticks.asList()->length() != target) return false;
     for (size_t i = 1; i <= target; ++i) {
-      if (size_t(ticks.asList()->item(i).asNumber()) != i) return false;
+      if (ticks.asList()->item(i).asNumber() != double(i)) return false;
     }
     return true;
   };

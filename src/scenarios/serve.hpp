@@ -48,6 +48,11 @@ serve::SessionWorkload serveConcessionWorkload(size_t cups = 2);
 serve::SessionWorkload serveWordCountWorkload(size_t words = 24,
                                               uint64_t seed = 1);
 
+/// The wordcount check: `result` is a list of [word, count] pairs holding
+/// exactly data::referenceWordCount(text). Counts compare as doubles, so
+/// a fractional, negative or NaN count fails.
+bool wordCountMatches(const blocks::Value& result, const std::string& text);
+
 /// Mean temperature in Celsius over one synthetic station-year
 /// (12 monthly readings per `years`), Fahrenheit converted by a
 /// parallelMap ring; checked against data::referenceMeanCelsius.

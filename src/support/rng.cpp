@@ -65,9 +65,17 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * (sum - 6.0);
 }
 
-size_t Rng::weighted(const std::vector<double>& weights) {
+double Rng::totalWeight(const std::vector<double>& weights) {
   double total = 0;
   for (double w : weights) total += w;
+  return total;
+}
+
+size_t Rng::weighted(const std::vector<double>& weights) {
+  return weighted(weights, totalWeight(weights));
+}
+
+size_t Rng::weighted(const std::vector<double>& weights, double total) {
   if (total <= 0) throw Error("Rng::weighted: total weight must be positive");
   double pick = uniform() * total;
   for (size_t i = 0; i < weights.size(); ++i) {

@@ -40,6 +40,14 @@ class Rng {
   /// Pick an index in [0, weights.size()) proportional to weights.
   size_t weighted(const std::vector<double>& weights);
 
+  /// The same pick with the weights' total precomputed, for callers that
+  /// draw many times from one weight vector. With `total` equal to
+  /// totalWeight(weights) the pick equals the one-argument overload's.
+  size_t weighted(const std::vector<double>& weights, double total);
+
+  /// The in-order sum of `weights` that weighted() draws against.
+  static double totalWeight(const std::vector<double>& weights);
+
  private:
   uint64_t state_[4];
 };

@@ -1,7 +1,6 @@
 #include "support/strings.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -45,19 +44,7 @@ std::vector<std::string> split(std::string_view text, char sep) {
 
 std::vector<std::string> splitWhitespace(std::string_view text) {
   std::vector<std::string> out;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    size_t start = i;
-    while (i < text.size() &&
-           !std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    if (i > start) out.emplace_back(text.substr(start, i - start));
-  }
+  forEachWord(text, [&](std::string_view word) { out.emplace_back(word); });
   return out;
 }
 
@@ -73,14 +60,8 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 std::string trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (begin < end && isSpace(text[begin])) ++begin;
+  while (end > begin && isSpace(text[end - 1])) --end;
   return std::string(text.substr(begin, end - begin));
 }
 
@@ -113,18 +94,20 @@ std::string replaceAll(std::string_view text, std::string_view from,
 }
 
 std::string toLower(std::string_view text) {
-  std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(foldAscii(c));
-  });
+  std::string out;
+  toLower(text, out);
   return out;
 }
 
+void toLower(std::string_view text, std::string& out) {
+  out.resize(text.size());
+  std::transform(text.begin(), text.end(), out.begin(), [](unsigned char c) {
+    return static_cast<char>(foldAscii(c));
+  });
+}
+
 bool isBlank(std::string_view text) {
-  for (char c : text) {
-    if (!std::isspace(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
+  return std::all_of(text.begin(), text.end(), isSpace);
 }
 
 bool equalsIgnoreCase(std::string_view a, std::string_view b) {
@@ -204,14 +187,8 @@ bool parseNumber(std::string_view text, double& out) {
   // are copied somewhere either way).
   size_t begin = 0;
   size_t end = text.size();
-  while (begin < end &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (begin < end && isSpace(text[begin])) ++begin;
+  while (end > begin && isSpace(text[end - 1])) --end;
   const std::string_view trimmed = text.substr(begin, end - begin);
   if (trimmed.empty() || !mayStartNumber(trimmed.front())) return false;
   char stack[64];

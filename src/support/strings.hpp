@@ -12,6 +12,29 @@ namespace psnap::strings {
 /// Split `text` on `sep`, keeping empty fields.
 std::vector<std::string> split(std::string_view text, char sep);
 
+/// ASCII whitespace: space, \t, \n, \v, \f and \r. The program never
+/// calls setlocale, so this is exactly C-locale std::isspace, without the
+/// call. The one whitespace predicate of the code base.
+constexpr bool isSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/// The word scanner: call `f(word)` for each maximal run of non-whitespace
+/// bytes in `text`, in order. Each word is a view into `text`; nothing is
+/// allocated. Every word tokenizer in the code base is built on this.
+template <typename F>
+void forEachWord(std::string_view text, F&& f) {
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (true) {
+    while (p != end && isSpace(*p)) ++p;
+    if (p == end) return;
+    const char* const start = p;
+    while (p != end && !isSpace(*p)) ++p;
+    f(std::string_view(start, static_cast<size_t>(p - start)));
+  }
+}
+
 /// Split on any run of whitespace, dropping empty fields (word tokenizer).
 std::vector<std::string> splitWhitespace(std::string_view text);
 
@@ -33,6 +56,10 @@ std::string replaceAll(std::string_view text, std::string_view from,
 
 /// Lower-case ASCII copy.
 std::string toLower(std::string_view text);
+
+/// Lower-case ASCII copy into `out`, replacing its contents and reusing
+/// its capacity (no allocation once `out` is large enough).
+void toLower(std::string_view text, std::string& out);
 
 /// True if `text` is empty or all ASCII whitespace (no allocation).
 bool isBlank(std::string_view text);

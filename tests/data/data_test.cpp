@@ -2,11 +2,15 @@
 // implementations, CSV round-trips.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 
 #include "data/climate.hpp"
 #include "data/corpus.hpp"
 #include "data/csv.hpp"
+#include "persist/snapshot.hpp"
 #include "support/error.hpp"
 
 namespace psnap::data {
@@ -57,6 +61,91 @@ TEST(Corpus, TokenizeLowercases) {
   ASSERT_EQ(words.size(), 3u);
   EXPECT_EQ(words[0], "the");
   EXPECT_EQ(words[1], "quick");
+}
+
+TEST(Corpus, TokenizeKeepsPunctuationAndHighBytes) {
+  auto words = tokenize(std::string("\vA,b\x80" "C\f\r d\0E\n", 13));
+  ASSERT_EQ(words.size(), 2u);
+  EXPECT_EQ(words[0], "a,b\x80" "c");
+  EXPECT_EQ(words[1], std::string("d\0e", 3));
+}
+
+TEST(Corpus, ReferenceWordCountFoldsCase) {
+  auto counts = referenceWordCount("The THE the\tthE\n Quick");
+  ASSERT_EQ(counts.size(), 2u);
+  EXPECT_EQ(counts.at("the"), 4u);
+  EXPECT_EQ(counts.at("quick"), 1u);
+  EXPECT_TRUE(referenceWordCount(" \t ").empty());
+}
+
+// generateText's bytes are part of every wordcount workload (the classroom
+// tenants and the wordcount_batch corpus): FNV-1a digests of fixed
+// (words, vocabulary, seed) cases pin them.
+TEST(Corpus, GenerateTextDigestsArePinned) {
+  struct Case {
+    size_t words, vocabulary;
+    uint64_t seed, digest;
+    size_t bytes;
+  };
+  const Case cases[] = {
+      {24, 8, 1, 0xc8c8413e9c2637e4ull, 100},
+      {24, 8, 41, 0x3d7ebbfdcfd31fe7ull, 98},
+      {1000, 30, 7, 0xa9c473be1f1f9cb0ull, 4838},
+      {5000, 200, 5, 0x45c51fe8b2676468ull, 23196},
+      {20000, 2000, 99, 0xee224806e6009909ull, 96246},
+      {50, 1, 3, 0xf63b626aa566f0d1ull, 199},
+      {0, 8, 2, 0x14650fb0739d0383ull, 0},
+      {3000, 31, 11, 0x248c9dde56d4d507ull, 14110},
+  };
+  for (const Case& c : cases) {
+    const std::string text = generateText(c.words, c.vocabulary, c.seed);
+    uint64_t digest = 1469598103934665603ull;
+    for (unsigned char byte : text) {
+      digest ^= byte;
+      digest *= 1099511628211ull;
+    }
+    EXPECT_EQ(text.size(), c.bytes) << "seed " << c.seed;
+    EXPECT_EQ(digest, c.digest) << "seed " << c.seed;
+  }
+}
+
+// writeWordsSnapshot promises the word sequence of generateText (the
+// wordcount_batch benchmark checks its snapshot against a reference count
+// of the generated text). Vocabularies past the 30 base words draw the
+// synthesized "w<i>" words too.
+TEST(Corpus, WordsSnapshotHoldsTokenizedText) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("psnap-corpus-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "words.psnap").string();
+  struct Case {
+    size_t words, vocabulary;
+    uint64_t seed;
+  };
+  const Case cases[] = {{24, 8, 1}, {500, 31, 2}, {2000, 200, 3},
+                        {3000, 2000, 4}, {1, 1, 5}};
+  bool sawSynthetic = false;
+  for (const Case& c : cases) {
+    const auto expected =
+        tokenize(generateText(c.words, c.vocabulary, c.seed));
+    ASSERT_EQ(writeWordsSnapshot(path, c.words, c.vocabulary, c.seed),
+              c.words);
+    const auto list = persist::loadList(path);
+    ASSERT_EQ(list->length(), expected.size()) << "seed " << c.seed;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      const blocks::Value& item = list->item(i + 1);
+      ASSERT_TRUE(item.isText()) << "seed " << c.seed << ", word " << i;
+      ASSERT_EQ(item.textView(), expected[i])
+          << "seed " << c.seed << ", word " << i;
+      if (expected[i].size() > 1 && expected[i][0] == 'w' &&
+          std::isdigit(static_cast<unsigned char>(expected[i][1]))) {
+        sawSynthetic = true;
+      }
+    }
+  }
+  EXPECT_TRUE(sawSynthetic);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Climate, DeterministicAndComplete) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/error.hpp"
 
 namespace psnap {
@@ -103,6 +105,47 @@ TEST(Rng, WeightedProportions) {
 TEST(Rng, WeightedAllZeroThrows) {
   Rng rng(29);
   EXPECT_THROW(rng.weighted({0.0, 0.0}), Error);
+}
+
+// The precomputed-total entry must draw exactly what the re-summing entry
+// draws: same picks, same generator state afterwards.
+TEST(Rng, WeightedWithTotalMatchesResummingEntry) {
+  std::vector<std::vector<double>> vectors = {
+      {1.0},
+      {3.0, 1.0},
+      {0.0, 1.0, 0.0},
+      {0.1, 0.2, 0.3, 0.4},
+      {1e-300, 1.0, 1e300},
+  };
+  std::vector<double> zipf(2000);
+  for (size_t r = 0; r < zipf.size(); ++r) zipf[r] = 1.0 / double(r + 1);
+  vectors.push_back(zipf);
+  Rng shape(31);
+  std::vector<double> uneven(97);
+  for (double& w : uneven) {
+    const bool zero = shape.below(4) == 0;
+    w = zero ? 0.0 : 7.0 * shape.uniform();
+  }
+  vectors.push_back(uneven);
+  for (const std::vector<double>& weights : vectors) {
+    const double total = Rng::totalWeight(weights);
+    for (uint64_t seed = 0; seed < 1000; ++seed) {
+      Rng summing(seed);
+      Rng precomputed(seed);
+      for (int draw = 0; draw < 8; ++draw) {
+        ASSERT_EQ(summing.weighted(weights),
+                  precomputed.weighted(weights, total))
+            << "seed " << seed << ", draw " << draw << ", "
+            << weights.size() << " weights";
+      }
+      ASSERT_EQ(summing.next(), precomputed.next()) << "seed " << seed;
+    }
+  }
+}
+
+TEST(Rng, WeightedWithZeroTotalThrows) {
+  Rng rng(37);
+  EXPECT_THROW(rng.weighted({0.0, 0.0}, 0.0), Error);
 }
 
 }  // namespace

@@ -46,6 +46,53 @@ TEST(SplitWhitespace, EmptyAndBlank) {
   EXPECT_TRUE(splitWhitespace(" \t\n").empty());
 }
 
+// The one whitespace predicate must agree with the C locale's isspace on
+// every byte, including NUL and the bytes >= 0x80.
+TEST(IsSpace, EveryByteMatchesIsspace) {
+  for (int b = 0; b < 256; ++b) {
+    EXPECT_EQ(isSpace(static_cast<char>(b)), std::isspace(b) != 0)
+        << "byte " << b;
+  }
+}
+
+TEST(ForEachWord, YieldsViewsIntoTheText) {
+  const std::string text = "\v one\ftwo\r\n\x80three\t";
+  std::vector<std::string_view> words;
+  forEachWord(text, [&](std::string_view word) { words.push_back(word); });
+  ASSERT_EQ(words.size(), 3u);
+  EXPECT_EQ(words[0], "one");
+  EXPECT_EQ(words[1], "two");
+  EXPECT_EQ(words[2], "\x80three");
+  for (std::string_view word : words) {
+    EXPECT_GE(word.data(), text.data());
+    EXPECT_LE(word.data() + word.size(), text.data() + text.size());
+  }
+}
+
+TEST(ForEachWord, NulIsNotWhitespace) {
+  const std::string text("a\0b c", 5);
+  std::vector<std::string> words;
+  forEachWord(text, [&](std::string_view word) { words.emplace_back(word); });
+  ASSERT_EQ(words.size(), 2u);
+  EXPECT_EQ(words[0], std::string("a\0b", 3));
+  EXPECT_EQ(words[1], "c");
+}
+
+TEST(ForEachWord, EmptyAndBlankYieldNothing) {
+  size_t calls = 0;
+  forEachWord("", [&](std::string_view) { ++calls; });
+  forEachWord(" \t\n\v\f\r", [&](std::string_view) { ++calls; });
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(ToLower, IntoBufferReplacesContents) {
+  std::string out = "previous contents";
+  toLower("AbC", out);
+  EXPECT_EQ(out, "abc");
+  toLower("", out);
+  EXPECT_EQ(out, "");
+}
+
 TEST(Join, Basic) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ", "), "");
