@@ -7,7 +7,7 @@
 //   * the reproduction table is a deterministic simulation in *weighted
 //     virtual time* (each item has a known cost; workers complete work at
 //     unit speed), which isolates the balance effect from the host's
-//     single CPU core;
+//     core count and load;
 //   * the google-benchmark section measures the real threaded facade.
 #include <benchmark/benchmark.h>
 

@@ -8,6 +8,18 @@
 //   * mapthroughput/n:<k> — items/s for one Parallel::map at n = 10'000.
 //   * wordcount/n:<k>     — words/s for an end-to-end mapReduce word count
 //                           (map, sharded shuffle, reduce) on a Zipf corpus.
+//   * grain_mapreduce/inline:<0|1>/w:<w>/n:<k>, grain_map/… — the grain
+//                           model's sweep: one operation timed both ways,
+//                           drained on the calling thread (inline:1) and
+//                           pooled (inline:0), at widths 2 and 4 and sizes
+//                           on both sides of the crossover. mapReduce
+//                           counts 8-key text (classroom's vocabulary) with
+//                           a plain C++ map and reduce; map doubles
+//                           numbers. Time is wall clock, CPU is the whole
+//                           process's. The caller waits on the completion
+//                           without claiming tasks, as a parked block does.
+//                           DESIGN.md derives workers/grain.hpp's constants
+//                           from these rows.
 //
 // Usage: bench_parallel_substrate [google-benchmark flags], e.g.
 //   --benchmark_out=FILE --benchmark_out_format=json
@@ -15,12 +27,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "blocks/value.hpp"
 #include "data/corpus.hpp"
 #include "mapreduce/engine.hpp"
+#include "workers/completion.hpp"
 #include "workers/parallel.hpp"
 
 namespace {
@@ -94,6 +108,70 @@ BENCHMARK(BM_WordCount)
     ->ArgName("n")
     ->Arg(20'000)
     ->UseRealTime();
+
+/// A nominal known per-item cost: every size below falls under the grain
+/// crossover, so the operation drains on the caller. 0 (unknown) keeps
+/// it pooled.
+double grainCost(int64_t drained) { return drained ? 1e-9 : 0; }
+
+void grainArgs(benchmark::internal::Benchmark* b,
+               std::initializer_list<int64_t> sizes) {
+  b->ArgNames({"inline", "w", "n"});
+  for (int64_t width : {2, 4}) {
+    for (int64_t n : sizes) {
+      for (int64_t drained : {0, 1}) b->Args({drained, width, n});
+    }
+  }
+  b->UseRealTime()->MeasureProcessCPUTime();
+}
+
+void BM_GrainMapReduce(benchmark::State& state) {
+  const size_t n = size_t(state.range(2));
+  auto list = List::make();
+  for (const std::string& w : psnap::data::tokenize(
+           psnap::data::generateText(n, 8, /*seed=*/13))) {
+    list->add(Value(w));
+  }
+  psnap::mr::MapFn one = [](const Value&) { return Value(1); };
+  psnap::mr::ReduceFn count = [](const ListPtr& values) {
+    return Value(values->length());
+  };
+  psnap::mr::Options options;
+  options.workers = size_t(state.range(1));
+  options.itemCostNs = grainCost(state.range(0));
+  for (auto _ : state) {
+    auto result = psnap::mr::run(list, one, count, options);
+    if (result->empty()) std::abort();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(2));
+}
+BENCHMARK(BM_GrainMapReduce)
+    ->Name("grain_mapreduce")
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      grainArgs(b, {250, 1000, 2000, 4000, 6000, 8000, 12000, 16000, 24000,
+                    32000, 48000, 64000, 100000});
+    });
+
+void BM_GrainMap(benchmark::State& state) {
+  const std::vector<Value> input = numbers(size_t(state.range(2)));
+  psnap::workers::ParallelOptions options;
+  options.maxWorkers = size_t(state.range(1));
+  options.itemCostNs = grainCost(state.range(0));
+  for (auto _ : state) {
+    psnap::workers::Parallel p(input, options);
+    psnap::workers::CompletionLatch done;
+    p.onComplete([&done] { done.settle(); });
+    p.map(doubleIt);
+    done.wait();
+    if (p.failed()) std::abort();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(2));
+}
+BENCHMARK(BM_GrainMap)
+    ->Name("grain_map")
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      grainArgs(b, {120, 500, 2000, 8000, 32000, 128000});
+    });
 
 }  // namespace
 

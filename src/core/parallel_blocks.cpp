@@ -11,6 +11,7 @@
 #include "mapreduce/engine.hpp"
 #include "support/error.hpp"
 #include "vm/host.hpp"
+#include "workers/grain.hpp"
 #include "workers/parallel.hpp"
 #include "workers/stats.hpp"
 
@@ -64,30 +65,48 @@ size_t slotCount(const Context& c, size_t index, size_t fallback) {
       std::max<long long>(1, c.inputs[index].asInteger()));
 }
 
+/// The grain model's per-item cost of mapping `list` through `map`
+/// (0 = unknown: a cold, compiling or untrusted kernel, or no tier).
+double mapItemNs(const TieredUnary& map, const ListPtr& list) {
+  return map.itemNs && list ? map.itemNs(list->items()) : 0;
+}
+
 /// Substrate options for a parallel-map block: the worker slot (default:
 /// the host's worker width), chained under the process's own token (null
 /// when the process has none) — stopping the script, or shedding the
 /// tenant that owns it, cancels the in-flight pool work at its next chunk
-/// boundary. Everything else keeps its ParallelOptions default.
-workers::ParallelOptions parallelMapOptions(Process& p, const Context& c) {
+/// boundary — and the map's per-item cost for the grain model. Everything
+/// else keeps its ParallelOptions default.
+workers::ParallelOptions parallelMapOptions(Process& p, const Context& c,
+                                            const TieredUnary& map,
+                                            const ListPtr& list) {
   workers::ParallelOptions options;
   options.maxWorkers = slotCount(c, 2, p.host().maxWorkers());
   options.cancel = p.cancelToken();
+  options.itemCostNs = mapItemNs(map, list);
   return options;
 }
 
 /// Pipeline options for a mapReduce block: the host's worker width, the
 /// rings' native entries (the map's numeric column and batch, the
-/// reduce's shard fold), and the same process-token chaining as
-/// parallelMapOptions. Everything else keeps its mr::Options default.
+/// reduce's shard fold), the same process-token chaining as
+/// parallelMapOptions, and the per-item cost for the grain model — known
+/// only when the map's kernel serves `list` and the reduce's kernel is
+/// Trusted. It is the shuffle's per-pair cost, which was measured through
+/// a plain C++ map and reduce standing in for the native ones. Everything
+/// else keeps its mr::Options default.
 mr::Options mapReduceOptions(Process& p, const TieredUnary& map,
-                             const TieredReduce& reduce) {
+                             const TieredReduce& reduce,
+                             const ListPtr& list) {
   mr::Options options;
   options.workers = p.host().maxWorkers();
   options.mapBatch = map.batch;
   options.mapNumeric = map.numeric;
   options.reduceNumeric = reduce.numeric;
   options.cancel = p.cancelToken();
+  if (mapItemNs(map, list) > 0 && reduce.trusted && reduce.trusted()) {
+    options.itemCostNs = workers::kShufflePairNs;
+  }
   return options;
 }
 
@@ -117,6 +136,9 @@ void degradeMapJob(MapJob& job) {
 // parks the process on the operation's completion callback: map() returns
 // immediately after submission, the process consumes zero frames while
 // the workers run, and the worker that finishes the last chunk wakes it.
+// A map whose known cost is below the grain crossover (workers/grain.hpp)
+// is drained inside map() instead; the park's wake then fires as it is
+// registered, and the scheduler resumes the process in the same frame.
 //
 // Degradation: a transient substrate failure — at construction (the
 // transfer fault), at launch (pool refused), after the run (retries
@@ -132,12 +154,13 @@ void parallelMapHandler(Process& p, Context& c) {
   if (!c.state) {
     const RingPtr& ring = c.inputs[0].asRing();
     const ListPtr& list = c.inputs[1].asList();
-    const workers::ParallelOptions options = parallelMapOptions(p, c);
     // body = 'return ' + expression.mappedCode(); — here: compile the
     // ring into a thread-safe pure function (tiered: a hot ring swaps in
     // its native kernel, and its batch entry serves whole chunks).
     auto job = std::make_shared<MapJob>();
     TieredUnary tiered = tieredUnary(ring, p.registry());
+    const workers::ParallelOptions options =
+        parallelMapOptions(p, c, tiered, list);
     job->fn = tiered.fn;
     job->source = list;
     try {
@@ -314,7 +337,8 @@ void parallelForEachHandler(Process& p, Context& c) {
 // parks on the job's completion instead of polling it per frame. The
 // engine owns its degradation (sequential rerun on transient substrate
 // failure, inline drain if the pool refuses a stage), so the handler only
-// relays the typed failure.
+// relays the typed failure. A job below the grain crossover settles inside
+// its constructor, and the park's wake fires as it is registered.
 // ---------------------------------------------------------------------------
 void mapReduceHandler(Process& p, Context& c) {
   if (!c.state) {
@@ -323,8 +347,9 @@ void mapReduceHandler(Process& p, Context& c) {
     const ListPtr& list = c.inputs[2].asList();
     TieredUnary tiered = tieredUnary(mapRing, p.registry());
     TieredReduce reduce = tieredReduce(reduceRing, p.registry());
-    auto job = std::make_shared<mr::Job>(list, tiered.fn, reduce.fn,
-                                         mapReduceOptions(p, tiered, reduce));
+    auto job = std::make_shared<mr::Job>(
+        list, tiered.fn, reduce.fn,
+        mapReduceOptions(p, tiered, reduce, list));
     c.state = job;
     job->onComplete(p.parkOnCompletion(c));
     return;
@@ -357,11 +382,11 @@ void launchParallelMapHandler(Process& p, Context& c) {
   try {
     const RingPtr& ring = c.inputs[0].asRing();
     const ListPtr& list = c.inputs[1].asList();
-    workers::ParallelOptions options = parallelMapOptions(p, c);
+    TieredUnary tiered = tieredUnary(ring, p.registry());
+    workers::ParallelOptions options = parallelMapOptions(p, c, tiered, list);
     // No sequential fallback behind a future: the caller chose deferred
     // observation, so failures stay typed and surface at the await.
     options.allowDegrade = false;
-    TieredUnary tiered = tieredUnary(ring, p.registry());
     auto parallel = std::make_shared<workers::Parallel>(list, options);
     parallel->map(tiered.fn, tiered.batch);
     // The fulfillment callback runs on the worker that finishes the last
@@ -395,7 +420,7 @@ void launchMapReduceHandler(Process& p, Context& c) {
     const ListPtr& list = c.inputs[2].asList();
     TieredUnary tiered = tieredUnary(mapRing, p.registry());
     TieredReduce reduce = tieredReduce(reduceRing, p.registry());
-    mr::Options options = mapReduceOptions(p, tiered, reduce);
+    mr::Options options = mapReduceOptions(p, tiered, reduce, list);
     options.allowDegrade = false;  // typed failures surface at the await
     auto job = std::make_shared<mr::Job>(list, tiered.fn, reduce.fn, options);
     workers::SubstrateStats* stats = &workers::substrateStats();

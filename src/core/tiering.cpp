@@ -6,6 +6,7 @@
 #include "core/pure_eval.hpp"
 #include "native/marshal.hpp"
 #include "native/tier.hpp"
+#include "workers/grain.hpp"
 
 namespace psnap::core {
 
@@ -131,7 +132,7 @@ TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
   // Snapshot the session's config here, on the building thread — calls
   // run on pool workers, where no TierScope is installed.
   const TierConfig cfg = native::tierConfig();
-  if (!cfg.enabled) return {interp, {}, {}};
+  if (!cfg.enabled) return {interp, {}, {}, {}};
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Unary);
 
@@ -196,7 +197,20 @@ TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
     return true;
   };
 
-  return {std::move(fn), std::move(batch), std::move(numeric)};
+  // A parameter-reading kernel serves numbers only; any other item falls
+  // back to the interpreter, whose cost is unknown.
+  auto itemNs = [kernel](blocks::ItemSpan items) -> double {
+    if (kernel->currentState() != KernelState::Trusted) return 0;
+    if (kernel->paramUsed) {
+      for (const Value& v : items) {
+        if (!v.isNumber()) return 0;
+      }
+    }
+    return workers::kMapItemNs;
+  };
+
+  return {std::move(fn), std::move(batch), std::move(numeric),
+          std::move(itemNs)};
 }
 
 TieredReduce tieredReduce(const RingPtr& ring, const BlockRegistry& registry) {
@@ -205,7 +219,7 @@ TieredReduce tieredReduce(const RingPtr& ring, const BlockRegistry& registry) {
     return compiled({Value(values)});
   };
   const TierConfig cfg = native::tierConfig();
-  if (!cfg.enabled) return {interp, {}};
+  if (!cfg.enabled) return {interp, {}, {}};
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Fold);
 
@@ -254,7 +268,11 @@ TieredReduce tieredReduce(const RingPtr& ring, const BlockRegistry& registry) {
     return true;
   };
 
-  return {std::move(fn), std::move(numeric)};
+  auto trusted = [kernel] {
+    return kernel->currentState() == KernelState::Trusted;
+  };
+
+  return {std::move(fn), std::move(numeric), std::move(trusted)};
 }
 
 mr::ReduceFn tieredListReduce(const RingPtr& ring,

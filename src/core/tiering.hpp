@@ -34,10 +34,15 @@ namespace psnap::core {
 /// kernel that returns numbers, and sizes `out` only once it serves.
 /// Declining entries record no calls; the per-item path counts what it
 /// interprets.
+/// `itemNs` is the grain model's per-item cost for mapping `items`
+/// (workers/grain.hpp): workers::kMapItemNs while a Trusted kernel would
+/// serve every one of them natively, else 0 (unknown). It is read once,
+/// when a block launches its operation.
 struct TieredUnary {
   std::function<blocks::Value(const blocks::Value&)> fn;
   std::function<bool(blocks::Value*, size_t)> batch;
   mr::MapNumericFn numeric;
+  std::function<double(blocks::ItemSpan items)> itemNs;
 };
 
 TieredUnary tieredUnary(const blocks::RingPtr& ring,
@@ -48,10 +53,12 @@ TieredUnary tieredUnary(const blocks::RingPtr& ring,
 /// values list (a Fold kernel, psnap_kernel_fold over gathered doubles,
 /// once hot); `numeric` folds every run of a shard straight from the
 /// shuffle's flat array (mr::ReduceNumericFn), all-or-nothing, and only
-/// for a Trusted kernel.
+/// for a Trusted kernel; `trusted` says whether the kernel is Trusted
+/// now, so that `numeric` will fold the runs.
 struct TieredReduce {
   mr::ReduceFn fn;
   mr::ReduceNumericFn numeric;
+  std::function<bool()> trusted;
 };
 
 TieredReduce tieredReduce(const blocks::RingPtr& ring,

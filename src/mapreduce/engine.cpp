@@ -10,8 +10,8 @@
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/strings.hpp"
+#include "workers/grain.hpp"
 #include "workers/stats.hpp"
-#include "workers/worker_pool.hpp"
 
 namespace psnap::mr {
 
@@ -19,7 +19,6 @@ using blocks::List;
 using blocks::ListPtr;
 using blocks::Value;
 using workers::TaskGroup;
-using workers::WorkerPool;
 
 namespace {
 
@@ -713,27 +712,33 @@ void Job::finish() {
 
 void Job::submitStage(const std::shared_ptr<TaskGroup>& stage,
                       workers::CompletionLatch::Callback continuation) {
+  const Pipeline& p = *pipe_;
+  // A drained stage runs on this thread — the constructing thread for
+  // stage 1, the one that finished stage 1 for stage 2. With degradation
+  // forbidden, a refused stage settles typed (constructors do not throw;
+  // jobs fail).
   try {
-    WorkerPool::shared().submit(stage);
+    switch (workers::startGroup(
+        stage,
+        workers::drainsInline(p.shuffle.n, p.options.itemCostNs,
+                              p.shuffle.shardCount),
+        p.options.allowDegrade)) {
+      case workers::Started::Pooled:
+        break;
+      case workers::Started::Inline:
+        inline_ = true;
+        break;
+      case workers::Started::Degraded:
+        markDegraded();
+        break;
+    }
   } catch (const SubstrateError&) {
-    // The pool cannot take the stage (stopped or saturated); the group is
-    // untouched (submit is all-or-nothing). Drain it inline on this
-    // thread — the constructing thread for stage 1, possibly a worker
-    // for a later stage — or, with degradation forbidden, settle typed
-    // (constructors do not throw; jobs fail).
-    if (!pipe_->options.allowDegrade) {
-      settleError(std::current_exception());
-      return;
-    }
-    markDegraded();
-    stage->onComplete(std::move(continuation));
-    while (stage->runOne()) {
-    }
+    settleError(std::current_exception());
     return;
   }
-  // Registered after a successful submit so a refused stage never leaves
-  // a dangling continuation; if the workers already finished the stage,
-  // this fires the continuation right here.
+  // Registered once the stage is started, so a refused stage never
+  // leaves a dangling continuation. If the stage is already finished (a
+  // drained one always is), this fires the continuation right here.
   stage->onComplete(std::move(continuation));
 }
 

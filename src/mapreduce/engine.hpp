@@ -104,6 +104,11 @@ struct Options {
   /// A shard it declines (or any shard of a job with a boxed slice)
   /// builds each run's values list and calls the reduce function.
   ReduceNumericFn reduceNumeric;
+  /// Estimated cost of one input item through the whole pipeline in ns,
+  /// for the grain model (workers/grain.hpp): 0 means unknown and always
+  /// submits the stages to the pool. A known cost whose total falls below
+  /// the crossover drains each stage on the thread that starts it.
+  double itemCostNs = 0;
 };
 
 struct Stats {
@@ -160,11 +165,13 @@ ReduceFn identityReduce();
 /// immediately on the registering thread if already settled).
 /// Options::sequential runs both stage bodies inline on the constructing
 /// thread at one shard, and the Job is settled when the constructor
-/// returns. Degradation: a stage the pool refuses (with allowDegrade) is
-/// drained inline; a transient substrate failure reruns that same
-/// sequential pass on the thread that observed the failure, under the
-/// same deadline. With degradation forbidden, failures settle the job
-/// typed — constructors do not throw.
+/// returns. So is a job the grain model drains (Options::itemCostNs):
+/// both stages keep their shards and tasks but run on the constructing
+/// thread, one after the other. Degradation: a stage the pool refuses
+/// (with allowDegrade) is drained inline; a transient substrate failure
+/// reruns that same sequential pass on the thread that observed the
+/// failure, under the same deadline. With degradation forbidden, failures
+/// settle the job typed — constructors do not throw.
 class Job {
  public:
   Job(blocks::ListPtr input, MapFn mapFn, ReduceFn reduceFn,
@@ -197,6 +204,8 @@ class Job {
   /// Did the pipeline complete through a sequential fallback (an inline
   /// drain of a refused stage, or the sequential rerun)?
   bool wasDegraded() const { return stats_.degraded; }
+  /// Did the grain model drain the stages on the constructing thread?
+  bool ranInline() const { return inline_; }
   /// Valid when not failed.
   const blocks::ListPtr& result() const { return result_; }
   const Stats& stats() const { return stats_; }
@@ -221,7 +230,8 @@ class Job {
   /// if the stage failed or the token tripped.
   void launch(void (Job::*body)(size_t, bool), void (Job::*next)());
   void startStage2();
-  /// Submit a stage; on pool refusal either drain it inline on this
+  /// Start a stage: drain it on this thread when the grain model says so,
+  /// else submit it; on pool refusal either drain it inline on this
   /// thread (allowDegrade) or settle the job with the SubstrateError.
   void submitStage(const std::shared_ptr<workers::TaskGroup>& stage,
                    workers::CompletionLatch::Callback continuation);
@@ -245,6 +255,7 @@ class Job {
   std::exception_ptr errorPtr_;
   blocks::ListPtr result_;
   Stats stats_;
+  bool inline_ = false;
 };
 
 }  // namespace psnap::mr

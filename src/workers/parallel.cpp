@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "support/fault.hpp"
+#include "workers/grain.hpp"
 #include "workers/stats.hpp"
-#include "workers/worker_pool.hpp"
 
 namespace psnap::workers {
 
@@ -135,16 +135,20 @@ void Parallel::launch(std::function<void(size_t)> body, size_t taskCount) {
     }
     for (auto& cb : pending) group_->onComplete(std::move(cb));
   }
-  try {
-    WorkerPool::shared().submit(group_);
-  } catch (const SubstrateError&) {
-    // The pool cannot take the launch (stopped or saturated). Degrade:
-    // drain the chunk tasks synchronously on the caller — the sequential
-    // rung of the ladder — rather than failing a correct script.
-    if (!options_.allowDegrade) throw;
-    degraded_.store(true, std::memory_order_relaxed);
-    stats_->bump(&SubstrateStats::downgrades);
-    group_->wait();
+  // A refused launch degrades: the chunk tasks drain on the caller — the
+  // sequential rung of the ladder — rather than failing a correct script.
+  switch (startGroup(group_,
+                     drainsInline(inputSize_, options_.itemCostNs, workers_),
+                     options_.allowDegrade)) {
+    case Started::Pooled:
+      break;
+    case Started::Inline:
+      inline_ = true;
+      break;
+    case Started::Degraded:
+      degraded_.store(true, std::memory_order_relaxed);
+      stats_->bump(&SubstrateStats::downgrades);
+      break;
   }
 }
 

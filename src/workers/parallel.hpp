@@ -64,7 +64,13 @@
 //
 // In addition to wall-clock execution, the facade tracks items-per-worker
 // so benches can report *virtual makespan* (max items on any worker) —
-// the metric that carries the paper's speedup shape on a 1-core host.
+// the metric that carries the paper's speedup shape whatever the host's
+// core count.
+//
+// Grain: an operation whose estimated work (ParallelOptions::itemCostNs
+// per item) is below the measured crossover drains its chunk tasks on
+// the launching thread (grain.hpp) — same tasks and logical workers, no
+// pool submit, settled before map()/reduce() returns.
 #pragma once
 
 #include <algorithm>
@@ -155,6 +161,11 @@ struct ParallelOptions {
   /// External cancellation (e.g. the owning script's token): cancelling
   /// it cancels this operation at its next chunk boundary.
   CancelTokenPtr cancel;
+  /// Estimated cost of one item in ns, for the grain model (grain.hpp):
+  /// 0 means unknown and always launches on the pool. A known cost whose
+  /// total falls below the crossover drains the chunk tasks on the
+  /// launching thread instead.
+  double itemCostNs = 0;
 };
 
 class Parallel {
@@ -216,6 +227,9 @@ class Parallel {
 
   /// Did the operation complete through the sequential fallback?
   bool wasDegraded() const { return degraded_.load(); }
+
+  /// Did the grain model drain the operation on the launching thread?
+  bool ranInline() const { return inline_; }
 
   /// Result data. map: element-wise results. reduce: a single element.
   /// Calls wait() internally. Rethrows the worker's error with its
@@ -284,6 +298,7 @@ class Parallel {
   size_t inputSize_ = 0;
   bool isReduce_ = false;
   bool joined_ = false;
+  bool inline_ = false;
 };
 
 }  // namespace psnap::workers

@@ -117,12 +117,19 @@ class TaskGroup {
     return pending_.load(std::memory_order_acquire) == 0;
   }
 
+  /// Run every unclaimed task on the calling thread. A group no other
+  /// thread has claimed from (one never submitted, or one the pool
+  /// refused) is settled when this returns.
+  void drain() {
+    while (runOne()) {
+    }
+  }
+
   /// Drain unclaimed tasks on the calling thread, then block until the
   /// claimed-but-running remainder completes. Never throws; task
   /// exceptions are captured (see error()).
   void wait() {
-    while (runOne()) {
-    }
+    drain();
     latch_.wait();
   }
 

@@ -73,10 +73,7 @@ void WorkerPool::submit(const std::shared_ptr<TaskGroup>& group) {
   const size_t runners = std::min(group->size(), slots_.size());
   for (size_t i = 0; i < runners; ++i) {
     push(nextSlot_.fetch_add(1, std::memory_order_relaxed) % slots_.size(),
-         [group] {
-           while (group->runOne()) {
-           }
-         });
+         [group] { group->drain(); });
   }
 }
 

@@ -27,6 +27,7 @@
 #include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
+#include "workers/grain.hpp"
 
 namespace psnap::mr {
 namespace {
@@ -285,9 +286,39 @@ ListPtr runJob(const ListPtr& input, const MapFn& mapFn,
   return job.result();
 }
 
-/// Every engine path — pooled at widths 1/2/4, sequential, degraded by a
+/// A settled job's output, stats and grain path, for comparing runs.
+struct Outcome {
+  std::string output;
+  Stats stats;
+  bool inlined = false;
+};
+
+Outcome settledOutcome(const ListPtr& input, const MapFn& mapFn,
+                       const ReduceFn& reduceFn, const Options& options) {
+  Job job(input, mapFn, reduceFn, options);
+  job.wait();
+  if (job.failed()) throw Error(job.errorMessage());
+  return {exact(Value(job.result())), job.stats(), job.ranInline()};
+}
+
+void expectSameStats(const Stats& a, const Stats& b) {
+  EXPECT_EQ(a.inputItems, b.inputItems);
+  EXPECT_EQ(a.distinctKeys, b.distinctKeys);
+  EXPECT_EQ(a.mapMakespan, b.mapMakespan);
+  EXPECT_EQ(a.reduceMakespan, b.reduceMakespan);
+  EXPECT_EQ(a.degraded, b.degraded);
+}
+
+/// A nominal known cost: the grain model drains any of these inputs on
+/// the constructing thread.
+constexpr double kTinyCostNs = 1e-9;
+
+/// Every engine path — pooled at widths 1/2/4, drained on the caller by
+/// the grain model at the same widths, sequential, degraded by a
 /// saturated pool, and run() — against the reference shuffle under one
-/// reduce. `base` supplies the native entries, if any, for every path.
+/// reduce. An inline run must match its pooled twin byte for byte and
+/// stat for stat. `base` supplies the native entries, if any, for every
+/// path.
 void expectEveryPathMatches(const ListPtr& input, const MapFn& mapper,
                             const ReduceFn& reduce, const Options& base,
                             uint64_t seed) {
@@ -300,9 +331,17 @@ void expectEveryPathMatches(const ListPtr& input, const MapFn& mapper,
     return options;
   };
   for (size_t width : {1, 2, 4}) {
-    EXPECT_EQ(exact(Value(runJob(input, mapper, reduce, with(width, false)))),
-              expected)
-        << "Job, width " << width;
+    SCOPED_TRACE("width " + std::to_string(width));
+    const Outcome pooled =
+        settledOutcome(input, mapper, reduce, with(width, false));
+    EXPECT_EQ(pooled.output, expected) << "Job, pooled";
+    EXPECT_FALSE(pooled.inlined);
+    Options drained = with(width, false);
+    drained.itemCostNs = kTinyCostNs;
+    const Outcome inlined = settledOutcome(input, mapper, reduce, drained);
+    EXPECT_EQ(inlined.output, pooled.output) << "Job, inline";
+    EXPECT_EQ(inlined.inlined, !input->empty());
+    expectSameStats(inlined.stats, pooled.stats);
   }
   EXPECT_EQ(exact(Value(runJob(input, mapper, reduce, with(0, true)))),
             expected)
@@ -348,6 +387,53 @@ TEST_P(ShuffleDifferential, EveryPathMatchesTheReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShuffleDifferential, ::testing::Range(1, 61));
+
+// The grain threshold itself, at the shuffle's measured per-pair cost: the
+// largest input below the crossover drains on the caller and one item
+// more goes to the pool, at widths 2 and 4. Both runs match the unknown-
+// cost pooled run byte for byte and stat for stat, and the reference.
+TEST(ShuffleDifferential, BothSidesOfTheGrainThreshold) {
+  const std::vector<Value> pool = trickyKeys();
+  for (size_t width : {2, 4}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    size_t below = 1;  // drains inline
+    size_t above = 2;  // does not
+    while (workers::drainsInline(above, workers::kShufflePairNs, width)) {
+      below = above;
+      above *= 2;
+    }
+    while (above - below > 1) {
+      const size_t mid = below + (above - below) / 2;
+      (workers::drainsInline(mid, workers::kShufflePairNs, width) ? below
+                                                                  : above) =
+          mid;
+    }
+    for (size_t n : {below, above}) {
+      SCOPED_TRACE("n " + std::to_string(n));
+      auto input = List::make();
+      for (size_t i = 0; i < n; ++i) {
+        const Value& key = pool[(i * 7) % pool.size()];
+        input->add(i % 3 == 0 ? Value(List::make({Value("pair"), key,
+                                                  Value(double(i))}))
+                              : key);
+      }
+      Options options;
+      options.workers = width;
+      const Outcome pooled =
+          settledOutcome(input, differentialMapper(), countValues(), options);
+      options.itemCostNs = workers::kShufflePairNs;
+      const Outcome known =
+          settledOutcome(input, differentialMapper(), countValues(), options);
+      EXPECT_FALSE(pooled.inlined);
+      EXPECT_EQ(known.inlined, n == below);
+      EXPECT_EQ(known.output, pooled.output);
+      expectSameStats(known.stats, pooled.stats);
+      EXPECT_EQ(pooled.output,
+                exact(Value(referenceMapReduce(input, differentialMapper(),
+                                               countValues()))));
+    }
+  }
+}
 
 // The mixed numeric/text input that used to order differently on the
 // parallel and sequential paths: numbers first, then texts ("1.0" and

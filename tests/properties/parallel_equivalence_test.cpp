@@ -4,6 +4,7 @@
 // paper's contribution.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 
 #include "blocks/builder.hpp"
@@ -12,6 +13,7 @@
 #include "sched/thread_manager.hpp"
 #include "support/rng.hpp"
 #include "tests/properties/generators.hpp"
+#include "workers/grain.hpp"
 #include "workers/parallel.hpp"
 
 namespace psnap::core {
@@ -84,6 +86,107 @@ INSTANTIATE_TEST_SUITE_P(
                           workers::Distribution::BlockCyclic),
         ::testing::Values(1, 7, 64, 257),
         ::testing::Values(1, 3, 16)));
+
+// ---------------------------------------------------------------------------
+// The grain model: an operation drained on the launching thread (a known
+// cost below the crossover) against its pooled twin (unknown cost). Same
+// bytes out; for the static distributions the same itemsPerWorker and
+// virtual makespan (Dynamic's split depends on which thread claims
+// first, on either side, so only its total is fixed).
+// ---------------------------------------------------------------------------
+class GrainEquivalence
+    : public ::testing::TestWithParam<
+          std::tuple<workers::Distribution, int, int, int>> {};
+
+/// A nominal known cost: every size here drains inline.
+constexpr double kTinyCostNs = 1e-9;
+
+TEST_P(GrainEquivalence, InlineMatchesPooled) {
+  const auto [distribution, size, chunk, width] = GetParam();
+  std::vector<Value> input;
+  for (int i = 1; i <= size; ++i) input.emplace_back(double(i));
+  const auto run = [&](double itemCostNs, bool reduce) {
+    auto job = std::make_unique<workers::Parallel>(
+        input, workers::ParallelOptions{.maxWorkers = size_t(width),
+                                        .distribution = distribution,
+                                        .chunkSize = size_t(chunk),
+                                        .itemCostNs = itemCostNs});
+    if (reduce) {
+      job->reduce([](const Value& a, const Value& b) {
+        return Value(a.asNumber() + b.asNumber());
+      });
+    } else {
+      job->map([](const Value& v) { return Value(v.asNumber() * 3 - 1); });
+    }
+    job->wait();
+    return job;
+  };
+  for (bool reduce : {false, true}) {
+    SCOPED_TRACE(reduce ? "reduce" : "map");
+    const auto pooled = run(0, reduce);
+    const auto inlined = run(kTinyCostNs, reduce);
+    EXPECT_FALSE(pooled->ranInline());
+    EXPECT_TRUE(inlined->ranInline());
+    EXPECT_EQ(Value(blocks::List::make(inlined->data())).display(),
+              Value(blocks::List::make(pooled->data())).display());
+    uint64_t total = 0;
+    for (uint64_t c : inlined->itemsPerWorker()) total += c;
+    EXPECT_EQ(total, uint64_t(size));
+    // reduce always splits contiguously, whatever the distribution.
+    if (reduce || distribution != workers::Distribution::Dynamic) {
+      EXPECT_EQ(inlined->itemsPerWorker(), pooled->itemsPerWorker());
+      EXPECT_EQ(inlined->virtualMakespan(), pooled->virtualMakespan());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, GrainEquivalence,
+    ::testing::Combine(
+        ::testing::Values(workers::Distribution::Dynamic,
+                          workers::Distribution::Contiguous,
+                          workers::Distribution::BlockCyclic),
+        ::testing::Values(1, 64, 1000), ::testing::Values(1, 16),
+        ::testing::Values(2, 4)));
+
+// Both sides of the threshold at the map's measured per-item cost: the
+// largest list below the crossover drains inline, one item more is
+// pooled, and both report what the unknown-cost pooled run reports.
+TEST(GrainEquivalence, BothSidesOfTheThreshold) {
+  for (size_t width : {2, 4}) {
+    size_t below = 1;
+    size_t above = 2;
+    while (workers::drainsInline(above, workers::kMapItemNs, width)) {
+      below = above;
+      above *= 2;
+    }
+    while (above - below > 1) {
+      const size_t mid = below + (above - below) / 2;
+      (workers::drainsInline(mid, workers::kMapItemNs, width) ? below
+                                                              : above) = mid;
+    }
+    for (size_t n : {below, above}) {
+      std::vector<Value> input;
+      for (size_t i = 0; i < n; ++i) input.emplace_back(double(i));
+      const auto run = [&](double itemCostNs) {
+        auto job = std::make_unique<workers::Parallel>(
+            input, workers::ParallelOptions{
+                       .maxWorkers = width,
+                       .distribution = workers::Distribution::Contiguous,
+                       .itemCostNs = itemCostNs});
+        job->map([](const Value& v) { return Value(v.asNumber() + 0.5); });
+        job->wait();
+        return job;
+      };
+      const auto pooled = run(0);
+      const auto known = run(workers::kMapItemNs);
+      EXPECT_EQ(known->ranInline(), n == below) << "width " << width;
+      EXPECT_EQ(Value(blocks::List::make(known->data())).display(),
+                Value(blocks::List::make(pooled->data())).display());
+      EXPECT_EQ(known->itemsPerWorker(), pooled->itemsPerWorker());
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Random pure rings: compiled worker function ≡ interpreter, across seeds.

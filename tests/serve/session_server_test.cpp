@@ -3,6 +3,7 @@
 // deterministic (fault injection lives in serve_chaos_test.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -10,7 +11,12 @@
 #include <vector>
 
 #include "blocks/builder.hpp"
+#include "codegen/toolchain.hpp"
+#include "core/parallel_blocks.hpp"
+#include "core/tiering.hpp"
+#include "native/tier.hpp"
 #include "scenarios/serve.hpp"
+#include "sched/thread_manager.hpp"
 #include "serve/session_server.hpp"
 #include "support/fault.hpp"
 #include "workers/stats.hpp"
@@ -271,6 +277,71 @@ TEST(SessionServer, MixedStormAllConcurrentCompletesFairly) {
     EXPECT_GT(spread, 0.0) << kind;
     EXPECT_LE(spread, 2.0) << kind;
   }
+}
+
+/// Frames-to-finish of `sessions` equal climate sessions (one 12-reading
+/// parallelMap each) on a width-2 server.
+std::vector<uint64_t> climateFramesToFinish(size_t sessions, bool nativeTier) {
+  ServerConfig config;
+  config.maxSessions = sessions;
+  config.maxWorkers = 2;
+  config.nativeTier = nativeTier;
+  SessionServer server(config);
+  for (size_t i = 0; i < sessions; ++i) {
+    server.admit(scenarios::serveClimateWorkload(1, 100 + i));
+  }
+  server.runUntilQuiet(100000);
+  std::vector<uint64_t> frames;
+  for (const SessionRecord& record : server.records()) {
+    EXPECT_EQ(record.state, SessionState::Completed) << record.error;
+    EXPECT_TRUE(record.outputOk) << record.label;
+    frames.push_back(record.framesRun);
+  }
+  EXPECT_EQ(frames.size(), sessions);
+  return frames;
+}
+
+// The bound DESIGN.md ("Fair time-slicing") gives for equal workloads: a
+// parked process is charged no frames while its operation runs, and its
+// wake costs at most the one frame that resumes it. Equal sessions whose
+// parallelMap goes to the pool finish within one frame of each other (the
+// op may settle before the park is registered, or after); equal sessions
+// whose parallelMap drains inline (grain model) never park and finish in
+// equal frames.
+TEST(SessionServer, ParkCostsAtMostOneFrame) {
+  constexpr size_t kSessions = 24;
+  // Tier off: the map's cost is unknown, so every op is pooled.
+  const std::vector<uint64_t> pooled = climateFramesToFinish(kSessions, false);
+  ASSERT_FALSE(pooled.empty());
+  const auto [low, high] = std::minmax_element(pooled.begin(), pooled.end());
+  EXPECT_LE(*high - *low, 1u);
+
+  if (!codegen::Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
+  // Make the climate ring's kernel Trusted first (a synchronous compile,
+  // then one validated call), so the sessions' maps have a known cost.
+  const vm::PrimitiveTable prims = core::fullPrimitiveTable();
+  sched::ThreadManager tm(&blocks::BlockRegistry::standard(), &prims);
+  const blocks::RingPtr celsius =
+      tm.evaluate(ring(quotient(product(difference(empty(), In(32.0)),
+                                        In(5.0)),
+                                In(9.0))),
+                  blocks::Environment::make())
+          .asRing();
+  {
+    native::TierConfig sync;
+    sync.hotThreshold = 1;
+    sync.synchronousCompile = true;
+    native::TierScope scope(sync);
+    const core::TieredUnary tiered = core::tieredUnary(celsius);
+    for (int call = 0; call < 4; ++call) tiered.fn(blocks::Value(50.0));
+  }
+  ASSERT_EQ(native::TierManager::instance()
+                .lookup(*celsius, codegen::KernelShape::Unary)
+                ->currentState(),
+            native::KernelState::Trusted);
+  const std::vector<uint64_t> inlined = climateFramesToFinish(kSessions, true);
+  EXPECT_DOUBLE_EQ(SessionServer::fairnessSpread(inlined), 1.0);
+  EXPECT_LE(inlined.front(), *low);
 }
 
 TEST(SessionServer, FairnessSpreadEdgeCases) {

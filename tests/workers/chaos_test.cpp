@@ -648,5 +648,176 @@ TEST(Chaos, MixedFaultStormLeavesPoolHealthy) {
   }
 }
 
+// --- The inline side of the grain model ------------------------------------
+//
+// An operation with a known cost below the crossover (grain.hpp) drains
+// its TaskGroup on the launching thread. Two fault points cannot reach
+// that side: PoolSaturation fires only inside a pool submit, and
+// WorkerStall only in a pool worker's loop, and an inline operation does
+// neither. The points it does reach — TaskThrow in every chunk and stage
+// task, TransferFailure at clone-in and clone-out, CompletionDrop at the
+// settle — and its deadline and cancellation paths are covered here.
+
+/// A nominal known cost: any size in these tests drains inline.
+constexpr double kTinyCostNs = 1e-9;
+
+TEST(Chaos, InlineTaskThrowRetriesRestartExactly) {
+  const uint64_t retriesBefore =
+      substrateStats().retries.load(std::memory_order_relaxed);
+  auto input = List::make();
+  for (int i = 0; i < 600; ++i) input->add(Value(i % 7));
+  mr::MapFn one = [](const Value&) { return Value(1); };
+  mr::ReduceFn count = [](const ListPtr& values) {
+    return Value(values->length());
+  };
+  const std::string reference =
+      mr::run(input, one, count, {.sequential = true})->display();
+  for (uint64_t seed : chaosSeeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    fault::ScopedFault armed(configFor(seed, fault::Point::TaskThrow, 1, 4));
+    for (Distribution distribution :
+         {Distribution::Dynamic, Distribution::Contiguous,
+          Distribution::BlockCyclic}) {
+      Parallel p(numbers(256), {.maxWorkers = 4,
+                                .distribution = distribution,
+                                .chunkSize = 8,
+                                .maxRetries = 8,
+                                .itemCostNs = kTinyCostNs});
+      p.map([](const Value& v) { return Value(v.asNumber() * 2); });
+      ASSERT_TRUE(p.ranInline());
+      // Settled before map() returned: nothing is left running.
+      EXPECT_TRUE(p.resolved());
+      if (p.failed()) {
+        EXPECT_TRUE(isSubstrateClass(p.errorClass()));
+        continue;
+      }
+      const auto& data = p.data();
+      ASSERT_EQ(data.size(), 256u);
+      for (int i = 0; i < 256; ++i) {
+        ASSERT_EQ(data[size_t(i)].asNumber(), 2 * (i + 1));
+      }
+    }
+    // The pipeline restarts a faulted stage task from scratch; retries
+    // exhausted rerun it sequentially. Either way the output is exact.
+    mr::Job job(input, one, count,
+                {.workers = 4, .maxRetries = 8, .itemCostNs = kTinyCostNs});
+    EXPECT_TRUE(job.ranInline());
+    ASSERT_FALSE(job.failed()) << job.errorMessage();
+    EXPECT_EQ(job.result()->display(), reference);
+  }
+  EXPECT_GT(substrateStats().retries.load(std::memory_order_relaxed),
+            retriesBefore);
+  expectPoolUsable();
+}
+
+TEST(Chaos, InlineDeadlineTripRaisesTimeout) {
+  const uint64_t timeoutsBefore =
+      substrateStats().timeouts.load(std::memory_order_relaxed);
+  const auto slow = [](const Value& v) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return v;
+  };
+  Parallel p(numbers(200), {.maxWorkers = 2,
+                            .deadlineSeconds = 0.02,
+                            .itemCostNs = kTinyCostNs});
+  p.map(slow);
+  ASSERT_TRUE(p.ranInline());
+  p.wait();
+  EXPECT_TRUE(p.failed());
+  EXPECT_EQ(p.errorClass(), ErrorClass::Timeout);
+  EXPECT_THROW(p.data(), TimeoutError);
+  EXPECT_GT(substrateStats().timeouts.load(std::memory_order_relaxed),
+            timeoutsBefore);
+
+  // The map checks the deadline every 512 items of a slice.
+  auto input = List::make();
+  for (int i = 0; i < 2000; ++i) input->add(Value(i % 5));
+  const auto slower = [](const Value& v) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    return v;
+  };
+  mr::Job job(input, slower, mr::identityReduce(),
+              {.workers = 2, .deadlineSeconds = 0.02,
+               .itemCostNs = kTinyCostNs});
+  EXPECT_TRUE(job.ranInline());
+  ASSERT_TRUE(job.failed());
+  EXPECT_EQ(job.errorClass(), ErrorClass::Timeout);
+  EXPECT_THROW(std::rethrow_exception(job.error()), TimeoutError);
+  // A blown deadline never earns the sequential rerun.
+  EXPECT_FALSE(job.wasDegraded());
+  expectPoolUsable();
+}
+
+TEST(Chaos, InlineOwnerCancelLeavesNothingRunning) {
+  // The owner (a script's token) is cancelled while its operation drains
+  // on the owner's own thread: the drain stops at the next chunk, and the
+  // operation is settled — nothing of it is left on any thread — by the
+  // time the launch returns.
+  CancelTokenPtr owner = CancelToken::create();
+  std::atomic<int> calls{0};
+  Parallel p(numbers(256), {.maxWorkers = 4,
+                            .chunkSize = 4,
+                            .cancel = owner,
+                            .itemCostNs = kTinyCostNs});
+  p.map([&](const Value& v) {
+    if (calls.fetch_add(1) == 10) owner->cancel("owner terminated");
+    return v;
+  });
+  ASSERT_TRUE(p.ranInline());
+  EXPECT_TRUE(p.resolved());
+  const int ran = calls.load();
+  EXPECT_LT(ran, 256);
+  p.wait();
+  EXPECT_EQ(p.errorClass(), ErrorClass::Cancelled);
+  EXPECT_NE(p.errorMessage().find("owner terminated"), std::string::npos);
+  EXPECT_EQ(calls.load(), ran);  // no straggler ran after the launch
+
+  CancelTokenPtr jobOwner = CancelToken::create();
+  std::atomic<int> mapped{0};
+  auto input = List::make();
+  for (int i = 0; i < 3000; ++i) input->add(Value(i % 9));
+  mr::Job job(
+      input,
+      [&](const Value& v) {
+        if (mapped.fetch_add(1) == 10) jobOwner->cancel("owner terminated");
+        return v;
+      },
+      mr::identityReduce(),
+      {.workers = 4, .cancel = jobOwner, .itemCostNs = kTinyCostNs});
+  EXPECT_TRUE(job.ranInline());
+  std::atomic<int> fired{0};
+  job.onComplete([&fired] { fired.fetch_add(1); });
+  EXPECT_EQ(fired.load(), 1);  // already settled on this thread
+  EXPECT_EQ(job.errorClass(), ErrorClass::Cancelled);
+  EXPECT_LT(mapped.load(), 3000);
+  expectPoolUsable();
+}
+
+TEST(Chaos, InlineOperationsNeverMeetPoolSaturation) {
+  // Every submit would be refused, but an inline operation submits
+  // nothing: it neither degrades nor fails.
+  const uint64_t downgradesBefore =
+      substrateStats().downgrades.load(std::memory_order_relaxed);
+  fault::ScopedFault armed(configFor(1, fault::Point::PoolSaturation, 1, 1));
+  Parallel p(numbers(64), {.maxWorkers = 2,
+                           .allowDegrade = false,
+                           .itemCostNs = kTinyCostNs});
+  p.map([](const Value& v) { return Value(v.asNumber() + 1); });
+  EXPECT_TRUE(p.ranInline());
+  EXPECT_FALSE(p.wasDegraded());
+  ASSERT_EQ(p.data().size(), 64u);
+  auto input = List::make();
+  for (int i = 0; i < 400; ++i) input->add(Value(i % 3));
+  mr::Job job(input, [](const Value&) { return Value(1); },
+              mr::identityReduce(),
+              {.workers = 4, .allowDegrade = false,
+               .itemCostNs = kTinyCostNs});
+  ASSERT_FALSE(job.failed()) << job.errorMessage();
+  EXPECT_TRUE(job.ranInline());
+  EXPECT_FALSE(job.wasDegraded());
+  EXPECT_EQ(substrateStats().downgrades.load(std::memory_order_relaxed),
+            downgradesBefore);
+}
+
 }  // namespace
 }  // namespace psnap::workers
