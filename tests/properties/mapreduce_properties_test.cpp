@@ -388,6 +388,18 @@ TEST_P(ShuffleDifferential, EveryPathMatchesTheReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShuffleDifferential, ::testing::Range(1, 61));
 
+/// The largest input the grain model drains inline at `itemNs` per item
+/// and `width` (its decision is monotone in the item count).
+size_t lastInlineSize(double itemNs, size_t width) {
+  size_t inlined = 0;               // drains inline
+  size_t pooled = size_t(1) << 30;  // does not
+  while (pooled - inlined > 1) {
+    const size_t mid = inlined + (pooled - inlined) / 2;
+    (workers::drainsInline(mid, itemNs, width) ? inlined : pooled) = mid;
+  }
+  return inlined;
+}
+
 // The grain threshold itself, at the shuffle's measured per-pair cost: the
 // largest input below the crossover drains on the caller and one item
 // more goes to the pool, at widths 2 and 4. Both runs match the unknown-
@@ -396,19 +408,8 @@ TEST(ShuffleDifferential, BothSidesOfTheGrainThreshold) {
   const std::vector<Value> pool = trickyKeys();
   for (size_t width : {2, 4}) {
     SCOPED_TRACE("width " + std::to_string(width));
-    size_t below = 1;  // drains inline
-    size_t above = 2;  // does not
-    while (workers::drainsInline(above, workers::kShufflePairNs, width)) {
-      below = above;
-      above *= 2;
-    }
-    while (above - below > 1) {
-      const size_t mid = below + (above - below) / 2;
-      (workers::drainsInline(mid, workers::kShufflePairNs, width) ? below
-                                                                  : above) =
-          mid;
-    }
-    for (size_t n : {below, above}) {
+    const size_t below = lastInlineSize(workers::kShufflePairNs, width);
+    for (size_t n : {below, below + 1}) {
       SCOPED_TRACE("n " + std::to_string(n));
       auto input = List::make();
       for (size_t i = 0; i < n; ++i) {

@@ -154,12 +154,8 @@ INSTANTIATE_TEST_SUITE_P(
 // pooled, and both report what the unknown-cost pooled run reports.
 TEST(GrainEquivalence, BothSidesOfTheThreshold) {
   for (size_t width : {2, 4}) {
-    size_t below = 1;
-    size_t above = 2;
-    while (workers::drainsInline(above, workers::kMapItemNs, width)) {
-      below = above;
-      above *= 2;
-    }
+    size_t below = 0;                // drains inline
+    size_t above = size_t(1) << 30;  // does not
     while (above - below > 1) {
       const size_t mid = below + (above - below) / 2;
       (workers::drainsInline(mid, workers::kMapItemNs, width) ? below
