@@ -23,7 +23,11 @@
 #   model's gate: injected task throws, worker stalls, transfer
 #   failures, and pool saturation must converge — exact results or typed
 #   substrate errors — with no data race or memory error underneath.
-#   After the sweep, runs the mapReduce differential suite
+#   Each preset then runs, once, the block-level degrade and error pins
+#   (GTEST_FILTER='ChaosBlocks.*' in test_core: report blocks converge
+#   exactly under each fault, launch twins fail typed) and the mapReduce
+#   Job's input-snapshot test (a list mutated while the job runs never
+#   reaches it). After the sweep, runs the mapReduce differential suite
 #   (GTEST_FILTER='*ShuffleDifferential*' in test_properties) once under
 #   asan: every engine path (pooled at each width, sequential, and
 #   degraded by a saturated pool) against an in-test reference shuffle.
@@ -135,7 +139,8 @@ if [ "${1:-}" = "--chaos" ]; then
   fi
   for preset in asan tsan; do
     cmake --preset "${preset}"
-    cmake --build --preset "${preset}" -j "${jobs}" --target test_workers
+    cmake --build --preset "${preset}" -j "${jobs}" \
+      --target test_workers test_core test_mapreduce
     for seed in "${seeds[@]}"; do
       echo "== chaos: ${preset}, seed ${seed} =="
       # Same leak-accounting stance as the asan ctest preset (see header).
@@ -143,6 +148,11 @@ if [ "${1:-}" = "--chaos" ]; then
         "build-${preset}/tests/test_workers" \
         --gtest_filter='Chaos*'
     done
+    echo "== chaos: ${preset}, block pins and the Job input snapshot =="
+    ASAN_OPTIONS=detect_leaks=0 "build-${preset}/tests/test_core" \
+      --gtest_filter='ChaosBlocks.*'
+    ASAN_OPTIONS=detect_leaks=0 "build-${preset}/tests/test_mapreduce" \
+      --gtest_filter='MapReduceJob.InputMutatedAfterLaunchDoesNotLeak'
   done
   cmake --build --preset asan -j "${jobs}" --target test_properties
   echo "== chaos: asan, mapReduce differential =="
@@ -154,7 +164,7 @@ if [ "${1:-}" = "--chaos" ]; then
   "build-tsan/tests/test_properties" --gtest_filter='*ShuffleDifferential*'
   "build-tsan/tests/test_mapreduce"
   echo "== chaos sweep green: seeds ${seeds[*]} under asan + tsan," \
-    "differential under asan + tsan =="
+    "block pins and differential under asan + tsan =="
   exit 0
 fi
 

@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "blocks/future.hpp"
-#include "core/pure_eval.hpp"
 #include "core/tiering.hpp"
 #include "mapreduce/engine.hpp"
 #include "support/error.hpp"
 #include "vm/host.hpp"
+#include "workers/completion.hpp"
 #include "workers/grain.hpp"
 #include "workers/parallel.hpp"
 #include "workers/stats.hpp"
@@ -21,17 +22,11 @@ using blocks::Block;
 using blocks::Input;
 using blocks::List;
 using blocks::ListPtr;
-using blocks::RingPtr;
 using blocks::Value;
 using vm::Context;
 using vm::Process;
 
 namespace {
-
-/// Items mapped per slice on the sequential fallback path — the block
-/// stays cooperative (other processes keep running) while it works off
-/// the list without the worker substrate.
-constexpr size_t kFallbackSliceItems = 256;
 
 /// State stashed in the context across yields for doParallelForEach.
 struct ForEachJob {
@@ -39,187 +34,252 @@ struct ForEachJob {
   std::vector<vm::SpriteApi*> clones;
 };
 
-/// State stashed in the context across yields for reportParallelMap:
-/// either a live worker-substrate job, or the sequential fallback's
-/// cursor after a degrade.
-struct MapJob {
-  std::shared_ptr<workers::Parallel> parallel;  // null once degraded
-  workers::MapFn fn;
-  ListPtr source;
-  std::vector<Value> out;  // fallback results, filled slice by slice
-  size_t next = 0;         // fallback cursor (0-based)
+/// The count in an optional worker/parallelism slot: `fallback` when the
+/// slot is collapsed or blank, else its integer value floored at 1.
+size_t slotCount(const Context& c, size_t index, size_t fallback) {
+  const Value& slot = c.inputs[index];
+  if (c.isCollapsed(index) || slot.isNothing() ||
+      (slot.isText() && slot.asText().empty())) {
+    return fallback;
+  }
+  return static_cast<size_t>(std::max<long long>(1, slot.asInteger()));
+}
+
+/// The parallel map's one degrade rung: map `list` through `fn` on this
+/// thread, checking `token` (when set) every 256 items. It has no fault
+/// points, so a degraded block always converges.
+std::vector<Value> sequentialMap(const workers::MapFn& fn, const ListPtr& list,
+                                 const CancelTokenPtr& token) {
+  std::vector<Value> out;
+  out.reserve(list->length());
+  for (const Value& item : list->items()) {
+    if (token && out.size() % 256 == 255) token->checkpoint();
+    out.push_back(fn(item));
+  }
+  return out;
+}
+
+/// Settle `fut` with what `body` reports, or reject it with what it throws.
+template <typename Body>
+void settleWith(blocks::Future& fut, const Body& body) {
+  try {
+    fut.resolve(body());
+  } catch (...) {
+    fut.reject(std::current_exception());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One start function per operation, shared by the report block and its
+// launch twin. Each builds the tiered functions and the options, launches
+// the operation on the shared pool, and returns a Future that the
+// operation's completion callback settles — on the worker that finishes
+// the last task, under the launching tenant's stats scope. An error while
+// building (a PurityError from compiling a ring or cloning the list) is
+// thrown. `degrade` (report blocks only) lets a transient substrate
+// failure fall back to a sequential path instead of failing the future.
+// ---------------------------------------------------------------------------
+
+/// A started operation: the Future its completion settles, and the
+/// operation itself (a Parallel or an mr::Job; null when the map degraded
+/// before launching), which its callback and cancel hook also hold.
+struct Launched {
+  blocks::FuturePtr future;
+  std::shared_ptr<void> op;
 };
 
-/// Resolve the optional worker/parallelism slot: collapsed or blank means
-/// "use the default".
-bool slotIsDefault(const Context& c, size_t index) {
-  return c.isCollapsed(index) || c.inputs[index].isNothing() ||
-         (c.inputs[index].isText() && c.inputs[index].asText().empty());
-}
-
-/// The count in an optional worker/parallelism slot: `fallback` when the
-/// slot is default, else its integer value floored at 1.
-size_t slotCount(const Context& c, size_t index, size_t fallback) {
-  if (slotIsDefault(c, index)) return fallback;
-  return static_cast<size_t>(
-      std::max<long long>(1, c.inputs[index].asInteger()));
-}
-
-/// The grain model's per-item cost of mapping `list` through `map`
-/// (0 = unknown: a cold, compiling or untrusted kernel, or no tier).
-double mapItemNs(const TieredUnary& map, const ListPtr& list) {
-  return map.itemNs && list ? map.itemNs(list->items()) : 0;
-}
-
-/// Substrate options for a parallel-map block: the worker slot (default:
-/// the host's worker width), chained under the process's own token (null
-/// when the process has none) — stopping the script, or shedding the
-/// tenant that owns it, cancels the in-flight pool work at its next chunk
-/// boundary — and the map's per-item cost for the grain model. Everything
-/// else keeps its ParallelOptions default.
-workers::ParallelOptions parallelMapOptions(Process& p, const Context& c,
-                                            const TieredUnary& map,
-                                            const ListPtr& list) {
+/// parallelMap — the paper's Listing 2. The ring compiles into a
+/// thread-safe pure function (tiered: a hot ring swaps in its native
+/// kernel, whose batch entry serves whole chunks), and the list is cloned
+/// into a Parallel. A map whose known cost is below the grain crossover
+/// (workers/grain.hpp) drains inside map(), so its future is settled
+/// before this returns. With `degrade`, a refused launch drains on the
+/// caller inside Parallel, and the block owns one more rung: a refused
+/// clone-in maps the list here with sequentialMap, and retries used up or
+/// a refused clone-out rerun it in the completion callback. Each counts
+/// one downgrade.
+Launched startParallelMap(Process& p, const Context& c, bool degrade) {
+  const ListPtr& list = c.inputs[1].asList();
+  TieredUnary tiered = tieredUnary(c.inputs[0].asRing(), p.registry());
+  // The worker slot (default: the host's worker width), the process's own
+  // token (null when it has none) — stopping the script, or shedding the
+  // tenant that owns it, cancels the pool work at its next chunk boundary
+  // — and the map's per-item cost for the grain model (0 = unknown: a
+  // cold, compiling or untrusted kernel, or no tier). Everything else
+  // keeps its ParallelOptions default.
   workers::ParallelOptions options;
   options.maxWorkers = slotCount(c, 2, p.host().maxWorkers());
+  options.allowDegrade = degrade;
   options.cancel = p.cancelToken();
-  options.itemCostNs = mapItemNs(map, list);
-  return options;
+  options.itemCostNs = tiered.itemNs ? tiered.itemNs(list->items()) : 0;
+  workers::SubstrateStats* stats = &workers::substrateStats();
+  // The degrade rung reads a snapshot (O(1) for a flat list): it may run
+  // on a worker while a script mutates the caller's list.
+  const ListPtr source = degrade ? list->snapshotClone() : nullptr;
+  auto rerun = [stats, source, fn = tiered.fn, token = options.cancel] {
+    stats->bump(&workers::SubstrateStats::downgrades);
+    return Value(List::make(sequentialMap(fn, source, token)));
+  };
+  auto fut = blocks::Future::make();
+  std::shared_ptr<workers::Parallel> parallel;
+  try {
+    parallel = std::make_shared<workers::Parallel>(list, options);
+  } catch (const SubstrateError&) {
+    if (!degrade) throw;
+    fut->resolve(rerun());
+    return {fut, nullptr};
+  }
+  parallel->map(tiered.fn, tiered.batch);
+  parallel->onComplete([parallel, fut, stats, degrade,
+                        rerun = std::move(rerun)] {
+    workers::StatsScope scope(*stats);
+    settleWith(*fut, [&] {
+      try {
+        return Value(List::make(parallel->takeData()));
+      } catch (const SubstrateError&) {
+        const ErrorClass errorClass = classifyError(std::current_exception());
+        if (!degrade || errorClass != ErrorClass::Substrate) throw;
+        return rerun();
+      }
+    });
+  });
+  fut->setCancelHook(
+      [parallel](const std::string& reason) { parallel->cancel(reason); });
+  return {fut, parallel};
 }
 
-/// Pipeline options for a mapReduce block: the host's worker width, the
-/// rings' native entries (the map's numeric column and batch, the
-/// reduce's shard fold), the same process-token chaining as
-/// parallelMapOptions, and the per-item cost for the grain model — known
-/// only when the map's kernel serves `list` and the reduce's kernel is
-/// Trusted. It is the shuffle's per-pair cost, which was measured through
-/// a plain C++ map and reduce standing in for the native ones. Everything
-/// else keeps its mr::Options default.
-mr::Options mapReduceOptions(Process& p, const TieredUnary& map,
-                             const TieredReduce& reduce,
-                             const ListPtr& list) {
+/// mapReduce — Figs. 11/13. The Job is a completion-chained pipeline on
+/// the shared pool (map+shuffle stage → sort+reduce stage → merge). It
+/// owns its degradation (an inline drain of a refused stage, a sequential
+/// rerun after a transient substrate failure), so `degrade` only permits
+/// it. A job below the grain crossover settles inside its constructor.
+Launched startMapReduce(Process& p, const Context& c, bool degrade) {
+  const ListPtr& list = c.inputs[2].asList();
+  TieredUnary map = tieredUnary(c.inputs[0].asRing(), p.registry());
+  TieredReduce reduce = tieredReduce(c.inputs[1].asRing(), p.registry());
+  // The host's worker width, the rings' native entries (the map's numeric
+  // column and batch, the reduce's shard fold), the process's token as
+  // for parallelMap, and the per-item cost for the grain model — known
+  // only when the map's kernel serves `list` and the reduce's kernel is
+  // Trusted. It is the shuffle's per-pair cost, which was measured
+  // through a plain C++ map and reduce standing in for the native ones.
+  // Everything else keeps its mr::Options default.
   mr::Options options;
   options.workers = p.host().maxWorkers();
+  options.allowDegrade = degrade;
+  options.cancel = p.cancelToken();
   options.mapBatch = map.batch;
   options.mapNumeric = map.numeric;
   options.reduceNumeric = reduce.numeric;
-  options.cancel = p.cancelToken();
-  if (mapItemNs(map, list) > 0 && reduce.trusted && reduce.trusted()) {
-    options.itemCostNs = workers::kShufflePairNs;
-  }
-  return options;
+  const bool costKnown = map.itemNs && map.itemNs(list->items()) > 0 &&
+                         reduce.trusted && reduce.trusted();
+  options.itemCostNs = costKnown ? workers::kShufflePairNs : 0;
+  workers::SubstrateStats* stats = &workers::substrateStats();
+  auto fut = blocks::Future::make();
+  auto job = std::make_shared<mr::Job>(list, map.fn, reduce.fn, options);
+  job->onComplete([job, fut, stats] {
+    workers::StatsScope scope(*stats);
+    settleWith(*fut, [&] {
+      if (job->failed()) std::rethrow_exception(job->error());
+      return Value(job->result());
+    });
+  });
+  fut->setCancelHook(
+      [job](const std::string& reason) { job->cancel(reason); });
+  return {fut, job};
 }
 
-/// Rethrow a worker-side failure so the process error message carries the
-/// block name and the error keeps its class (a TypeError from the ring
-/// stays a TypeError; a deadline trip stays a TimeoutError).
-[[noreturn]] void failBlock(const char* blockName, ErrorClass errorClass,
-                            const std::string& message) {
-  throwAsClass(errorClass,
-               std::string(blockName) + " failed: " +
-                   stripClassPrefix(errorClass, message));
-}
+using StartFn = Launched (*)(Process&, const Context&, bool);
+constexpr char kParallelMapName[] = "parallel map";
+constexpr char kMapReduceName[] = "mapReduce";
 
-/// Move `job` onto the sequential fallback path (substrate unusable) and
-/// account for the downgrade.
-void degradeMapJob(MapJob& job) {
-  job.parallel.reset();
-  workers::substrateStats().bump(&workers::SubstrateStats::downgrades);
-}
-
-// ---------------------------------------------------------------------------
-// reportParallelMap — the paper's Listing 2, completion-driven.
-//
-// The Parallel handle is backed by the shared WorkerPool (chunk tasks in
-// a TaskGroup instead of per-op threads). Where Listing 2 re-polls
-// `operation._resolved` from the scheduler's yield loop, this handler
-// parks the process on the operation's completion callback: map() returns
-// immediately after submission, the process consumes zero frames while
-// the workers run, and the worker that finishes the last chunk wakes it.
-// A map whose known cost is below the grain crossover (workers/grain.hpp)
-// is drained inside map() instead; the park's wake then fires as it is
-// registered, and the scheduler resumes the process in the same frame.
-//
-// Degradation: a transient substrate failure — at construction (the
-// transfer fault), at launch (pool refused), after the run (retries
-// exhausted, clone-out fault) — collapses the block to the sequential
-// fallback, which maps kFallbackSliceItems per slice across yields so the
-// scheduler stays live (the fallback runs *on* the process, so it slices
-// cooperatively instead of parking). The fallback path has no fault
-// points, so every chaos scenario converges.
-// ---------------------------------------------------------------------------
-void parallelMapHandler(Process& p, Context& c) {
-  // First invocation: all three declared inputs are evaluated; build the
-  // function, create the Parallel job, stash it, and yield.
-  if (!c.state) {
-    const RingPtr& ring = c.inputs[0].asRing();
-    const ListPtr& list = c.inputs[1].asList();
-    // body = 'return ' + expression.mappedCode(); — here: compile the
-    // ring into a thread-safe pure function (tiered: a hot ring swaps in
-    // its native kernel, and its batch entry serves whole chunks).
-    auto job = std::make_shared<MapJob>();
-    TieredUnary tiered = tieredUnary(ring, p.registry());
-    const workers::ParallelOptions options =
-        parallelMapOptions(p, c, tiered, list);
-    job->fn = tiered.fn;
-    job->source = list;
-    try {
-      job->parallel = std::make_shared<workers::Parallel>(list, options);
-      job->parallel->map(job->fn, tiered.batch);
-    } catch (const SubstrateError&) {
-      // Clone-in refused (transfer fault): fall back before launch.
-      degradeMapJob(*job);
-    }
-    c.state = job;
-    if (job->parallel) {
-      // Where Listing 2 pushed a yield context and re-polled, park: the
-      // handler frame stays on top and is re-entered when the finishing
-      // worker fires the wake (inline-immediately if already resolved).
-      job->parallel->onComplete(p.parkOnCompletion(c));
-    } else {
-      p.retryAfterYield(c);  // degraded before launch: cooperative slices
-    }
-    return;
-  }
-  // Re-entered after the wake (the operation is resolved) or on a
-  // fallback slice: return the resulting array.
-  auto job = std::static_pointer_cast<MapJob>(c.state);
-  if (job->parallel) {
-    if (job->parallel->failed()) {
-      const ErrorClass errorClass = job->parallel->errorClass();
-      if (errorClass != ErrorClass::Substrate) {
-        failBlock("parallel map", errorClass,
-                  job->parallel->errorMessage());
-      }
-      // Retries exhausted on the substrate: collapse and restart
-      // sequentially — the handler still owns the pristine input list.
-      degradeMapJob(*job);
-      p.retryAfterYield(c);
+/// Report `fut` from the handler frame `c`: its value once resolved; once
+/// failed, the original error (`blockName` null: the await) or the
+/// block's failure; while pending, a park on its settlement — the frame
+/// stays on top and is re-entered, settled, by the wake (inline when the
+/// future settles first).
+void settleOrPark(Process& p, Context& c, const blocks::FuturePtr& fut,
+                  const char* blockName) {
+  switch (fut->state()) {
+    case blocks::Future::State::Resolved:
+      p.returnValue(fut->value());
       return;
+    case blocks::Future::State::Failed: {
+      // Either way the error keeps its class: a TypeError from the mapped
+      // ring stays a TypeError, a deadline trip stays a TimeoutError.
+      if (!blockName) std::rethrow_exception(fut->error());
+      const ErrorClass errorClass = fut->errorClass();
+      const std::string message =
+          exceptionMessage(fut->error(), "unknown error");
+      throwAsClass(errorClass, std::string(blockName) + " failed: " +
+                                   stripClassPrefix(errorClass, message));
     }
-    try {
-      p.returnValue(Value(List::make(job->parallel->takeData())));
-    } catch (const SubstrateError&) {
-      // Clone-out refused (transfer fault) on an otherwise clean run.
-      degradeMapJob(*job);
-      p.retryAfterYield(c);
-    }
+    case blocks::Future::State::Pending:
+      fut->onSettle(p.parkOnCompletion(c));
+      return;
+  }
+}
+
+/// A report block's frame state. The frame joins its operation when it
+/// dies: a process stopped or failed while parked cancels the operation
+/// and waits for it to settle, so no pool work outlives the process (or
+/// the tenant stats it charges). Holding the operation also frees it
+/// here, on the process's thread: freeing a large mapReduce pipeline on
+/// the pool worker that settled it measured slower (EXPERIMENTS.md, "One
+/// path per parallel block").
+struct Report {
+  explicit Report(Launched op) : launched(std::move(op)) {}
+  Report(const Report&) = delete;
+  Report& operator=(const Report&) = delete;
+  ~Report() {
+    const blocks::FuturePtr& fut = launched.future;
+    if (fut->settled()) return;
+    fut->cancel("owning process ended");
+    workers::CompletionLatch settled;
+    fut->onSettle([&settled] { settled.settle(); });
+    settled.wait();
+  }
+
+  Launched launched;
+};
+
+/// parallelMap / mapReduce as report blocks: the launch, with
+/// degradation, plus a park. A build error propagates as raised; a failed
+/// operation fails the process as `blockName failed: …`, class kept.
+template <StartFn start, const char* blockName>
+void reportBlock(Process& p, Context& c) {
+  if (!c.state) c.state = std::make_shared<Report>(start(p, c, true));
+  settleOrPark(p, c, std::static_pointer_cast<Report>(c.state)->launched.future,
+               blockName);
+}
+
+/// The launch twins: the future, reported at once while the script keeps
+/// computing. They never degrade and never throw: every failure, a build
+/// error included, settles the future typed and surfaces at the await.
+/// The process adopts the future, so terminating or failing the process
+/// cancels the operation through the future's cancel hook.
+template <StartFn start>
+void launchBlock(Process& p, Context& c) {
+  blocks::FuturePtr fut;
+  try {
+    fut = start(p, c, false).future;
+  } catch (...) {
+    fut = blocks::Future::make();
+    fut->reject(std::current_exception());
+  }
+  p.adoptFuture(fut);
+  p.returnValue(Value(fut));
+}
+
+/// await: the identity on plain values (scripts can be written
+/// launch-agnostically), else the future's settlement.
+void awaitHandler(Process& p, Context& c) {
+  const Value& input = c.inputs[0];
+  if (!input.isFuture()) {
+    p.returnValue(input);
     return;
   }
-  // Sequential fallback: one cooperative slice of the list per frame.
-  // User-script errors from fn propagate as usual (they are
-  // deterministic — the parallel path would have hit them too).
-  const size_t n = job->source->length();
-  const size_t end = std::min(n, job->next + kFallbackSliceItems);
-  job->out.reserve(n);
-  for (; job->next < end; ++job->next) {
-    job->out.push_back(job->fn(job->source->item(job->next + 1)));
-  }
-  if (job->next < n) {
-    p.retryAfterYield(c);
-    return;
-  }
-  p.returnValue(Value(List::make(std::move(job->out))));
+  settleOrPark(p, c, input.asFuture(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -330,150 +390,15 @@ void parallelForEachHandler(Process& p, Context& c) {
   p.finishCommand();
 }
 
-// ---------------------------------------------------------------------------
-// reportMapReduce — Fig. 11/13. The Job is a completion-chained pipeline
-// on the shared pool (map+shuffle stage → sort+reduce stage → merge, each
-// stage launched by its predecessor's completion callback); the handler
-// parks on the job's completion instead of polling it per frame. The
-// engine owns its degradation (sequential rerun on transient substrate
-// failure, inline drain if the pool refuses a stage), so the handler only
-// relays the typed failure. A job below the grain crossover settles inside
-// its constructor, and the park's wake fires as it is registered.
-// ---------------------------------------------------------------------------
-void mapReduceHandler(Process& p, Context& c) {
-  if (!c.state) {
-    const RingPtr& mapRing = c.inputs[0].asRing();
-    const RingPtr& reduceRing = c.inputs[1].asRing();
-    const ListPtr& list = c.inputs[2].asList();
-    TieredUnary tiered = tieredUnary(mapRing, p.registry());
-    TieredReduce reduce = tieredReduce(reduceRing, p.registry());
-    auto job = std::make_shared<mr::Job>(
-        list, tiered.fn, reduce.fn,
-        mapReduceOptions(p, tiered, reduce, list));
-    c.state = job;
-    job->onComplete(p.parkOnCompletion(c));
-    return;
-  }
-  // Re-entered after the wake: the pipeline is settled.
-  auto job = std::static_pointer_cast<mr::Job>(c.state);
-  if (job->failed()) {
-    failBlock("mapReduce", job->errorClass(), job->errorMessage());
-  }
-  p.returnValue(Value(job->result()));
-}
-
-// ---------------------------------------------------------------------------
-// launchParallelMap / launchMapReduce / reportAwait — the completion model
-// made first-class. A launch block builds the substrate operation, wires
-// its completion callback to resolve/reject a Future, and returns the
-// future *immediately*: the script keeps computing while the workers run.
-// `await` joins: identity on plain values, the resolved value on a
-// resolved future, a rethrow of the original typed error on a failed one,
-// and a park on the future's settlement when still pending.
-//
-// Launch blocks never throw and never degrade: any failure — purity of
-// the ring, a refused pool launch, retries exhausted, a cancelled owner —
-// settles the future with its typed error and surfaces at the join. The
-// owning process adopts the future, so terminating or failing the process
-// cancels the in-flight operation through the future's cancel hook.
-// ---------------------------------------------------------------------------
-void launchParallelMapHandler(Process& p, Context& c) {
-  auto fut = blocks::Future::make();
-  try {
-    const RingPtr& ring = c.inputs[0].asRing();
-    const ListPtr& list = c.inputs[1].asList();
-    TieredUnary tiered = tieredUnary(ring, p.registry());
-    workers::ParallelOptions options = parallelMapOptions(p, c, tiered, list);
-    // No sequential fallback behind a future: the caller chose deferred
-    // observation, so failures stay typed and surface at the await.
-    options.allowDegrade = false;
-    auto parallel = std::make_shared<workers::Parallel>(list, options);
-    parallel->map(tiered.fn, tiered.batch);
-    // The fulfillment callback runs on the worker that finishes the last
-    // chunk. It owns the Parallel (the closure keeps it alive until the
-    // settle) and charges clone-out/cancellation accounting to the
-    // launching tenant's stats scope, not the worker's.
-    workers::SubstrateStats* stats = &workers::substrateStats();
-    parallel->onComplete([parallel, fut, stats]() {
-      workers::StatsScope scope(*stats);
-      try {
-        fut->resolve(Value(List::make(parallel->takeData())));
-      } catch (...) {
-        fut->reject(std::current_exception());
-      }
-    });
-    fut->setCancelHook([parallel](const std::string& reason) {
-      parallel->cancel(reason);
-    });
-  } catch (...) {
-    fut->reject(std::current_exception());
-  }
-  p.adoptFuture(fut);
-  p.returnValue(Value(fut));
-}
-
-void launchMapReduceHandler(Process& p, Context& c) {
-  auto fut = blocks::Future::make();
-  try {
-    const RingPtr& mapRing = c.inputs[0].asRing();
-    const RingPtr& reduceRing = c.inputs[1].asRing();
-    const ListPtr& list = c.inputs[2].asList();
-    TieredUnary tiered = tieredUnary(mapRing, p.registry());
-    TieredReduce reduce = tieredReduce(reduceRing, p.registry());
-    mr::Options options = mapReduceOptions(p, tiered, reduce, list);
-    options.allowDegrade = false;  // typed failures surface at the await
-    auto job = std::make_shared<mr::Job>(list, tiered.fn, reduce.fn, options);
-    workers::SubstrateStats* stats = &workers::substrateStats();
-    job->onComplete([job, fut, stats]() {
-      workers::StatsScope scope(*stats);
-      if (job->failed()) {
-        fut->reject(job->error());
-      } else {
-        fut->resolve(Value(job->result()));
-      }
-    });
-    fut->setCancelHook(
-        [job](const std::string& reason) { job->cancel(reason); });
-  } catch (...) {
-    fut->reject(std::current_exception());
-  }
-  p.adoptFuture(fut);
-  p.returnValue(Value(fut));
-}
-
-void awaitHandler(Process& p, Context& c) {
-  const Value& input = c.inputs[0];
-  if (!input.isFuture()) {
-    // The paper's blocks report plain values; awaiting one is the
-    // identity, so scripts can be written launch-agnostically.
-    p.returnValue(input);
-    return;
-  }
-  const blocks::FuturePtr& fut = input.asFuture();
-  switch (fut->state()) {
-    case blocks::Future::State::Resolved:
-      p.returnValue(fut->value());
-      return;
-    case blocks::Future::State::Failed:
-      // Rethrow the original exception: a TypeError from the mapped ring
-      // is a TypeError at the join; a deadline trip is a TimeoutError.
-      std::rethrow_exception(fut->error());
-    case blocks::Future::State::Pending:
-      // Park on the settlement; the handler frame stays on top and is
-      // re-entered (now settled) when the completion fires the wake.
-      fut->onSettle(p.parkOnCompletion(c));
-      return;
-  }
-}
-
 }  // namespace
 
 void registerParallelPrimitives(vm::PrimitiveTable& table) {
-  table.add("reportParallelMap", parallelMapHandler);
+  table.add("reportParallelMap",
+            reportBlock<startParallelMap, kParallelMapName>);
   table.add("doParallelForEach", parallelForEachHandler);
-  table.add("reportMapReduce", mapReduceHandler);
-  table.add("launchParallelMap", launchParallelMapHandler);
-  table.add("launchMapReduce", launchMapReduceHandler);
+  table.add("reportMapReduce", reportBlock<startMapReduce, kMapReduceName>);
+  table.add("launchParallelMap", launchBlock<startParallelMap>);
+  table.add("launchMapReduce", launchBlock<startMapReduce>);
   table.add("reportAwait", awaitHandler);
   // The per-clone chunk driver shares doForEach's iteration logic.
   const vm::Handler* forEach = table.find("doForEach");

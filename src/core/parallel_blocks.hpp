@@ -19,14 +19,17 @@
 //     script keeps computing) and `await` joins it, parking only if the
 //     operation is still in flight.
 //
-// Fault model (DESIGN.md, "Fault model"): these handlers are the
+// Each operation is built once: the report block is its launch block
+// plus a park on the same Future (DESIGN.md, "Completion model").
+//
+// Fault model (DESIGN.md, "Fault model"): the report blocks are the
 // outermost rung of the degradation ladder. When the worker substrate
 // fails transiently — launch refused, transfer fault, chunk retries
-// exhausted — the blocks complete the script's work anyway by collapsing
-// to a sequential path that runs in slices across yields (the C++
-// realisation of the paper's collapsed "in parallel" slot). User-script
-// errors and deadline/cancellation trips never degrade; they fail the
-// process with their error class preserved in the message.
+// exhausted — they complete the script's work anyway on a sequential
+// path (the C++ realisation of the paper's collapsed "in parallel"
+// slot); the launch blocks settle their future typed instead.
+// User-script errors and deadline/cancellation trips never degrade; they
+// fail the process with their error class preserved in the message.
 #pragma once
 
 #include "vm/process.hpp"

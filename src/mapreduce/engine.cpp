@@ -516,7 +516,7 @@ ListPtr run(const ListPtr& input, const MapFn& mapFn,
 // --- Job: the completion-chained pipeline -----------------------------------
 
 struct Job::Pipeline {
-  ListPtr input;
+  ListPtr input;  // a snapshot of the caller's list
   MapFn mapFn;
   ReduceFn reduceFn;
   Options options;
@@ -532,7 +532,6 @@ struct Job::Pipeline {
 Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
     : pipe_(std::make_unique<Pipeline>()) {
   Pipeline& p = *pipe_;
-  p.input = std::move(input);
   p.mapFn = std::move(mapFn);
   p.reduceFn = std::move(reduceFn);
   p.options = std::move(options);
@@ -544,8 +543,14 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
                ? CancelToken::withDeadline(p.options.deadlineSeconds,
                                            p.options.cancel)
                : CancelToken::create(p.options.cancel);
-  if (!p.input) {
-    settleError(std::make_exception_ptr(Error("mapReduce: null input list")));
+  try {
+    // The stages read a snapshot, so a caller that mutates its list while
+    // the job runs never reaches the workers. O(1) for flat and mapped
+    // lists; a ring or a future in the list settles a PurityError.
+    if (!input) throw Error("mapReduce: null input list");
+    p.input = input->snapshotClone();
+  } catch (...) {
+    settleError(std::current_exception());
     return;
   }
   const size_t n = p.input->length();
@@ -770,14 +775,6 @@ void Job::failOrDegrade(std::exception_ptr error) {
 
 void Job::settleError(std::exception_ptr error) {
   errorPtr_ = error;
-  errorClass_ = classifyError(error);
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    error_ = e.what();
-  } catch (...) {
-    error_ = "unknown mapReduce error";
-  }
   failed_.store(true, std::memory_order_release);
   latch_.settle();
 }

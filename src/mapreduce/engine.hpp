@@ -160,6 +160,11 @@ ReduceFn identityReduce();
 /// reduce is independent of grouping, so the output does not depend on
 /// the shard count (the ordering argument is in DESIGN.md).
 ///
+/// The constructor takes a snapshotClone() of the input (O(1) for flat
+/// and mapped lists), and every stage reads that snapshot: a caller that
+/// mutates its list while the job runs changes nothing the job sees. An
+/// input holding a ring or a future settles the job with PurityError.
+///
 /// The block primitive registers onComplete() and parks; the callback
 /// fires exactly once, from the worker that settles the pipeline (or
 /// immediately on the registering thread if already settled).
@@ -196,9 +201,11 @@ class Job {
 
   // The accessors below are meaningful once settled.
   bool failed() const { return failed_.load(std::memory_order_acquire); }
-  const std::string& errorMessage() const { return error_; }
+  std::string errorMessage() const {
+    return exceptionMessage(errorPtr_, "unknown mapReduce error");
+  }
   /// The failure's class tag (None while clean).
-  ErrorClass errorClass() const { return errorClass_; }
+  ErrorClass errorClass() const { return classifyError(errorPtr_); }
   /// The original exception (null while clean).
   const std::exception_ptr& error() const { return errorPtr_; }
   /// Did the pipeline complete through a sequential fallback (an inline
@@ -250,8 +257,6 @@ class Job {
   workers::CompletionLatch latch_;
   CancelTokenPtr token_;  // always non-null: the job's cancel() handle
   std::atomic<bool> failed_{false};
-  std::string error_;
-  ErrorClass errorClass_ = ErrorClass::None;
   std::exception_ptr errorPtr_;
   blocks::ListPtr result_;
   Stats stats_;

@@ -431,13 +431,7 @@ void SessionServer::contain(Session& session,
                             const std::exception_ptr& error) {
   session.endState = SessionState::Failed;
   session.errorClass = classifyError(error);
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    session.error = e.what();
-  } catch (...) {
-    session.error = "unknown error";
-  }
+  session.error = exceptionMessage(error, "unknown error");
   session.outputOk = false;
   // First trip wins: a watchdog/deadline reason already on the root is
   // kept; otherwise in-flight pool work learns why it is unwinding.

@@ -33,6 +33,18 @@ ErrorClass classifyError(const std::exception_ptr& error) {
   }
 }
 
+std::string exceptionMessage(const std::exception_ptr& error,
+                             const char* fallback) {
+  if (!error) return {};
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return fallback;
+  }
+}
+
 const char* errorClassName(ErrorClass errorClass) {
   switch (errorClass) {
     case ErrorClass::None:      return "None";

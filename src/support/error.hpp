@@ -140,6 +140,11 @@ enum class ErrorClass : uint8_t {
 /// Classify a captured exception. Null maps to ErrorClass::None.
 ErrorClass classifyError(const std::exception_ptr& error);
 
+/// The message of a captured exception: its what(), `fallback` when it is
+/// not a std::exception, or empty when `error` is null.
+std::string exceptionMessage(const std::exception_ptr& error,
+                             const char* fallback);
+
 /// Human-readable class name ("TypeError", "SubstrateError", …).
 const char* errorClassName(ErrorClass errorClass);
 

@@ -136,7 +136,17 @@ void Process::unpark() {
 }
 
 void Process::adoptFuture(const std::shared_ptr<blocks::Future>& future) {
-  if (future) ownedFutures_.push_back(future);
+  // A settled future needs no cancelling, and its weak entry would keep
+  // its storage allocated. Prune when the list is full, then leave room
+  // for as many adoptions as survived: amortized O(1) per launch.
+  if (ownedFutures_.size() == ownedFutures_.capacity()) {
+    std::erase_if(ownedFutures_, [](const auto& weak) {
+      const auto owned = weak.lock();
+      return !owned || owned->settled();
+    });
+    ownedFutures_.reserve(2 * ownedFutures_.size());
+  }
+  ownedFutures_.push_back(future);
 }
 
 void Process::cancelOwnedFutures(const std::string& reason) {

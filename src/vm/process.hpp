@@ -217,8 +217,9 @@ class Process {
   void finishCommand();
   /// Keep the current frame, schedule a yield, and re-invoke the handler
   /// next slice (the Listing 2 polling idiom — retained for cooperative
-  /// compute such as the sequential fallback slices, NOT for completion
-  /// polling; async handlers park with parkOnCompletion instead).
+  /// compute such as the parallel forEach's sequential mode, NOT for
+  /// completion polling; async handlers park with parkOnCompletion
+  /// instead).
   void retryAfterYield(Context& ctx);
 
   /// Park the process: keep the current frame (the handler is re-invoked
@@ -274,6 +275,8 @@ class Process {
   /// owning process (terminate or failure) cancels every still-pending
   /// adopted future, propagating into the underlying operation.
   void adoptFuture(const std::shared_ptr<blocks::Future>& future);
+  /// Adopted futures still tracked (test hook).
+  size_t ownedFutureCount() const { return ownedFutures_.size(); }
 
   /// say/think output log (always appended, also forwarded to the sprite).
   std::vector<std::string>& sayLog() { return sayLog_; }

@@ -53,14 +53,6 @@ void Parallel::recordError(std::exception_ptr error) {
     std::lock_guard<std::mutex> lock(errorMutex_);
     if (!failedFlag_.load(std::memory_order_relaxed)) {
       errorPtr_ = error;
-      errorClass_ = classifyError(error);
-      try {
-        std::rethrow_exception(error);
-      } catch (const std::exception& e) {
-        error_ = e.what();
-      } catch (...) {
-        error_ = "unknown worker error";
-      }
       failedFlag_.store(true, std::memory_order_release);
     }
   }
@@ -308,8 +300,7 @@ const std::vector<Value>& Parallel::data() {
   if (failedFlag_.load()) {
     // Surface the original exception type (a TypeError stays a
     // TypeError), not a flattened base-class copy of its message.
-    if (errorPtr_) std::rethrow_exception(errorPtr_);
-    throw Error("parallel operation failed: " + error_);
+    std::rethrow_exception(errorPtr_);
   }
   return data_;
 }

@@ -50,13 +50,14 @@
 //      pool-saturation fault fires), the chunk tasks are drained
 //      synchronously on the caller instead — the op completes on the
 //      sequential rung and records the downgrade. A substrate error that
-//      survives retries fails the op with errorClass() == Substrate; the
-//      call sites that still own the original input (the parallelMap
-//      handler, mr::Job) read that tag and re-run their sequential path
-//      (the C++ realisation of collapsing the paper's "in parallel"
-//      slot). Keeping the rerun at the owner avoids a pristine snapshot
-//      of the input on every launch. User-script errors (TypeError, …)
-//      never retry or degrade — they surface with their original
+//      survives retries fails the op with errorClass() == Substrate, and
+//      a refused clone-in or clone-out throws SubstrateError; Parallel
+//      itself never reruns. The owner of the input does (the C++
+//      realisation of collapsing the paper's "in parallel" slot): the
+//      report parallelMap block maps its O(1) list snapshot once more
+//      with its own sequentialMap (core/parallel_blocks.cpp), and mr::Job
+//      reruns its pipeline sequentially. User-script errors (TypeError,
+//      …) never retry or degrade — they surface with their original
 //      exception type.
 // Deadlines ride the same machinery: deadlineSeconds arms a CancelToken
 // that chunk claims poll, and an expired deadline surfaces as a
@@ -222,8 +223,10 @@ class Parallel {
   /// True once resolved if the operation failed; errorMessage() holds the
   /// first error and errorClass() its type tag.
   bool failed() const;
-  const std::string& errorMessage() const { return error_; }
-  ErrorClass errorClass() const { return errorClass_; }
+  std::string errorMessage() const {
+    return exceptionMessage(errorPtr_, "unknown worker error");
+  }
+  ErrorClass errorClass() const { return classifyError(errorPtr_); }
 
   /// Did the operation complete through the sequential fallback?
   bool wasDegraded() const { return degraded_.load(); }
@@ -284,8 +287,6 @@ class Parallel {
   std::atomic<bool> launched_{false};
   std::atomic<bool> failedFlag_{false};
   std::atomic<bool> degraded_{false};
-  std::string error_;
-  ErrorClass errorClass_ = ErrorClass::None;
   std::exception_ptr errorPtr_;
   std::mutex errorMutex_;
   // onComplete registrations made before launch; attached to the group

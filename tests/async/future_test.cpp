@@ -238,6 +238,35 @@ TEST_F(AsyncBlocksTest, TerminatingTheOwnerCancelsItsFutures) {
   EXPECT_TRUE(isSubstrateClass(fut->errorClass()));
 }
 
+TEST_F(AsyncBlocksTest, LaunchAwaitLoopKeepsOwnedFuturesBounded) {
+  // One process launches and awaits 10,000 times. A settled future needs
+  // no cancelling, so the process must not keep an entry (and with it
+  // the future's storage) for each launch it ever made.
+  ThreadManager tm(&BlockRegistry::standard(), &prims_);
+  auto env = Environment::make();
+  env->declare("f", Value());
+  env->declare("done", Value());
+  auto handle = tm.spawnScript(
+      scriptOf({repeat(10000,
+                       scriptOf({setVar("f", launchParallelMap(
+                                                 ring(sum(empty(), 1)),
+                                                 listOf({1, 2}), 2)),
+                                 setVar("f", awaitValue(getVar("f")))})),
+                setVar("done", 1),
+                // Stay alive so the process can still be inspected.
+                forever(scriptOf({changeVar("done", 0)}))}),
+      env);
+  for (int i = 0; i < 50'000'000 && env->get("done").isNothing(); ++i) {
+    tm.runFrame();
+  }
+  ASSERT_FALSE(env->get("done").isNothing());
+  ASSERT_FALSE(handle.status->done) << handle.status->error;
+  EXPECT_EQ(env->get("f").asList()->display(), "[2, 3]");
+  EXPECT_LE(handle.process->ownedFutureCount(), 16u);
+  tm.stopAll();
+  tm.runUntilIdle();
+}
+
 // --- parked frame accounting and attribution --------------------------------
 
 TEST_F(AsyncBlocksTest, ParkedAwaitConsumesZeroFrames) {

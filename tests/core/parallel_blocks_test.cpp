@@ -4,9 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "blocks/builder.hpp"
+#include "blocks/future.hpp"
 #include "sched/thread_manager.hpp"
 #include "support/error.hpp"
+#include "support/fault.hpp"
+#include "workers/stats.hpp"
 
 namespace psnap::core {
 namespace {
@@ -241,6 +249,230 @@ TEST_F(ParallelBlocksTest, MaxWorkersReflectsSchedulerSetting) {
   tm.setMaxWorkers(7);
   Value v = tm.evaluate(maxWorkers(), Environment::make());
   EXPECT_EQ(v.asNumber(), 7);
+}
+
+// --- degrade and error contract ---------------------------------------------
+//
+// Under an injected substrate fault a report block still reports the exact
+// result and records one downgrade, while its launch twin settles its
+// future Failed with the substrate class, surfaced at the await. A report
+// failure names its block and keeps its class; an error raised while the
+// block builds its operation propagates as raised. The native tier is off
+// in every run, so the interpreted rings carry no grain cost and each
+// operation goes to the pool. scripts/check.sh --chaos runs this suite
+// under asan and tsan.
+
+/// Arm `point` to fire on every evaluation.
+fault::Config everyTime(fault::Point point) {
+  fault::Config config;
+  config.rateNumerator = 1;
+  config.rateDenominator = 1;
+  config.pointMask = fault::maskOf(point);
+  return config;
+}
+
+/// TransferFailure armed so that the clone-in draw passes and the
+/// clone-out draw fires: at seed 16 and rate 1/2 the point's first draw
+/// passes and its second fires.
+fault::Config cloneOutOnly() {
+  fault::Config config = everyTime(fault::Point::TransferFailure);
+  config.seed = 16;
+  config.rateDenominator = 2;
+  return config;
+}
+
+/// One script run: its status, the scheduler's error log, the downgrades
+/// it recorded, and its variables.
+struct Outcome {
+  std::shared_ptr<const vm::ProcessStatus> status;
+  std::vector<ThreadManager::RecordedError> errors;
+  uint64_t downgrades = 0;
+  EnvPtr env;
+};
+
+class ChaosBlocks : public ::testing::Test {
+ protected:
+  ChaosBlocks() : prims_(fullPrimitiveTable()) {}
+
+  /// Run `script` as one process with the native tier off, under a
+  /// local stats scope, with the variables `f` and `r` declared.
+  Outcome run(blocks::ScriptPtr script) {
+    workers::SubstrateStats stats;
+    workers::StatsScope scope(stats);
+    ThreadManager tm(&BlockRegistry::standard(), &prims_);
+    tm.setNativeTier(false);
+    auto env = Environment::make();
+    env->declare("f", Value());
+    env->declare("r", Value());
+    auto handle = tm.spawnScript(std::move(script), env);
+    tm.runUntilIdle();
+    return {handle.status, tm.recordedErrors(),
+            stats.downgrades.load(std::memory_order_relaxed), env};
+  }
+
+  /// Report `block` into `r`.
+  Outcome report(blocks::BlockPtr block) {
+    return run(scriptOf({setVar("r", std::move(block))}));
+  }
+
+  /// Launch `block` into `f`, then await it into `r`.
+  Outcome launchAndAwait(blocks::BlockPtr block) {
+    return run(scriptOf(
+        {setVar("f", std::move(block)), setVar("r", awaitValue(getVar("f")))}));
+  }
+
+  vm::PrimitiveTable prims_;
+};
+
+constexpr int kItems = 300;
+
+blocks::BlockPtr timesTenMap() {
+  return parallelMap(ring(product(empty(), 10)), numbersFromTo(1, kItems), 4);
+}
+
+blocks::BlockPtr timesTenLaunch() {
+  return launchParallelMap(ring(product(empty(), 10)),
+                           numbersFromTo(1, kItems), 4);
+}
+
+/// Pairs keyed by the item's residue mod 3, summed per key; 300 items
+/// give the pipeline four shards.
+const char* const kResidueSums = "[[0, 15150], [1, 14950], [2, 15050]]";
+
+blocks::BlockPtr residueSums(bool launch) {
+  auto mapper = ring(listOf({In(modulus(empty(), 3)), In(empty())}));
+  auto reducer = ring(combineUsing(empty(), ring(sum(empty(), empty()))));
+  return launch ? launchMapReduce(mapper, reducer, numbersFromTo(1, kItems))
+                : mapReduce(mapper, reducer, numbersFromTo(1, kItems));
+}
+
+void expectTimesTen(const Value& v) {
+  ASSERT_TRUE(v.isList());
+  ASSERT_EQ(v.asList()->length(), size_t(kItems));
+  for (size_t i = 1; i <= size_t(kItems); ++i) {
+    ASSERT_EQ(v.asList()->item(i).asNumber(), 10.0 * double(i)) << i;
+  }
+}
+
+void expectDegradedExact(const Outcome& out) {
+  ASSERT_FALSE(out.status->errored) << out.status->error;
+  expectTimesTen(out.env->get("r"));
+  EXPECT_EQ(out.downgrades, 1u);
+}
+
+void expectSubstrateAtAwait(const Outcome& out) {
+  ASSERT_TRUE(out.status->errored);
+  ASSERT_FALSE(out.errors.empty());
+  EXPECT_EQ(out.errors.front().errorClass, ErrorClass::Substrate)
+      << out.errors.front().message;
+  ASSERT_TRUE(out.env->get("f").isFuture());
+  EXPECT_EQ(out.env->get("f").asFuture()->state(),
+            blocks::Future::State::Failed);
+  EXPECT_EQ(out.env->get("f").asFuture()->errorClass(), ErrorClass::Substrate);
+}
+
+TEST_F(ChaosBlocks, ReportParallelMapDegradesWhenRetriesAreUsedUp) {
+  fault::ScopedFault armed(everyTime(fault::Point::TaskThrow));
+  expectDegradedExact(report(timesTenMap()));
+}
+
+TEST_F(ChaosBlocks, ReportParallelMapDegradesOnCloneInFailure) {
+  fault::ScopedFault armed(everyTime(fault::Point::TransferFailure));
+  expectDegradedExact(report(timesTenMap()));
+}
+
+TEST_F(ChaosBlocks, ReportParallelMapDegradesOnCloneOutFailure) {
+  fault::ScopedFault armed(cloneOutOnly());
+  expectDegradedExact(report(timesTenMap()));
+  EXPECT_EQ(fault::evaluatedCount(fault::Point::TransferFailure), 2u);
+  EXPECT_EQ(fault::firedCount(fault::Point::TransferFailure), 1u);
+}
+
+TEST_F(ChaosBlocks, ReportParallelMapDegradesOnPoolSaturation) {
+  fault::ScopedFault armed(everyTime(fault::Point::PoolSaturation));
+  expectDegradedExact(report(timesTenMap()));
+}
+
+TEST_F(ChaosBlocks, ReportMapReduceRerunsWhenRetriesAreUsedUp) {
+  fault::ScopedFault armed(everyTime(fault::Point::TaskThrow));
+  Outcome out = report(residueSums(false));
+  ASSERT_FALSE(out.status->errored) << out.status->error;
+  EXPECT_EQ(out.env->get("r").asList()->display(), kResidueSums);
+}
+
+TEST_F(ChaosBlocks, ReportMapReduceDrainsOnPoolSaturation) {
+  fault::ScopedFault armed(everyTime(fault::Point::PoolSaturation));
+  Outcome out = report(residueSums(false));
+  ASSERT_FALSE(out.status->errored) << out.status->error;
+  EXPECT_EQ(out.env->get("r").asList()->display(), kResidueSums);
+}
+
+TEST_F(ChaosBlocks, LaunchParallelMapFailsTypedWhenRetriesAreUsedUp) {
+  fault::ScopedFault armed(everyTime(fault::Point::TaskThrow));
+  expectSubstrateAtAwait(launchAndAwait(timesTenLaunch()));
+}
+
+TEST_F(ChaosBlocks, LaunchParallelMapFailsTypedOnCloneInFailure) {
+  fault::ScopedFault armed(everyTime(fault::Point::TransferFailure));
+  expectSubstrateAtAwait(launchAndAwait(timesTenLaunch()));
+}
+
+TEST_F(ChaosBlocks, LaunchParallelMapFailsTypedOnCloneOutFailure) {
+  fault::ScopedFault armed(cloneOutOnly());
+  expectSubstrateAtAwait(launchAndAwait(timesTenLaunch()));
+  EXPECT_EQ(fault::firedCount(fault::Point::TransferFailure), 1u);
+}
+
+TEST_F(ChaosBlocks, LaunchParallelMapFailsTypedOnPoolSaturation) {
+  fault::ScopedFault armed(everyTime(fault::Point::PoolSaturation));
+  expectSubstrateAtAwait(launchAndAwait(timesTenLaunch()));
+}
+
+TEST_F(ChaosBlocks, LaunchMapReduceFailsTypedWhenRetriesAreUsedUp) {
+  fault::ScopedFault armed(everyTime(fault::Point::TaskThrow));
+  expectSubstrateAtAwait(launchAndAwait(residueSums(true)));
+}
+
+TEST_F(ChaosBlocks, LaunchMapReduceFailsTypedOnPoolSaturation) {
+  fault::ScopedFault armed(everyTime(fault::Point::PoolSaturation));
+  expectSubstrateAtAwait(launchAndAwait(residueSums(true)));
+}
+
+TEST_F(ChaosBlocks, ReportFailureNamesTheBlockAndKeepsItsClass) {
+  // `item 5 of (item)` over [[1]]: an IndexError raised on a worker.
+  auto badRing = [] { return ring(itemOf(In(5.0), empty())); };
+  const std::pair<blocks::BlockPtr, std::string> cases[] = {
+      {parallelMap(badRing(), listOf({listOf({1})})), "parallel map failed: "},
+      {mapReduce(badRing(), ring(lengthOf(empty())), listOf({listOf({1})})),
+       "mapReduce failed: "},
+  };
+  for (const auto& [block, prefix] : cases) {
+    SCOPED_TRACE(prefix);
+    Outcome out = report(block);
+    ASSERT_TRUE(out.status->errored);
+    ASSERT_FALSE(out.errors.empty());
+    EXPECT_EQ(out.errors.front().errorClass, ErrorClass::Index);
+    EXPECT_NE(out.errors.front().message.find(prefix), std::string::npos)
+        << out.errors.front().message;
+  }
+}
+
+TEST_F(ChaosBlocks, ConstructionPurityErrorStaysUnprefixed) {
+  // An impure ring fails while the block compiles it, before any
+  // operation exists: the error reaches the script as raised.
+  auto impure = [] { return ring(In(blk("getTimer"))); };
+  const blocks::BlockPtr cases[] = {
+      parallelMap(impure(), listOf({1})),
+      mapReduce(impure(), ring(lengthOf(empty())), listOf({1})),
+  };
+  for (const auto& block : cases) {
+    Outcome out = report(block);
+    ASSERT_TRUE(out.status->errored);
+    ASSERT_FALSE(out.errors.empty());
+    EXPECT_EQ(out.errors.front().errorClass, ErrorClass::Purity);
+    EXPECT_EQ(out.errors.front().message.find("failed: "), std::string::npos)
+        << out.errors.front().message;
+  }
 }
 
 }  // namespace

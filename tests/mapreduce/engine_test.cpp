@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -11,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "blocks/builder.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 
@@ -272,6 +274,50 @@ TEST(MapReduceJob, AsyncErrorCapture) {
   job.wait();
   EXPECT_TRUE(job.failed());
   EXPECT_NE(job.errorMessage().find("nope"), std::string::npos);
+}
+
+TEST(MapReduceJob, InputMutatedAfterLaunchDoesNotLeak) {
+  // The job maps a snapshot of its input: a caller that rewrites the list
+  // while the map is in flight (a script mutating it while its mapReduce
+  // block is parked) changes nothing the job reads.
+  auto input = List::make();
+  for (int i = 1; i <= 10; ++i) input->add(Value(i));
+  const std::string reference =
+      run(input, constOne(), countValues(), {.sequential = true})->display();
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  MapFn blockOnFirst = [&](const Value& item) {
+    if (item.isNumber() && item.asNumber() == 1) {
+      entered.store(true);
+      for (int i = 0; i < 50000 && !release.load(); ++i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    return Value(1);
+  };
+  Job job(input, blockOnFirst, countValues(), {.workers = 2});
+  for (int i = 0; i < 50000 && !entered.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(entered.load());
+  input->replaceAt(8, Value("zzz"));
+  release.store(true);
+  job.wait();
+  ASSERT_FALSE(job.failed()) << job.errorMessage();
+  EXPECT_EQ(job.result()->display(), reference);
+}
+
+TEST(MapReduceJob, NonTransferableInputSettlesPurityError) {
+  // A ring cannot cross into the workers: the job settles typed, as a
+  // Parallel's clone-in does, and its constructor does not throw.
+  auto input = List::make();
+  input->add(Value(1));
+  input->add(Value(blocks::Ring::reporter(build::sum(1, 2))));
+  Job job(input, constOne(), countValues(), {.workers = 2});
+  job.wait();
+  ASSERT_TRUE(job.failed());
+  EXPECT_EQ(job.errorClass(), ErrorClass::Purity);
+  EXPECT_THROW(std::rethrow_exception(job.error()), PurityError);
 }
 
 }  // namespace
