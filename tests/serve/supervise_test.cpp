@@ -405,5 +405,51 @@ TEST_F(SuperviseTest, RecordsCarryCumulativeStatsAcrossRestart) {
   EXPECT_EQ(record.restarts, 1u);
 }
 
+TEST_F(SuperviseTest, RecordsCarrySubstrateCountsAcrossRestart) {
+  // The first life never ends: the frame-budget watchdog bumps its
+  // `timeouts` and trips it, and the TimeoutError makes it restartable.
+  // The revived life resumes into a short script that finishes inside
+  // the budget. The parked record carries the first life's counts; the
+  // final record adds the second life's to them.
+  using namespace psnap::build;
+  ServerConfig config = supervisedConfig();
+  config.frameBudget = 12;
+  SessionServer server(config);
+  SessionWorkload stubborn;
+  stubborn.label = "stubborn";
+  stubborn.start = [](sched::ThreadManager& tm) -> std::shared_ptr<void> {
+    tm.spawnScript(scriptOf({forever(scriptOf({busyWork(1)}))}),
+                   blocks::Environment::make());
+    return nullptr;
+  };
+  stubborn.capture = [](sched::ThreadManager&, const std::shared_ptr<void>&) {
+    project::Project project;
+    project.name = "stubborn";
+    return project;
+  };
+  stubborn.resume = [](sched::ThreadManager& tm,
+                       const project::Project&) -> std::shared_ptr<void> {
+    tm.spawnScript(scriptOf({repeat(4, scriptOf({busyWork(1)}))}),
+                   blocks::Environment::make());
+    return nullptr;
+  };
+  const uint64_t id = server.admit(stubborn);
+  while (server.pendingRestarts() == 0 && !server.quiet()) server.runFrame();
+  ASSERT_EQ(server.pendingRestarts(), 1u);
+  const SessionRecord parked = recordOf(server, id);
+  EXPECT_EQ(parked.state, SessionState::Active);
+  EXPECT_EQ(parked.timeouts, 1u);
+  EXPECT_EQ(parked.restarts, 1u);
+  EXPECT_GE(parked.checkpointsWritten, 1u);
+
+  server.runUntilQuiet(100000);
+  const SessionRecord record = recordOf(server, id);
+  EXPECT_EQ(record.state, SessionState::Completed) << record.error;
+  EXPECT_EQ(record.timeouts, parked.timeouts);
+  EXPECT_EQ(record.restarts, parked.restarts);
+  EXPECT_GE(record.checkpointsWritten, parked.checkpointsWritten);
+  EXPECT_GT(record.recoveredFrames, 0u);
+}
+
 }  // namespace
 }  // namespace psnap::serve
