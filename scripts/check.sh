@@ -27,7 +27,10 @@
 #   (GTEST_FILTER='ChaosBlocks.*' in test_core: report blocks converge
 #   exactly under each fault, launch twins fail typed) and the mapReduce
 #   Job's input-snapshot test (a list mutated while the job runs never
-#   reaches it). After the sweep, runs the mapReduce differential suite
+#   reaches it), and test_async three times in one process
+#   (--gtest_repeat=3: no async test may lean on process-wide state an
+#   earlier iteration left behind, such as a ring the native tier made
+#   hot). After the sweep, runs the mapReduce differential suite
 #   (GTEST_FILTER='*ShuffleDifferential*' in test_properties) once under
 #   asan: every engine path (pooled at each width, sequential, and
 #   degraded by a saturated pool) against an in-test reference shuffle.
@@ -73,7 +76,9 @@
 #   once per seed (same defaults as --chaos). The gate here is fault
 #   *isolation*: admission faults reject typed, a fault aimed at one
 #   tenant degrades or fails that tenant alone, and every other session
-#   completes with its exact output — race- and leak-free underneath.
+#   completes with its exact output — race- and leak-free underneath. A
+#   shed tenant's launched pool work is joined before its ledger is
+#   freed (ShedJoinsTheTenantsLaunchedPoolWork).
 #
 # Usage: scripts/check.sh --supervise [seed...]
 #   The recovery gate: builds the asan preset and sweeps the supervision
@@ -140,7 +145,7 @@ if [ "${1:-}" = "--chaos" ]; then
   for preset in asan tsan; do
     cmake --preset "${preset}"
     cmake --build --preset "${preset}" -j "${jobs}" \
-      --target test_workers test_core test_mapreduce
+      --target test_workers test_core test_mapreduce test_async
     for seed in "${seeds[@]}"; do
       echo "== chaos: ${preset}, seed ${seed} =="
       # Same leak-accounting stance as the asan ctest preset (see header).
@@ -153,6 +158,9 @@ if [ "${1:-}" = "--chaos" ]; then
       --gtest_filter='ChaosBlocks.*'
     ASAN_OPTIONS=detect_leaks=0 "build-${preset}/tests/test_mapreduce" \
       --gtest_filter='MapReduceJob.InputMutatedAfterLaunchDoesNotLeak'
+    echo "== chaos: ${preset}, async blocks three times in one process =="
+    ASAN_OPTIONS=detect_leaks=0 "build-${preset}/tests/test_async" \
+      --gtest_repeat=3
   done
   cmake --build --preset asan -j "${jobs}" --target test_properties
   echo "== chaos: asan, mapReduce differential =="

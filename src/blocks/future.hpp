@@ -23,6 +23,7 @@
 // whichever thread observes the settlement.
 #pragma once
 
+#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -57,6 +58,7 @@ class Future {
       state_ = State::Resolved;
       pending.swap(callbacks_);
       cancelHook_ = nullptr;  // break the hook's ownership cycle
+      settledCv_.notify_all();
     }
     for (auto& cb : pending) cb();
   }
@@ -72,6 +74,7 @@ class Future {
       state_ = State::Failed;
       pending.swap(callbacks_);
       cancelHook_ = nullptr;
+      settledCv_.notify_all();
     }
     for (auto& cb : pending) cb();
   }
@@ -127,6 +130,16 @@ class Future {
     if (hook) hook(reason);
   }
 
+  /// cancel(), then block until the future settles. An owner that is about
+  /// to free what the operation charges (a dying process, its tenant's
+  /// stats ledger, a report frame holding the operation) joins it here, so
+  /// no pool work outlives it.
+  void cancelAndJoin(const std::string& reason) {
+    cancel(reason);
+    std::unique_lock<std::mutex> lock(mutex_);
+    settledCv_.wait(lock, [this] { return state_ != State::Pending; });
+  }
+
   /// Watcher/say-bubble rendering.
   std::string display() const {
     switch (state()) {
@@ -139,6 +152,7 @@ class Future {
 
  private:
   mutable std::mutex mutex_;
+  std::condition_variable settledCv_;
   State state_ = State::Pending;
   Value value_;
   std::exception_ptr error_;

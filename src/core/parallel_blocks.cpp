@@ -11,7 +11,6 @@
 #include "mapreduce/engine.hpp"
 #include "support/error.hpp"
 #include "vm/host.hpp"
-#include "workers/completion.hpp"
 #include "workers/grain.hpp"
 #include "workers/parallel.hpp"
 #include "workers/stats.hpp"
@@ -231,14 +230,7 @@ struct Report {
   explicit Report(Launched op) : launched(std::move(op)) {}
   Report(const Report&) = delete;
   Report& operator=(const Report&) = delete;
-  ~Report() {
-    const blocks::FuturePtr& fut = launched.future;
-    if (fut->settled()) return;
-    fut->cancel("owning process ended");
-    workers::CompletionLatch settled;
-    fut->onSettle([&settled] { settled.settle(); });
-    settled.wait();
-  }
+  ~Report() { launched.future->cancelAndJoin("owning process ended"); }
 
   Launched launched;
 };

@@ -283,18 +283,26 @@ void ThreadManager::removeClone(SpriteApi* clone) {
 }
 
 void ThreadManager::recordError(const Process& process) {
-  if (errors_.size() >= kMaxRecordedErrors) {
+  if (recordedErrors_.size() >= kMaxRecordedErrors) {
     ++droppedErrors_;
     return;
   }
-  RecordedError record;
-  record.processId = process.id();
-  record.opcode = process.rootOpcode();
-  record.message = process.error();
-  record.errorClass = process.errorClass();
-  errors_.push_back("process " + std::to_string(record.processId) + " (" +
-                    record.opcode + "): " + record.message);
-  recordedErrors_.push_back(std::move(record));
+  recordedErrors_.push_back({process.id(), process.rootOpcode(),
+                             process.error(), process.errorClass()});
+}
+
+std::string ThreadManager::RecordedError::text() const {
+  return "process " + std::to_string(processId) + " (" + opcode +
+         "): " + message;
+}
+
+std::vector<std::string> ThreadManager::errors() const {
+  std::vector<std::string> texts;
+  texts.reserve(recordedErrors_.size());
+  for (const RecordedError& record : recordedErrors_) {
+    texts.push_back(record.text());
+  }
+  return texts;
 }
 
 ThreadManager::ErrorDrain ThreadManager::drainErrors() {
@@ -302,7 +310,6 @@ ThreadManager::ErrorDrain ThreadManager::drainErrors() {
   drain.entries = std::move(recordedErrors_);
   drain.dropped = droppedErrors_;
   recordedErrors_.clear();
-  errors_.clear();
   droppedErrors_ = 0;
   return drain;
 }

@@ -177,13 +177,15 @@ class ThreadManager : public vm::Host {
     std::string opcode;  ///< the process's root opcode
     std::string message;
     ErrorClass errorClass = ErrorClass::Generic;
+
+    /// "process <id> (<root opcode>): <message>"
+    std::string text() const;
   };
   static constexpr size_t kMaxRecordedErrors = 64;
 
-  /// Errors of processes that failed, in completion order, each prefixed
-  /// with "process <id> (<root opcode>): ". Capped like recordedErrors().
-  const std::vector<std::string>& errors() const { return errors_; }
-  /// The same failures in structured form.
+  /// The text() of every recorded failure, in completion order.
+  std::vector<std::string> errors() const;
+  /// The failures in structured form, capped at kMaxRecordedErrors.
   const std::vector<RecordedError>& recordedErrors() const {
     return recordedErrors_;
   }
@@ -261,7 +263,6 @@ class ThreadManager : public vm::Host {
   uint64_t frame_ = 0;
   double now_ = 0;
   double timerStart_ = 0;
-  std::vector<std::string> errors_;
   std::vector<RecordedError> recordedErrors_;
   size_t droppedErrors_ = 0;
   std::vector<std::string> finishedSayLog_;

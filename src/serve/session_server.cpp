@@ -39,41 +39,73 @@ SessionServer::SessionServer(ServerConfig config)
 SessionServer::~SessionServer() {
   // Trip every live tenant's root before the managers destruct, so any
   // in-flight pool work unwinds at its next checkpoint instead of being
-  // waited on to natural completion.
+  // waited on to natural completion. Settle any in-flight checkpoint
+  // write too (it holds the captured project by value, not the session).
+  // Each session's stats lease ends when the session is freed, parked
+  // ones included.
   for (auto& session : active_) {
-    session->root->cancel("server shutting down");
-    session->manager->stopAll();
-    // Settle any in-flight checkpoint write (it holds the captured
-    // project by value, not the session, but its counters land here) and
-    // end the stats lease so async work can no longer charge the freed
-    // scope.
-    if (session->pendingWrite) session->pendingWrite->group->wait();
-    workers::retireStatsScope(session->stats);
+    Life& life = *session->life;
+    life.root->cancel("server shutting down");
+    life.manager->stopAll();
+    if (life.pendingWrite) life.pendingWrite->group->wait();
   }
 }
 
-std::unique_ptr<SessionServer::Session> SessionServer::makeSession(
-    uint64_t id, SessionWorkload workload) {
-  auto session = std::make_unique<Session>();
-  session->id = id;
-  session->workload = std::move(workload);
-  session->admittedAtFrame = frame_;
-  session->root =
-      config_.sessionDeadlineSeconds > 0
-          ? CancelToken::withDeadline(config_.sessionDeadlineSeconds)
-          : CancelToken::create();
-  session->stats.setParent(&workers::processSubstrateStats());
-  session->manager =
+SessionServer::Session::Session(uint64_t id, SessionWorkload workload,
+                                uint64_t admittedAtFrame)
+    : id(id), workload(std::move(workload)), admittedAtFrame(admittedAtFrame) {
+  stats.setParent(&workers::processSubstrateStats());
+  // Lease the tenant's stats scope for async attribution (the native
+  // tier's fire-and-forget compiles), from before the first bring-up
+  // until the session is freed.
+  workers::registerStatsScope(stats);
+}
+
+SessionServer::Session::~Session() { workers::retireStatsScope(stats); }
+
+void SessionServer::bringUp(Session& s,
+                            const std::optional<LoadedCheckpoint>& from) {
+  Life& life = s.life.emplace();
+  life.root = config_.sessionDeadlineSeconds > 0
+                  ? CancelToken::withDeadline(config_.sessionDeadlineSeconds)
+                  : CancelToken::create();
+  life.manager =
       std::make_unique<sched::ThreadManager>(registry_, &primitives_);
   // All tenants park on the server's hub: a completion arriving for any
   // session can rouse a server asleep in runUntilQuiet(). Must precede
-  // workload.start(), which may already park processes.
-  session->manager->setWakeHub(hub_);
-  session->manager->setDefaultCancelToken(session->root);
-  session->manager->setSliceSteps(config_.sliceSteps);
-  session->manager->setMaxWorkers(config_.maxWorkers);
-  if (!config_.nativeTier) session->manager->setNativeTier(false);
-  return session;
+  // the workload hook, which may already park processes.
+  life.manager->setWakeHub(hub_);
+  life.manager->setDefaultCancelToken(life.root);
+  life.manager->setSliceSteps(config_.sliceSteps);
+  life.manager->setMaxWorkers(config_.maxWorkers);
+  if (!config_.nativeTier) life.manager->setNativeTier(false);
+  s.framesRun = 0;
+  workers::StatsScope scope(s.stats);
+  if (!from) {
+    life.state = s.workload.start(*life.manager);
+    return;
+  }
+  // The clock must be in place before resume(): scripts spawned by the
+  // hook may consult the timer or frame counter.
+  life.manager->restoreClockState(from->meta.clock);
+  s.recoveredFrames = from->meta.framesRun;
+  s.checkpointSeq = std::max(s.checkpointSeq, from->meta.seq + 1);
+  life.state = s.workload.resume(*life.manager, from->project);
+}
+
+bool SessionServer::activate(std::unique_ptr<Session> session,
+                             const std::optional<LoadedCheckpoint>& from) {
+  try {
+    bringUp(*session, from);
+  } catch (...) {
+    // Launch crash containment: the tenant failed to start, the slot is
+    // recycled, and the server carries on.
+    contain(*session, std::current_exception());
+    finalize(std::move(session));
+    return false;
+  }
+  active_.push_back(std::move(session));
+  return true;
 }
 
 uint64_t SessionServer::admit(SessionWorkload workload) {
@@ -106,25 +138,9 @@ uint64_t SessionServer::admit(SessionWorkload workload) {
     shedNewestActive(std::string("overload shed: ") + overload.what());
   }
 
-  auto session = makeSession(id, std::move(workload));
   ++metrics_.admitted;
-
-  {
-    workers::StatsScope scope(session->stats);
-    try {
-      session->state = session->workload.start(*session->manager);
-    } catch (...) {
-      // Launch crash containment: the tenant failed to start, the slot is
-      // recycled, and the server carries on.
-      contain(*session, std::current_exception());
-      finalize(std::move(session));
-      return id;
-    }
-  }
-  // Lease the tenant's stats scope for async attribution (the native
-  // tier's fire-and-forget compiles); retired at finalize/restart-park.
-  workers::registerStatsScope(session->stats);
-  active_.push_back(std::move(session));
+  activate(std::make_unique<Session>(id, std::move(workload), frame_),
+           std::nullopt);
   return id;
 }
 
@@ -137,8 +153,8 @@ void SessionServer::runSessionFrame(Session& session) {
     // Wake parked processes whose completion arrived and fail those whose
     // deadline tripped while parked, *before* deciding whether the tenant
     // has anything to run.
-    session.manager->pollParked();
-    if (!session.manager->hasReadyWork()) {
+    session.life->manager->pollParked();
+    if (!session.life->manager->hasReadyWork()) {
       // Every live process is parked on an in-flight completion (or the
       // manager just went idle and the recycle pass will collect it).
       // Skip the slice and charge nothing: a blocked tenant must not
@@ -147,7 +163,7 @@ void SessionServer::runSessionFrame(Session& session) {
       return;
     }
     fault::inject(fault::Point::TenantStall, session.id);
-    session.manager->runFrame();
+    session.life->manager->runFrame();
     ++session.framesRun;
     watchdog(session);
     maybeCheckpoint(session);
@@ -158,8 +174,9 @@ void SessionServer::runSessionFrame(Session& session) {
 }
 
 void SessionServer::observeCheckpointWrite(Session& session, bool wait) {
-  if (!session.pendingWrite) return;
-  PendingWrite& pending = *session.pendingWrite;
+  if (!session.life || !session.life->pendingWrite) return;
+  Life& life = *session.life;
+  PendingWrite& pending = *life.pendingWrite;
   if (wait) {
     // wait() drains unclaimed tasks on this thread, so the settle
     // completes even if the pool never picked the write up.
@@ -170,30 +187,31 @@ void SessionServer::observeCheckpointWrite(Session& session, bool wait) {
   if (pending.ok.load(std::memory_order_acquire)) {
     ++session.checkpointsWritten;
     ++metrics_.checkpointsWritten;
-    session.hasFingerprint = true;
-    session.lastFingerprint = pending.fingerprint;
+    life.hasFingerprint = true;
+    life.lastFingerprint = pending.fingerprint;
     session.checkpointSeq = pending.seq + 1;
   } else {
     // The write died (CheckpointWriteFailure or real I/O). The previous
     // generation is still valid; the same seq is retried next interval.
     ++metrics_.checkpointFailures;
   }
-  session.pendingWrite.reset();
+  life.pendingWrite.reset();
 }
 
 void SessionServer::maybeCheckpoint(Session& session) {
   if (!supervised() || !session.workload.recoverable()) return;
   observeCheckpointWrite(session, /*wait=*/false);
-  if (session.framesRun - session.lastCheckpointFrame <
+  Life& life = *session.life;
+  if (session.framesRun - life.lastCheckpointFrame <
       config_.checkpointIntervalFrames) {
     return;
   }
   // One write in flight per session: while the previous one is still on
   // the pool, re-check next frame rather than queueing a second.
-  if (session.pendingWrite) return;
+  if (life.pendingWrite) return;
   std::optional<CheckpointDraft> draft = draftCheckpoint(session);
   // A failed capture or an unchanged project waits a full interval too.
-  session.lastCheckpointFrame = session.framesRun;
+  life.lastCheckpointFrame = session.framesRun;
   if (!draft) return;
   auto pending = std::make_shared<PendingWrite>();
   pending->fingerprint = draft->fingerprint;
@@ -213,7 +231,7 @@ void SessionServer::maybeCheckpoint(Session& session) {
   };
   pending->group = std::make_shared<workers::TaskGroup>(
       std::vector<workers::TaskGroup::Task>{std::move(task)});
-  session.pendingWrite = pending;
+  life.pendingWrite = pending;
   try {
     workers::WorkerPool::shared().submit(pending->group);
   } catch (const SubstrateError&) {
@@ -230,10 +248,10 @@ bool SessionServer::checkpointNow(Session& session) {
       writeCheckpoint(config_.checkpointDir, draft->meta, draft->project);
       ++session.checkpointsWritten;
       ++metrics_.checkpointsWritten;
-      session.hasFingerprint = true;
-      session.lastFingerprint = draft->fingerprint;
+      session.life->hasFingerprint = true;
+      session.life->lastFingerprint = draft->fingerprint;
       session.checkpointSeq = draft->meta.seq + 1;
-      session.lastCheckpointFrame = session.framesRun;
+      session.life->lastCheckpointFrame = session.framesRun;
       return true;
     } catch (...) {
       ++metrics_.checkpointFailures;
@@ -247,17 +265,18 @@ bool SessionServer::checkpointNow(Session& session) {
 
 std::optional<SessionServer::CheckpointDraft> SessionServer::draftCheckpoint(
     Session& session) {
+  Life& life = *session.life;
   CheckpointDraft draft;
   try {
-    draft.project = session.workload.capture(*session.manager, session.state);
+    draft.project = session.workload.capture(*life.manager, life.state);
   } catch (...) {
     // Capture failed (e.g. a transient ring value is in a variable).
     // The session is unaffected; the caller tries again later.
     ++metrics_.checkpointFailures;
     return std::nullopt;
   }
-  draft.fingerprint = session.hasher.fingerprint(draft.project);
-  if (session.hasFingerprint && draft.fingerprint == session.lastFingerprint) {
+  draft.fingerprint = life.hasher.fingerprint(draft.project);
+  if (life.hasFingerprint && draft.fingerprint == life.lastFingerprint) {
     // The COW version stamps say nothing changed since the last written
     // checkpoint: skip the serialization and the disk entirely.
     ++session.checkpointsSkipped;
@@ -267,21 +286,22 @@ std::optional<SessionServer::CheckpointDraft> SessionServer::draftCheckpoint(
   draft.meta.sessionId = session.id;
   draft.meta.seq = session.checkpointSeq;
   draft.meta.label = session.workload.label;
-  draft.meta.framesRun = totalFrames(session);
+  draft.meta.framesRun = session.recoveredFrames + session.framesRun;
   draft.meta.restarts = session.restarts;
-  draft.meta.clock = session.manager->clockState();
+  draft.meta.clock = life.manager->clockState();
   return draft;
 }
 
 void SessionServer::watchdog(Session& session) {
-  if (config_.frameBudget == 0 || session.watchdogFired) return;
+  Life& life = *session.life;
+  if (config_.frameBudget == 0 || life.watchdogFired) return;
   if (session.framesRun < config_.frameBudget) return;
-  if (session.manager->idle()) return;
-  session.watchdogFired = true;
+  if (life.manager->idle()) return;
+  life.watchdogFired = true;
   session.stats.bump(&workers::SubstrateStats::timeouts);
   // Trip only this tenant's root; its processes raise TimeoutError at
   // their next slice and the failure is attributed to this session id.
-  session.root->timeoutNow(
+  life.root->timeoutNow(
       "session " + std::to_string(session.id) + " ('" +
       session.workload.label + "') exceeded its frame budget (" +
       std::to_string(config_.frameBudget) + " frames)");
@@ -308,7 +328,8 @@ void SessionServer::runFrame() {
   size_t keep = 0;
   for (size_t i = 0; i < active_.size(); ++i) {
     Session& session = *active_[i];
-    if (session.endState != SessionState::Active || session.manager->idle()) {
+    if (session.endState != SessionState::Active ||
+        session.life->manager->idle()) {
       finishOrRestart(std::move(active_[i]));
     } else {
       if (keep != i) active_[keep] = std::move(active_[i]);
@@ -323,7 +344,7 @@ void SessionServer::runFrame() {
 
 bool SessionServer::anySessionReady() const {
   for (const auto& session : active_) {
-    if (session->manager->hasReadyWork()) return true;
+    if (session->life->manager->hasReadyWork()) return true;
   }
   return false;
 }
@@ -334,7 +355,7 @@ double SessionServer::parkedWaitBound() const {
   // promptly (each manager clamps its own bound to [0.1ms, 50ms]).
   double bound = 0.05;
   for (const auto& session : active_) {
-    bound = std::min(bound, session->manager->parkedWaitBound());
+    bound = std::min(bound, session->life->manager->parkedWaitBound());
   }
   // Pending restarts are due at a *frame* count, and wait rounds run no
   // frames — keep the sleeps short so backoff frames keep ticking.
@@ -422,8 +443,8 @@ void SessionServer::shedAt(size_t index, const std::string& reason) {
   session->error = reason;
   session->errorClass = ErrorClass::Cancelled;
   session->stats.bump(&workers::SubstrateStats::cancellations);
-  session->root->cancel(reason);
-  session->manager->stopAll();
+  session->life->root->cancel(reason);
+  session->life->manager->stopAll();
   finalize(std::move(session));
 }
 
@@ -435,21 +456,24 @@ void SessionServer::contain(Session& session,
   session.outputOk = false;
   // First trip wins: a watchdog/deadline reason already on the root is
   // kept; otherwise in-flight pool work learns why it is unwinding.
-  session.root->cancel("session " + std::to_string(session.id) +
-                       " failed: " + session.error);
-  session.manager->stopAll();
+  session.life->root->cancel("session " + std::to_string(session.id) +
+                             " failed: " + session.error);
+  session.life->manager->stopAll();
 }
 
 void SessionServer::resolveOutcome(Session& s) {
+  // A session without a life (parked, or its revival failed) already
+  // carries its outcome.
+  if (!s.life) return;
+  sched::ThreadManager& manager = *s.life->manager;
   // Drain (not just read) the manager's capped error log: the serving
   // layer is the long-lived caller the drain API exists for.
-  sched::ThreadManager::ErrorDrain drain = s.manager->drainErrors();
+  sched::ThreadManager::ErrorDrain drain = manager.drainErrors();
   if (s.endState != SessionState::Active) return;
   if (!drain.entries.empty()) {
     const sched::ThreadManager::RecordedError& first = drain.entries.front();
     s.endState = SessionState::Failed;
-    s.error = "process " + std::to_string(first.processId) + " (" +
-              first.opcode + "): " + first.message;
+    s.error = first.text();
     s.errorClass = first.errorClass;
     s.outputOk = false;
     return;
@@ -458,7 +482,7 @@ void SessionServer::resolveOutcome(Session& s) {
   if (s.workload.check) {
     workers::StatsScope scope(s.stats);
     try {
-      s.outputOk = s.workload.check(*s.manager, s.state);
+      s.outputOk = s.workload.check(manager, s.life->state);
     } catch (...) {
       contain(s, std::current_exception());
     }
@@ -466,7 +490,7 @@ void SessionServer::resolveOutcome(Session& s) {
   if (s.endState == SessionState::Completed && s.workload.output) {
     workers::StatsScope scope(s.stats);
     try {
-      s.output = s.workload.output(*s.manager, s.state);
+      s.output = s.workload.output(manager, s.life->state);
     } catch (...) {
       contain(s, std::current_exception());
     }
@@ -485,8 +509,6 @@ void SessionServer::finalize(std::unique_ptr<Session> session) {
       removeCheckpoints(config_.checkpointDir, s.id);
     }
   }
-  // End the async-attribution lease before the stats scope is freed.
-  workers::retireStatsScope(s.stats);
   switch (s.endState) {
     case SessionState::Completed:
       ++metrics_.completed;
@@ -504,8 +526,8 @@ void SessionServer::finalize(std::unique_ptr<Session> session) {
       break;
   }
   finished_.push_back(snapshot(s, frame_));
-  // `session` dies here: manager, processes, and project state are freed,
-  // in declaration order (state before manager).
+  // `session` dies here: its life (project state before manager), then
+  // its ledger, whose lease ends first.
 }
 
 SessionRecord SessionServer::snapshot(const Session& session,
@@ -520,20 +542,14 @@ SessionRecord SessionServer::snapshot(const Session& session,
   record.framesRun = session.framesRun;
   record.admittedAtFrame = session.admittedAtFrame;
   record.finishedAtFrame = finishedAt;
-  // Counters are cumulative across restarts: the baseline carries every
-  // previous life's totals, the live scope counts only this one.
-  record.retries = session.baseline.retries +
-                   session.stats.retries.load(std::memory_order_relaxed);
-  record.downgrades = session.baseline.downgrades +
-                      session.stats.downgrades.load(std::memory_order_relaxed);
-  record.cancellations =
-      session.baseline.cancellations +
-      session.stats.cancellations.load(std::memory_order_relaxed);
-  record.timeouts = session.baseline.timeouts +
-                    session.stats.timeouts.load(std::memory_order_relaxed);
-  record.tasksSkipped =
-      session.baseline.tasksSkipped +
-      session.stats.tasksSkipped.load(std::memory_order_relaxed);
+  // One ledger spans every life, so the counters are cumulative across
+  // restarts.
+  const workers::SubstrateStats& stats = session.stats;
+  record.retries = stats.retries.load(std::memory_order_relaxed);
+  record.downgrades = stats.downgrades.load(std::memory_order_relaxed);
+  record.cancellations = stats.cancellations.load(std::memory_order_relaxed);
+  record.timeouts = stats.timeouts.load(std::memory_order_relaxed);
+  record.tasksSkipped = stats.tasksSkipped.load(std::memory_order_relaxed);
   record.checkpointsWritten = session.checkpointsWritten;
   record.checkpointsSkipped = session.checkpointsSkipped;
   record.restarts = session.restarts;
@@ -545,57 +561,27 @@ SessionRecord SessionServer::snapshot(const Session& session,
 std::vector<SessionRecord> SessionServer::records() const {
   std::vector<SessionRecord> all = finished_;
   all.reserve(finished_.size() + active_.size() + pendingRestarts_.size());
-  for (const auto& session : active_) {
-    all.push_back(snapshot(*session, 0));
-  }
-  for (const auto& pending : pendingRestarts_) {
-    // Parked for backoff: logically still alive, reported as Active.
-    SessionRecord record;
-    record.id = pending.id;
-    record.label = pending.workload.label;
-    record.state = SessionState::Active;
-    record.framesRun = pending.framesRun;
-    record.admittedAtFrame = pending.admittedAtFrame;
-    record.retries = pending.baseline.retries;
-    record.downgrades = pending.baseline.downgrades;
-    record.cancellations = pending.baseline.cancellations;
-    record.timeouts = pending.baseline.timeouts;
-    record.tasksSkipped = pending.baseline.tasksSkipped;
-    record.checkpointsWritten = pending.checkpointsWritten;
-    record.checkpointsSkipped = pending.checkpointsSkipped;
-    record.restarts = pending.restarts;
-    record.recoveredFrames = pending.recoveredFrames;
-    all.push_back(std::move(record));
+  // Parked sessions are logically alive: reported Active, after the
+  // active ones.
+  for (const auto* table : {&active_, &pendingRestarts_}) {
+    for (const auto& session : *table) all.push_back(snapshot(*session, 0));
   }
   return all;
 }
 
-void SessionServer::rollBaseline(Session& session) {
-  session.baseline.retries +=
-      session.stats.retries.load(std::memory_order_relaxed);
-  session.baseline.downgrades +=
-      session.stats.downgrades.load(std::memory_order_relaxed);
-  session.baseline.cancellations +=
-      session.stats.cancellations.load(std::memory_order_relaxed);
-  session.baseline.timeouts +=
-      session.stats.timeouts.load(std::memory_order_relaxed);
-  session.baseline.tasksSkipped +=
-      session.stats.tasksSkipped.load(std::memory_order_relaxed);
-}
-
-bool SessionServer::consumeRestartBudget(PendingRestart& pending) {
+bool SessionServer::consumeRestartBudget(Session& s) {
   const RestartPolicy& policy = config_.restartPolicy;
   // Erlang-style max-R-in-T: a window with no failures for T frames
   // resets the count, so a long-healthy session earns its budget back.
-  if (policy.budgetWindowFrames > 0 && pending.restartsInWindow > 0 &&
-      frame_ - pending.windowStart >= policy.budgetWindowFrames) {
-    pending.restartsInWindow = 0;
+  if (policy.budgetWindowFrames > 0 && s.restartsInWindow > 0 &&
+      frame_ - s.windowStart >= policy.budgetWindowFrames) {
+    s.restartsInWindow = 0;
   }
-  if (pending.restartsInWindow >= policy.maxRestarts) return false;
-  if (pending.restartsInWindow == 0) pending.windowStart = frame_;
-  ++pending.restartsInWindow;
-  ++pending.restarts;
-  pending.dueFrame = frame_ + policy.backoffFrames(pending.restartsInWindow);
+  if (s.restartsInWindow >= policy.maxRestarts) return false;
+  if (s.restartsInWindow == 0) s.windowStart = frame_;
+  ++s.restartsInWindow;
+  ++s.restarts;
+  s.dueFrame = frame_ + policy.backoffFrames(s.restartsInWindow);
   return true;
 }
 
@@ -616,29 +602,15 @@ void SessionServer::finishOrRestart(std::unique_ptr<Session> session) {
     finalize(std::move(session));
     return;
   }
-  // Settle the in-flight write first: the revival below loads the newest
+  // Settle the in-flight write first: the revival loads the newest
   // generation, which may be exactly this one.
   observeCheckpointWrite(s, /*wait=*/true);
-  PendingRestart pending;
-  pending.id = s.id;
-  pending.workload = s.workload;
-  pending.restarts = s.restarts;
-  pending.restartsInWindow = s.restartsInWindow;
-  pending.windowStart = s.windowStart;
-  pending.admittedAtFrame = s.admittedAtFrame;
-  pending.framesRun = totalFrames(s);
-  pending.recoveredFrames = s.recoveredFrames;
-  pending.checkpointSeq = s.checkpointSeq;
-  pending.checkpointsWritten = s.checkpointsWritten;
-  pending.checkpointsSkipped = s.checkpointsSkipped;
-  rollBaseline(s);
-  pending.baseline = s.baseline;
-  if (!consumeRestartBudget(pending)) {
+  if (!consumeRestartBudget(s)) {
     s.errorClass = ErrorClass::RestartsExhausted;
     s.error = RestartsExhaustedError(
                   "session " + std::to_string(s.id) + " ('" +
                   s.workload.label + "') failed " +
-                  std::to_string(pending.restartsInWindow) +
+                  std::to_string(s.restartsInWindow) +
                   " times within its budget window; last error: " + s.error)
                   .what();
     ++metrics_.restartsExhausted;
@@ -646,151 +618,89 @@ void SessionServer::finishOrRestart(std::unique_ptr<Session> session) {
     return;
   }
   // Parked, not finished: no record is pushed — the session is still
-  // logically alive and will reappear in active_ when its backoff ends.
-  workers::retireStatsScope(s.stats);
-  pendingRestarts_.push_back(std::move(pending));
-  // The failed life dies here (manager, processes, state); its progress
-  // lives on in the newest checkpoint.
+  // logically alive and reappears in active_ when its backoff ends. The
+  // failed life dies here (project state before manager); its progress
+  // lives on in the newest checkpoint, its counts in the ledger.
+  s.life.reset();
+  s.endState = SessionState::Active;
+  s.error.clear();
+  s.errorClass = ErrorClass::None;
+  s.outputOk = true;
+  pendingRestarts_.push_back(std::move(session));
 }
 
 void SessionServer::reviveDue() {
-  if (pendingRestarts_.empty()) return;
-  std::vector<PendingRestart> due;
-  size_t keep = 0;
-  for (size_t i = 0; i < pendingRestarts_.size(); ++i) {
-    if (pendingRestarts_[i].dueFrame <= frame_) {
-      due.push_back(std::move(pendingRestarts_[i]));
-    } else {
-      if (keep != i) pendingRestarts_[keep] = std::move(pendingRestarts_[i]);
-      ++keep;
-    }
-  }
-  pendingRestarts_.resize(keep);
-  for (PendingRestart& pending : due) {
+  const auto firstDue = std::stable_partition(
+      pendingRestarts_.begin(), pendingRestarts_.end(),
+      [this](const auto& parked) { return parked->dueFrame > frame_; });
+  std::vector<std::unique_ptr<Session>> due(
+      std::make_move_iterator(firstDue),
+      std::make_move_iterator(pendingRestarts_.end()));
+  pendingRestarts_.erase(firstDue, pendingRestarts_.end());
+  for (auto& session : due) {
+    Session& s = *session;
     try {
       // The chaos hook: a restart storm is an environment that keeps
       // killing revivals — each attempt burns budget like any failure.
-      fault::inject(fault::Point::RestartStorm, pending.id);
-      auto session = makeSession(pending.id, pending.workload);
-      Session& s = *session;
-      s.restarts = pending.restarts;
-      s.restartsInWindow = pending.restartsInWindow;
-      s.windowStart = pending.windowStart;
-      s.admittedAtFrame = pending.admittedAtFrame;
-      s.baseline = pending.baseline;
-      s.checkpointSeq = pending.checkpointSeq;
-      s.checkpointsWritten = pending.checkpointsWritten;
-      s.checkpointsSkipped = pending.checkpointsSkipped;
-      std::optional<LoadedCheckpoint> loaded =
-          loadNewestCheckpoint(config_.checkpointDir, pending.id);
-      {
-        workers::StatsScope scope(s.stats);
-        if (loaded) {
-          s.manager->restoreClockState(loaded->meta.clock);
-          s.recoveredFrames = loaded->meta.framesRun;
-          s.checkpointSeq = std::max(s.checkpointSeq, loaded->meta.seq + 1);
-          s.state = s.workload.resume(*s.manager, loaded->project);
-        } else {
-          // Every generation was lost or corrupt: restart from scratch.
-          s.state = s.workload.start(*s.manager);
-        }
-      }
-      workers::registerStatsScope(s.stats);
+      fault::inject(fault::Point::RestartStorm, s.id);
+      // Every generation lost or corrupt: bringUp starts from scratch.
+      bringUp(s, loadNewestCheckpoint(config_.checkpointDir, s.id));
       ++metrics_.restarts;
       active_.push_back(std::move(session));
     } catch (...) {
-      // The revival itself failed. Burn another budget unit and re-park,
-      // or finalize once the budget is spent.
-      if (consumeRestartBudget(pending)) {
-        pendingRestarts_.push_back(std::move(pending));
+      // The revival itself failed: tear down what it built, then burn
+      // another budget unit and re-park, or finalize once it is spent.
+      s.life.reset();
+      if (consumeRestartBudget(s)) {
+        pendingRestarts_.push_back(std::move(session));
         continue;
       }
-      std::string message = "unknown error";
-      try {
-        throw;
-      } catch (const std::exception& e) {
-        message = e.what();
-      } catch (...) {
-      }
       ++metrics_.restartsExhausted;
-      finalizePending(std::move(pending), SessionState::Failed,
-                      RestartsExhaustedError(
-                          "session " + std::to_string(pending.id) + " ('" +
-                          pending.workload.label +
-                          "') could not be revived; last error: " + message)
-                          .what(),
-                      ErrorClass::RestartsExhausted);
+      s.endState = SessionState::Failed;
+      s.errorClass = ErrorClass::RestartsExhausted;
+      s.error = RestartsExhaustedError(
+                    "session " + std::to_string(s.id) + " ('" +
+                    s.workload.label +
+                    "') could not be revived; last error: " +
+                    exceptionMessage(std::current_exception(),
+                                     "unknown error"))
+                    .what();
+      s.outputOk = false;
+      finalize(std::move(session));
     }
   }
-}
-
-void SessionServer::finalizePending(PendingRestart pending, SessionState state,
-                                    const std::string& error,
-                                    ErrorClass errorClass) {
-  SessionRecord record;
-  record.id = pending.id;
-  record.label = pending.workload.label;
-  record.state = state;
-  record.error = error;
-  record.errorClass = errorClass;
-  record.outputOk = state != SessionState::Failed;
-  record.framesRun = pending.framesRun;
-  record.admittedAtFrame = pending.admittedAtFrame;
-  record.finishedAtFrame = frame_;
-  record.retries = pending.baseline.retries;
-  record.downgrades = pending.baseline.downgrades;
-  record.cancellations = pending.baseline.cancellations;
-  record.timeouts = pending.baseline.timeouts;
-  record.tasksSkipped = pending.baseline.tasksSkipped;
-  record.checkpointsWritten = pending.checkpointsWritten;
-  record.checkpointsSkipped = pending.checkpointsSkipped;
-  record.restarts = pending.restarts;
-  record.recoveredFrames = pending.recoveredFrames;
-  switch (state) {
-    case SessionState::Failed:
-      ++metrics_.failed;
-      // Terminal failure: the checkpoints will never be read again.
-      removeCheckpoints(config_.checkpointDir, pending.id);
-      break;
-    case SessionState::Drained:
-      ++metrics_.drained;  // checkpoints stay for the successor
-      break;
-    default:
-      break;
-  }
-  finished_.push_back(std::move(record));
 }
 
 size_t SessionServer::drain() {
   draining_ = true;
   size_t drained = 0;
+  // Active sessions, then parked ones: a parked session's newest
+  // checkpoint is already its hand-off, so it only needs recording.
   std::vector<std::unique_ptr<Session>> sessions = std::move(active_);
   active_.clear();
+  sessions.insert(sessions.end(),
+                  std::make_move_iterator(pendingRestarts_.begin()),
+                  std::make_move_iterator(pendingRestarts_.end()));
+  pendingRestarts_.clear();
   for (auto& session : sessions) {
     Session& s = *session;
-    if (supervised() && s.workload.recoverable() &&
-        s.endState == SessionState::Active) {
-      // Last-chance synchronous checkpoint: the successor resumes from
-      // exactly this point. The pooled write (if any) settles first so
-      // checkpointNow sees the current fingerprint.
-      checkpointNow(s);
+    if (s.life) {
+      if (supervised() && s.workload.recoverable() &&
+          s.endState == SessionState::Active) {
+        // Last-chance synchronous checkpoint: the successor resumes from
+        // exactly this point. The pooled write (if any) settles first so
+        // checkpointNow sees the current fingerprint.
+        checkpointNow(s);
+      }
+      s.life->root->cancel("server draining");
+      s.life->manager->stopAll();
     }
-    s.root->cancel("server draining");
-    s.manager->stopAll();
     if (s.endState == SessionState::Active) {
       s.endState = SessionState::Drained;
       ++drained;
     }
     finalize(std::move(session));
   }
-  for (PendingRestart& pending : pendingRestarts_) {
-    // A parked restart's newest checkpoint is already its hand-off;
-    // nothing to write, just record it as drained.
-    ++drained;
-    finalizePending(std::move(pending), SessionState::Drained, "",
-                    ErrorClass::None);
-  }
-  pendingRestarts_.clear();
   return drained;
 }
 
@@ -816,30 +726,14 @@ std::vector<uint64_t> SessionServer::recoverSessions(
     } catch (const Error&) {
       continue;  // no factory for this label: leave its checkpoints alone
     }
-    auto session = makeSession(id, std::move(workload));
-    Session& s = *session;
-    s.restarts = loaded->meta.restarts;
-    s.recoveredFrames = loaded->meta.framesRun;
-    s.checkpointSeq = loaded->meta.seq + 1;
-    s.hasFingerprint = false;  // the hasher cache died with the writer
-    {
-      workers::StatsScope scope(s.stats);
-      try {
-        // The clock must be in place before resume(): scripts spawned by
-        // the hook may consult the timer or frame counter.
-        s.manager->restoreClockState(loaded->meta.clock);
-        s.state = s.workload.resume(*s.manager, loaded->project);
-      } catch (...) {
-        contain(s, std::current_exception());
-        finalize(std::move(session));
-        continue;
-      }
-    }
-    workers::registerStatsScope(s.stats);
+    // A new lineage whose first life starts without a fingerprint: the
+    // hasher cache died with the writer.
+    auto session = std::make_unique<Session>(id, std::move(workload), frame_);
+    session->restarts = loaded->meta.restarts;
+    if (!activate(std::move(session), loaded)) continue;
     ++metrics_.admitted;
     ++metrics_.recovered;
     recovered.push_back(id);
-    active_.push_back(std::move(session));
   }
   return recovered;
 }

@@ -48,7 +48,9 @@
 //     max-R-in-T budget; once the budget is spent the session is
 //     finalized with a typed RestartsExhaustedError. User-script errors
 //     (type errors, index errors) never restart: replaying a
-//     deterministic bug reproduces it.
+//     deterministic bug reproduces it. A restart tears down the session's
+//     life (manager, processes, project state) and keeps its lineage
+//     (id, budget, checkpoint and stats ledgers) parked until revival.
 //   * Drain and cold restart — drain() closes admission, synchronously
 //     checkpoints every active recoverable session, and quiesces; a new
 //     server constructed over the same checkpoint directory resumes all
@@ -149,7 +151,9 @@ struct SessionRecord {
   ErrorClass errorClass = ErrorClass::None;
   /// check()'s verdict (true when no check was given or not yet run).
   bool outputOk = true;
-  /// Scheduler frames granted to this session (the fairness unit).
+  /// Scheduler frames granted to this session's current life (the
+  /// fairness unit) — while parked for a restart, to the life that just
+  /// failed. Progress inherited from checkpoints is recoveredFrames.
   uint64_t framesRun = 0;
   uint64_t admittedAtFrame = 0;
   uint64_t finishedAtFrame = 0;
@@ -291,16 +295,6 @@ class SessionServer {
   static double fairnessSpread(const std::vector<uint64_t>& slices);
 
  private:
-  /// Substrate-counter totals carried across a restart (the new life's
-  /// SubstrateStats starts at zero; snapshot() adds these back in).
-  struct StatsBaseline {
-    uint64_t retries = 0;
-    uint64_t downgrades = 0;
-    uint64_t cancellations = 0;
-    uint64_t timeouts = 0;
-    uint64_t tasksSkipped = 0;
-  };
-
   /// One in-flight pooled checkpoint write. The task records its outcome
   /// here before the group settles; the server observes it (and never
   /// blocks on it) on a later visit — except drain/finalize, which wait.
@@ -311,57 +305,61 @@ class SessionServer {
     uint64_t seq = 0;
   };
 
-  struct Session {
-    uint64_t id = 0;
-    SessionWorkload workload;
+  /// One life of a session: everything a restart tears down and the next
+  /// bring-up builds afresh. It is only ever reset whole (optional::reset),
+  /// never assigned member-wise, so the project state dies before the
+  /// manager it points into.
+  struct Life {
     // Destruction order matters: `state` (e.g. a stage whose hooks point
     // into the manager) must die before `manager`, so it is declared
     // after it.
     std::unique_ptr<sched::ThreadManager> manager;
     std::shared_ptr<void> state;
     CancelTokenPtr root;
-    workers::SubstrateStats stats;
+    bool watchdogFired = false;
+    // --- checkpoint cadence ---
+    CheckpointHasher hasher;
+    bool hasFingerprint = false;    ///< lastFingerprint is valid
+    uint64_t lastFingerprint = 0;   ///< of the newest *written* checkpoint
+    uint64_t lastCheckpointFrame = 0;  ///< framesRun at last attempt
+    std::shared_ptr<PendingWrite> pendingWrite;
+  };
+
+  /// A session's lineage: everything that survives a restart, and its
+  /// current life. A session parked for a restart backoff has no life —
+  /// no manager, processes, project state or hasher pins. Its one stats
+  /// ledger spans every life; it is leased for async attribution from
+  /// construction to destruction.
+  struct Session {
+    Session(uint64_t id, SessionWorkload workload, uint64_t admittedAtFrame);
+    ~Session();
+
+    uint64_t id = 0;
+    SessionWorkload workload;
+    uint64_t admittedAtFrame = 0;
+    // --- outcome of the current life (reset when it is parked) ---
     SessionState endState = SessionState::Active;  // set at finalize
     std::string error;
     ErrorClass errorClass = ErrorClass::None;
     bool outputOk = true;
-    bool watchdogFired = false;
-    uint64_t framesRun = 0;
-    uint64_t admittedAtFrame = 0;
     std::string output;  ///< `output` hook rendering, filled on completion
+    /// Frames granted to the current life (the failed one while parked).
+    uint64_t framesRun = 0;
 
-    // --- supervision state ---
-    CheckpointHasher hasher;
-    bool hasFingerprint = false;    ///< lastFingerprint is valid
-    uint64_t lastFingerprint = 0;   ///< of the newest *written* checkpoint
+    // --- supervision ---
     uint64_t checkpointSeq = 0;     ///< next generation to write
-    uint64_t lastCheckpointFrame = 0;  ///< framesRun at last attempt
-    std::shared_ptr<PendingWrite> pendingWrite;
     uint64_t checkpointsWritten = 0;
     uint64_t checkpointsSkipped = 0;
     uint32_t restarts = 0;          ///< attempts consumed (lifetime)
     uint32_t restartsInWindow = 0;
     uint64_t windowStart = 0;       ///< server frame the window opened
+    uint64_t dueFrame = 0;          ///< revival frame while parked
     uint64_t recoveredFrames = 0;
-    StatsBaseline baseline;
-  };
 
-  /// A failed session parked for its restart backoff. Carries everything
-  /// the revived session must inherit; the old manager/stats are gone.
-  struct PendingRestart {
-    uint64_t id = 0;
-    SessionWorkload workload;
-    uint64_t dueFrame = 0;
-    uint32_t restarts = 0;
-    uint32_t restartsInWindow = 0;
-    uint64_t windowStart = 0;
-    uint64_t admittedAtFrame = 0;
-    uint64_t framesRun = 0;         ///< progress at failure (reporting)
-    uint64_t recoveredFrames = 0;
-    uint64_t checkpointSeq = 0;
-    uint64_t checkpointsWritten = 0;
-    uint64_t checkpointsSkipped = 0;
-    StatsBaseline baseline;
+    // Declared before `life`: the ledger outlives every operation a life
+    // launched that still charges it.
+    workers::SubstrateStats stats;
+    std::optional<Life> life;
   };
 
   SessionRecord snapshot(const Session& session, uint64_t finishedAt) const;
@@ -377,10 +375,17 @@ class SessionServer {
   /// error log; on completion run the check and output hooks. Idempotent
   /// once the state leaves Active.
   void resolveOutcome(Session& session);
-  /// Build an empty session shell (manager, root token, hub, stats
-  /// parenting) — shared by admit, restart revival, and recovery.
-  std::unique_ptr<Session> makeSession(uint64_t id, SessionWorkload workload);
-  /// Move a no-longer-active session into the finished records.
+  /// Build a new life for `session` (manager, root token, hub) and run
+  /// its workload under the session's stats scope: `start`, or — from a
+  /// checkpoint — the clock restore and `resume`. The one bring-up of
+  /// admit, restart revival and recovery. Throws what the hook throws.
+  void bringUp(Session& session, const std::optional<LoadedCheckpoint>& from);
+  /// bringUp, then join the active table. A bring-up that throws is
+  /// contained and the session finalized Failed; returns false then.
+  bool activate(std::unique_ptr<Session> session,
+                const std::optional<LoadedCheckpoint>& from);
+  /// Move a no-longer-active (or parked) session into the finished
+  /// records.
   void finalize(std::unique_ptr<Session> session);
   /// Give one session one scheduler frame under its scope (contained).
   /// Wakes its parked processes first; if nothing is ready the frame is
@@ -415,24 +420,15 @@ class SessionServer {
   /// the capture failed (counted as a checkpoint failure) or the
   /// fingerprint is unchanged (counted as a skip).
   std::optional<CheckpointDraft> draftCheckpoint(Session& session);
-  /// Total progress (recovered + this life) for checkpoint meta.
-  static uint64_t totalFrames(const Session& session) {
-    return session.recoveredFrames + session.framesRun;
-  }
-  /// Accumulate the session's stats into its baseline (restart park).
-  static void rollBaseline(Session& session);
   /// Failed session: park it for restart, or finalize RestartsExhausted /
   /// plain Failed when ineligible. Consumes the session either way.
   void finishOrRestart(std::unique_ptr<Session> session);
-  /// Charge one restart against the entry's max-R-in-T budget and set
+  /// Charge one restart against the session's max-R-in-T budget and set
   /// its backoff due-frame; returns false when the window budget is
   /// spent (the caller finalizes as RestartsExhausted).
-  bool consumeRestartBudget(PendingRestart& pending);
-  /// Re-admit every pending restart whose backoff elapsed.
+  bool consumeRestartBudget(Session& session);
+  /// Re-admit every parked session whose backoff elapsed.
   void reviveDue();
-  /// Finalize a pending restart as a finished record (exhausted/drained).
-  void finalizePending(PendingRestart pending, SessionState state,
-                       const std::string& error, ErrorClass errorClass);
 
   ServerConfig config_;
   const blocks::BlockRegistry* registry_;
@@ -446,7 +442,7 @@ class SessionServer {
   std::unordered_map<std::string, blocks::ListPtr> datasets_;
 
   std::vector<std::unique_ptr<Session>> active_;  // admission order
-  std::vector<PendingRestart> pendingRestarts_;   // backoff parking lot
+  std::vector<std::unique_ptr<Session>> pendingRestarts_;  // parked, lifeless
   std::vector<SessionRecord> finished_;           // finish order
   ServerMetrics metrics_;
   std::vector<double> frameSeconds_;

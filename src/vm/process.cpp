@@ -151,7 +151,7 @@ void Process::adoptFuture(const std::shared_ptr<blocks::Future>& future) {
 
 void Process::cancelOwnedFutures(const std::string& reason) {
   for (auto& weak : ownedFutures_) {
-    if (auto future = weak.lock()) future->cancel(reason);
+    if (auto future = weak.lock()) future->cancelAndJoin(reason);
   }
   ownedFutures_.clear();
 }

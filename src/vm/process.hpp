@@ -273,7 +273,8 @@ class Process {
 
   /// Register a Future launched by this process. Cancellation of the
   /// owning process (terminate or failure) cancels every still-pending
-  /// adopted future, propagating into the underlying operation.
+  /// adopted future, propagating into the underlying operation, and joins
+  /// it: no pool work outlives the process or the tenant stats it charges.
   void adoptFuture(const std::shared_ptr<blocks::Future>& future);
   /// Adopted futures still tracked (test hook).
   size_t ownedFutureCount() const { return ownedFutures_.size(); }
@@ -296,7 +297,7 @@ class Process {
   /// If the cancel token tripped, fail with its typed reason and return
   /// true.
   bool checkCancelled();
-  /// Cancel every adopted still-pending future (on terminate/fail).
+  /// Cancel and join every adopted still-pending future (terminate/fail).
   void cancelOwnedFutures(const std::string& reason);
 
   const blocks::BlockRegistry* registry_;

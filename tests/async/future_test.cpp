@@ -217,6 +217,9 @@ TEST_F(AsyncBlocksTest, TerminatingTheOwnerCancelsItsFutures) {
   fault::ScopedFault armed(config);
 
   ThreadManager tm(&BlockRegistry::standard(), &prims_);
+  // Tier off: a ring made hot by an earlier test in this process would be
+  // drained inline by the grain model, and the stall would never fire.
+  tm.setNativeTier(false);
   auto env = Environment::make();
   env->declare("f", Value());
   tm.spawnScript(
@@ -358,6 +361,7 @@ TEST_F(AsyncBlocksTest, DeadlineWhileParkedFailsWithOwnAttribution) {
   fault::ScopedFault armed(config);
 
   ThreadManager tm(&BlockRegistry::standard(), &prims_);
+  tm.setNativeTier(false);  // as above: keep the map on the stalled pool
   tm.setDefaultCancelToken(CancelToken::withDeadline(0.001));
   auto handle = tm.spawnExpression(
       awaitValue(launchParallelMap(ring(product(empty(), 2)),

@@ -7,10 +7,13 @@
 // sweep them across seeds (PSNAP_CHAOS_SEED adds one) under asan + tsan.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "blocks/builder.hpp"
 #include "scenarios/serve.hpp"
 #include "serve/session_server.hpp"
 #include "support/error.hpp"
@@ -212,6 +215,45 @@ TEST(ServeChaos, MixedStormConvergesOrFailsTyped) {
     EXPECT_EQ(server.metrics().completed + server.metrics().failed, 12u);
     expectServerUsable(server);
   }
+  expectPoolUsable();
+}
+
+TEST(ServeChaos, ShedJoinsTheTenantsLaunchedPoolWork) {
+  // A launched map still queued on the pool when its tenant is shed: the
+  // map's task group charges each skipped task to the tenant's ledger
+  // from a pool runner, so the shed must join the map before the ledger
+  // is freed. Stalled runners keep the tasks unclaimed at shed time; the
+  // native tier is off so the ring never turns hot and runs inline.
+  ServerConfig config;
+  config.nativeTier = false;
+  SessionServer server(config);
+  SessionWorkload launcher;
+  launcher.label = "launcher";
+  launcher.start = [](sched::ThreadManager& tm) -> std::shared_ptr<void> {
+    using namespace psnap::build;
+    auto env = blocks::Environment::make();
+    env->declare("f", Value());
+    tm.spawnScript(
+        scriptOf({setVar("f", launchParallelMap(ring(product(empty(), 2)),
+                                                numbersFromTo(1, 256), 16)),
+                  forever(scriptOf({say(In("alive"))}))}),
+        env);
+    return nullptr;
+  };
+  fault::Config stall =
+      configFor(1, fault::maskOf(fault::Point::WorkerStall), 1, 1);
+  stall.stallMicros = 2000;
+  {
+    fault::ScopedFault armed(stall);
+    const uint64_t id = server.admit(launcher);
+    server.runFrame();
+    server.cancelSession(id, "shed under test");
+    const SessionRecord record = recordOf(server, id);
+    EXPECT_EQ(record.state, SessionState::Shed);
+    EXPECT_EQ(record.errorClass, ErrorClass::Cancelled);
+  }
+  // Let the pool's runners claim (and skip) whatever is still queued.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   expectPoolUsable();
 }
 

@@ -451,5 +451,44 @@ TEST_F(SuperviseTest, RecordsCarrySubstrateCountsAcrossRestart) {
   EXPECT_GT(record.recoveredFrames, 0u);
 }
 
+TEST_F(SuperviseTest, FramesRunCountsTheCurrentLife) {
+  // Every record's framesRun is the frames of one life — the current
+  // one, or the one that just failed while parked; progress inherited
+  // from checkpoints is recoveredFrames alone. The second park is the
+  // one that tells them apart: its life started from a checkpoint.
+  SessionServer server(supervisedConfig());
+  const uint64_t victim = server.admit(scenarios::serveTickerWorkload(40));
+  fault::Config chaos;
+  chaos.rateNumerator = 1;
+  chaos.rateDenominator = 1;
+  chaos.pointMask = fault::maskOf(fault::Point::TenantStall);
+  chaos.targetTag = victim;
+  for (int life = 1; life <= 2; ++life) {
+    SCOPED_TRACE("life " + std::to_string(life));
+    while (server.pendingRestarts() > 0) server.runFrame();
+    for (int f = 0; f < 6; ++f) server.runFrame();
+    const SessionRecord running = recordOf(server, victim);
+    ASSERT_EQ(running.state, SessionState::Active);
+    ASSERT_GE(running.framesRun, 6u);
+    {
+      fault::ScopedFault armed(chaos);
+      server.runFrame();
+    }
+    ASSERT_EQ(server.pendingRestarts(), 1u);
+    const SessionRecord parked = recordOf(server, victim);
+    EXPECT_EQ(parked.framesRun, running.framesRun);
+    EXPECT_EQ(parked.recoveredFrames, running.recoveredFrames);
+    if (life == 2) {
+      EXPECT_GT(parked.recoveredFrames, 0u);
+    }
+  }
+  server.runUntilQuiet(100000);
+  const SessionRecord record = recordOf(server, victim);
+  EXPECT_EQ(record.state, SessionState::Completed) << record.error;
+  EXPECT_EQ(record.restarts, 2u);
+  EXPECT_GT(record.recoveredFrames, 0u);
+  EXPECT_LT(record.framesRun, 40u);
+}
+
 }  // namespace
 }  // namespace psnap::serve
