@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "blocks/block.hpp"
 
@@ -168,6 +171,39 @@ TEST(Parallel, DoubleLaunchThrows) {
   p.map([](const Value& v) { return v; });
   EXPECT_THROW(p.map([](const Value& v) { return v; }), Error);
   p.wait();
+}
+
+TEST(Parallel, CancelDuringSlowMapFailsWithItsReason) {
+  Parallel p(numbers(64), {.maxWorkers = 2});
+  std::atomic<int> started{0};
+  p.map([&started](const Value& v) {
+    started.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return v;
+  });
+  while (started.load() == 0) std::this_thread::yield();
+  p.cancel("why");
+  p.wait();
+  EXPECT_TRUE(p.failed());
+  EXPECT_EQ(p.errorClass(), ErrorClass::Cancelled);
+  EXPECT_NE(p.errorMessage().find("why"), std::string::npos);
+  EXPECT_THROW(p.data(), CancelledError);
+}
+
+TEST(Parallel, TokenCancelledAfterResolveLeavesTheOpSuccessful) {
+  // A trip that arrives after every item was processed is not a failure.
+  const CancelTokenPtr token = CancelToken::create();
+  Parallel p(numbers(100), {.maxWorkers = 4, .cancel = token});
+  p.map([](const Value& v) { return Value(v.asNumber() * 3); });
+  while (!p.resolved()) std::this_thread::yield();
+  token->cancel("too late");
+  EXPECT_FALSE(p.failed());
+  const auto& data = p.data();
+  EXPECT_FALSE(p.failed());
+  ASSERT_EQ(data.size(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(data[size_t(i)].asNumber(), 3 * (i + 1));
+  }
 }
 
 TEST(WorkerPool, RunsSubmittedJobs) {
