@@ -34,7 +34,7 @@
 #include "blocks/value.hpp"
 #include "data/corpus.hpp"
 #include "mapreduce/engine.hpp"
-#include "workers/completion.hpp"
+#include "support/completion.hpp"
 #include "workers/parallel.hpp"
 
 namespace {
@@ -159,9 +159,9 @@ void BM_GrainMap(benchmark::State& state) {
   options.itemCostNs = grainCost(state.range(0));
   for (auto _ : state) {
     psnap::workers::Parallel p(input, options);
-    psnap::workers::CompletionLatch done;
-    p.onComplete([&done] { done.settle(); });
+    psnap::CompletionLatch done;
     p.map(doubleIt);
+    p.onComplete([&done] { done.settle(); });
     done.wait();
     if (p.failed()) std::abort();
   }

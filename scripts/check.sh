@@ -78,7 +78,9 @@
 #   tenant degrades or fails that tenant alone, and every other session
 #   completes with its exact output — race- and leak-free underneath. A
 #   shed tenant's launched pool work is joined before its ledger is
-#   freed (ShedJoinsTheTenantsLaunchedPoolWork).
+#   freed (ShedJoinsTheTenantsLaunchedPoolWork). Each preset then runs
+#   the SessionServer.* suite once in one process: no serving test may
+#   lean on a native kernel an earlier test left compiling.
 #
 # Usage: scripts/check.sh --supervise [seed...]
 #   The recovery gate: builds the asan preset and sweeps the supervision
@@ -240,6 +242,9 @@ if [ "${1:-}" = "--serve" ]; then
         "build-${preset}/tests/test_serve" \
         --gtest_filter='ServeChaos*'
     done
+    echo "== serve: ${preset}, SessionServer.* in one process =="
+    ASAN_OPTIONS=detect_leaks=0 "build-${preset}/tests/test_serve" \
+      --gtest_filter='SessionServer.*'
   done
   echo "== serve chaos sweep green: seeds ${seeds[*]} under asan + tsan =="
   exit 0

@@ -17,21 +17,22 @@
 //
 // Threading: resolve/reject/cancel/onSettle may race (completion fires on
 // a pool worker while the owning process awaits or dies on the scheduler
-// thread). First settle wins; callbacks fire exactly once, outside the
-// lock, on the settling thread — or immediately on the registering thread
-// when already settled. The mutex publishes the settled value/error to
-// whichever thread observes the settlement.
+// thread). First settle wins: it records the value or error under the
+// mutex, then settles the future's CompletionLatch (support/
+// completion.hpp), the substrate's one settle-once primitive — so
+// callbacks fire exactly once, outside the lock, on the settling thread
+// or immediately on the registering thread when already settled, and
+// cancelAndJoin() is a latch wait.
 #pragma once
 
-#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "blocks/value.hpp"
+#include "support/completion.hpp"
 #include "support/error.hpp"
 
 namespace psnap::blocks {
@@ -50,46 +51,19 @@ class Future {
 
   /// Settle with a value. First settle wins; later calls are no-ops.
   void resolve(Value value) {
-    std::vector<std::function<void()>> pending;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (state_ != State::Pending) return;
-      value_ = std::move(value);
-      state_ = State::Resolved;
-      pending.swap(callbacks_);
-      cancelHook_ = nullptr;  // break the hook's ownership cycle
-      settledCv_.notify_all();
-    }
-    for (auto& cb : pending) cb();
+    settle(State::Resolved, std::move(value), nullptr);
   }
 
   /// Settle with an error (keeps the original exception type). First
   /// settle wins.
   void reject(std::exception_ptr error) {
-    std::vector<std::function<void()>> pending;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (state_ != State::Pending) return;
-      error_ = std::move(error);
-      state_ = State::Failed;
-      pending.swap(callbacks_);
-      cancelHook_ = nullptr;
-      settledCv_.notify_all();
-    }
-    for (auto& cb : pending) cb();
+    settle(State::Failed, Value(), std::move(error));
   }
 
   /// Register a settlement callback: fires exactly once, from the thread
   /// that settles the future, or immediately if already settled.
-  void onSettle(std::function<void()> cb) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (state_ == State::Pending) {
-        callbacks_.push_back(std::move(cb));
-        return;
-      }
-    }
-    cb();
+  void onSettle(CompletionLatch::Callback cb) {
+    latch_.onSettle(std::move(cb));
   }
 
   /// The resolved value. Only meaningful once state() == Resolved.
@@ -136,8 +110,7 @@ class Future {
   /// no pool work outlives it.
   void cancelAndJoin(const std::string& reason) {
     cancel(reason);
-    std::unique_lock<std::mutex> lock(mutex_);
-    settledCv_.wait(lock, [this] { return state_ != State::Pending; });
+    latch_.wait();
   }
 
   /// Watcher/say-bubble rendering.
@@ -151,13 +124,24 @@ class Future {
   }
 
  private:
+  void settle(State state, Value value, std::exception_ptr error) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (state_ != State::Pending) return;
+      state_ = state;
+      value_ = std::move(value);
+      error_ = std::move(error);
+      cancelHook_ = nullptr;  // break the hook's ownership cycle
+    }
+    latch_.settle();
+  }
+
   mutable std::mutex mutex_;
-  std::condition_variable settledCv_;
   State state_ = State::Pending;
   Value value_;
   std::exception_ptr error_;
-  std::vector<std::function<void()>> callbacks_;
   std::function<void(const std::string&)> cancelHook_;
+  CompletionLatch latch_;
 };
 
 }  // namespace psnap::blocks

@@ -277,35 +277,21 @@ void awaitHandler(Process& p, Context& c) {
 // ---------------------------------------------------------------------------
 // doParallelForEach — clones pouring in parallel (Fig. 8–10).
 // ---------------------------------------------------------------------------
-void parallelForEachHandler(Process& p, Context& c) {
+void parallelForEachHandler(const vm::Handler& forEach, Process& p,
+                            Context& c) {
   // Non-strict: evaluate var name, list, and the optional parallelism slot.
   if (c.inputs.size() < 3) {
     p.evalInput(c, c.inputs.size());
     return;
   }
 
-  // Sequential mode: the parallelism slot is collapsed (Fig. 8b). Behave
-  // exactly like forEach: the single sprite serves every item in turn.
+  // Sequential mode: the parallelism slot is collapsed (Fig. 8b). Run as
+  // forEach itself: the single sprite serves every item in turn.
   // `phase == 2` marks a degraded entry — the host could not launch
   // sibling processes, so the parallel request collapsed to this path
   // (same semantics, one server) and the downgrade was recorded.
   if (c.isCollapsed(2) || c.phase == 2 || c.counter > 0) {
-    const ListPtr& list = c.inputs[1].asList();
-    if (static_cast<size_t>(c.counter) >= list->length()) {
-      p.finishCommand();
-      return;
-    }
-    if (c.phase == 1) {
-      c.phase = 0;
-      p.retryAfterYield(c);
-      return;
-    }
-    ++c.counter;
-    c.phase = 1;
-    auto frame = blocks::Environment::make(c.env);
-    frame->declare(c.inputs[0].asText(),
-                   list->item(static_cast<size_t>(c.counter)));
-    p.pushScript(c.block->input(3).script().get(), frame);
+    forEach(p, c);
     return;
   }
 
@@ -387,18 +373,22 @@ void parallelForEachHandler(Process& p, Context& c) {
 void registerParallelPrimitives(vm::PrimitiveTable& table) {
   table.add("reportParallelMap",
             reportBlock<startParallelMap, kParallelMapName>);
-  table.add("doParallelForEach", parallelForEachHandler);
   table.add("reportMapReduce", reportBlock<startMapReduce, kMapReduceName>);
   table.add("launchParallelMap", launchBlock<startParallelMap>);
   table.add("launchMapReduce", launchBlock<startMapReduce>);
   table.add("reportAwait", awaitHandler);
-  // The per-clone chunk driver shares doForEach's iteration logic.
-  const vm::Handler* forEach = table.find("doForEach");
-  if (!forEach) {
+  // The per-clone chunk driver and the sequential mode of the parallel
+  // forEach share doForEach's iteration logic.
+  const vm::Handler* found = table.find("doForEach");
+  if (!found) {
     throw BlockError(
         "registerParallelPrimitives requires the standard palette");
   }
-  table.add("__foreachDriver", *forEach);
+  const vm::Handler forEach = *found;  // copied: add() may reallocate
+  table.add("doParallelForEach", [forEach](Process& p, Context& c) {
+    parallelForEachHandler(forEach, p, c);
+  });
+  table.add("__foreachDriver", forEach);
 }
 
 vm::PrimitiveTable fullPrimitiveTable() {

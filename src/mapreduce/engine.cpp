@@ -536,13 +536,10 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
   p.reduceFn = std::move(reduceFn);
   p.options = std::move(options);
   p.stats = &workers::substrateStats();
-  // One token spans the whole pipeline (map, shuffle and reduce share a
-  // single wall-clock budget) and doubles as the cancel() handle, so it
-  // exists even without a deadline or parent.
-  token_ = p.options.deadlineSeconds > 0
-               ? CancelToken::withDeadline(p.options.deadlineSeconds,
-                                           p.options.cancel)
-               : CancelToken::create(p.options.cancel);
+  // One token spans the whole pipeline (map, shuffle and reduce share the
+  // parent's deadline, if any) and doubles as the cancel() handle, so it
+  // exists even without a parent.
+  token_ = CancelToken::create(p.options.cancel);
   try {
     // The stages read a snapshot, so a caller that mutates its list while
     // the job runs never reaches the workers. O(1) for flat and mapped
@@ -564,7 +561,8 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
     runSequential();
     return;
   }
-  const size_t width = p.options.workers == 0 ? 4 : p.options.workers;
+  const size_t width =
+      p.options.workers == 0 ? workers::kDefaultWorkers : p.options.workers;
   // A single shard keeps the chain's overhead off short lists without
   // changing the output.
   p.shuffle = Shuffle(p.input->items(), n < 256 ? 1 : width);
@@ -576,7 +574,7 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
 // touch of the Job; ~Job's latch wait is therefore a full join.
 Job::~Job() { latch_.wait(); }
 
-void Job::onComplete(workers::CompletionLatch::Callback cb) {
+void Job::onComplete(CompletionLatch::Callback cb) {
   latch_.onSettle(std::move(cb));
 }
 
@@ -664,18 +662,12 @@ void Job::launch(void (Job::*body)(size_t, bool), void (Job::*next)()) {
         workers::withRetries(pipe_->options.maxRetries, pipe_->stats,
                              [&] { (this->*body)(index, true); });
       });
-  auto stage = std::make_shared<TaskGroup>(std::move(tasks), token_);
+  // Stage 2 is built on whichever thread finished stage 1 (a pool
+  // worker, usually), so the group charges the job's ledger explicitly.
+  auto stage = std::make_shared<TaskGroup>(std::move(tasks), token_, p.stats);
   // The thread that settles the stage holds it while the callback runs.
   submitStage(stage, [this, next, raw = stage.get()] {
-    std::exception_ptr error = raw->error();
-    if (!error && token_->cancelled()) {
-      try {
-        token_->checkpoint();
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-    if (error) {
+    if (std::exception_ptr error = raw->failure()) {
       failOrDegrade(error);
     } else {
       (this->*next)();
@@ -716,7 +708,7 @@ void Job::finish() {
 }
 
 void Job::submitStage(const std::shared_ptr<TaskGroup>& stage,
-                      workers::CompletionLatch::Callback continuation) {
+                      CompletionLatch::Callback continuation) {
   const Pipeline& p = *pipe_;
   // A drained stage runs on this thread — the constructing thread for
   // stage 1, the one that finished stage 1 for stage 2. With degradation
@@ -774,6 +766,9 @@ void Job::failOrDegrade(std::exception_ptr error) {
 }
 
 void Job::settleError(std::exception_ptr error) {
+  if (classifyError(error) == ErrorClass::Timeout) {
+    pipe_->stats->bump(&workers::SubstrateStats::timeouts);
+  }
   errorPtr_ = error;
   failed_.store(true, std::memory_order_release);
   latch_.settle();

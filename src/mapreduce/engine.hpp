@@ -27,9 +27,12 @@
 // it does when it drains a stage the pool refused). Deadline expiry and
 // cancellation do NOT degrade (a sequential rerun after a blown deadline
 // would only blow it further); they surface as TimeoutError /
-// CancelledError. User-script
-// errors from the map/reduce functions are deterministic and always
-// propagate with their original type.
+// CancelledError, and a timeout counts one SubstrateStats::timeouts for
+// the constructing tenant, as Parallel's does. A deadline rides the
+// cancel token (Options::cancel = CancelToken::withDeadline(s)). Each
+// stage's TaskGroup owns that stage's outcome; the Job reads its
+// failure(). User-script errors from the map/reduce functions are
+// deterministic and always propagate with their original type.
 //
 // "Although conceptually simple, MapReduce implementations can be quite
 // complex to set up and use. Fortunately, these details are hidden in the
@@ -69,7 +72,7 @@ using ReduceNumericFn =
                        size_t runs, blocks::Value* out)>;
 
 struct Options {
-  /// Shard count for both stages; 0 means 4, the paper's worker count.
+  /// Shard count for both stages; 0 means workers::kDefaultWorkers.
   size_t workers = 0;
   /// Run the whole pipeline on the constructing thread at one shard (for
   /// the sequential baseline rows of the benches). Never calls mapBatch,
@@ -78,12 +81,11 @@ struct Options {
   /// Per-task retries inside each pooled stage (substrate errors only;
   /// see ParallelOptions::maxRetries).
   int maxRetries = 2;
-  /// Wall-clock budget for the whole pipeline (map + shuffle + reduce);
-  /// 0 means none. Expiry fails the run with TimeoutError.
-  double deadlineSeconds = 0;
   /// Permit the sequential rerun after a transient substrate failure.
   bool allowDegrade = true;
-  /// External cancellation for the whole pipeline.
+  /// External cancellation for the whole pipeline (map + shuffle +
+  /// reduce); CancelToken::withDeadline(s) gives it a wall-clock budget
+  /// whose expiry fails the run with TimeoutError.
   CancelTokenPtr cancel;
   /// Optional chunk-at-a-time fast path for the map phase (the native
   /// tier's compiled kernel). Same contract as workers::MapBatchFn:
@@ -188,7 +190,7 @@ class Job {
 
   /// Register a completion callback: fires exactly once, from the worker
   /// that settles the pipeline, or immediately if already settled.
-  void onComplete(workers::CompletionLatch::Callback cb);
+  void onComplete(CompletionLatch::Callback cb);
 
   /// Cancel the pipeline: stage tasks not yet claimed are skipped and the
   /// job settles with CancelledError (unless it already completed).
@@ -241,7 +243,7 @@ class Job {
   /// else submit it; on pool refusal either drain it inline on this
   /// thread (allowDegrade) or settle the job with the SubstrateError.
   void submitStage(const std::shared_ptr<workers::TaskGroup>& stage,
-                   workers::CompletionLatch::Callback continuation);
+                   CompletionLatch::Callback continuation);
   /// The sequential pass: both stage bodies inline at one shard, with the
   /// same token checkpoints as the chained stages, then settle.
   void runSequential();
@@ -254,7 +256,7 @@ class Job {
   void settleError(std::exception_ptr error);
 
   std::unique_ptr<Pipeline> pipe_;
-  workers::CompletionLatch latch_;
+  CompletionLatch latch_;
   CancelTokenPtr token_;  // always non-null: the job's cancel() handle
   std::atomic<bool> failed_{false};
   std::exception_ptr errorPtr_;

@@ -10,7 +10,7 @@
 #include "core/parallel_blocks.hpp"
 #include "persist/catalog.hpp"
 #include "support/fault.hpp"
-#include "workers/worker_pool.hpp"
+#include "workers/grain.hpp"
 
 namespace psnap::serve {
 
@@ -232,13 +232,10 @@ void SessionServer::maybeCheckpoint(Session& session) {
   pending->group = std::make_shared<workers::TaskGroup>(
       std::vector<workers::TaskGroup::Task>{std::move(task)});
   life.pendingWrite = pending;
-  try {
-    workers::WorkerPool::shared().submit(pending->group);
-  } catch (const SubstrateError&) {
-    // Pool refused (saturation, shutdown): run the write inline — wait()
-    // drains the unclaimed task on this thread.
-    pending->group->wait();
-  }
+  // A pool that refuses the write (saturation, shutdown) leaves it to be
+  // drained inline, on this thread.
+  workers::startGroup(pending->group, /*drainHere=*/false,
+                      /*allowDegrade=*/true);
 }
 
 bool SessionServer::checkpointNow(Session& session) {

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -111,16 +112,20 @@ class CancelToken {
     return parent_ ? parent_->reasonMessage() : std::string();
   }
 
-  /// Throw the typed error for the trip reason, or return if still live.
-  /// This is the cancellation point tasks and processes call.
-  void checkpoint() const {
-    if (!cancelled()) return;
-    switch (reason()) {
-      case ErrorClass::Timeout:
-        throw TimeoutError(reasonMessage());
-      default:
-        throw CancelledError(reasonMessage());
+  /// The typed error for the trip reason — TimeoutError or CancelledError
+  /// carrying reasonMessage() — or null while still live.
+  std::exception_ptr error() const {
+    if (!cancelled()) return nullptr;
+    if (reason() == ErrorClass::Timeout) {
+      return std::make_exception_ptr(TimeoutError(reasonMessage()));
     }
+    return std::make_exception_ptr(CancelledError(reasonMessage()));
+  }
+
+  /// Throw error(), or return if still live. This is the cancellation
+  /// point tasks and processes call.
+  void checkpoint() const {
+    if (std::exception_ptr tripped = error()) std::rethrow_exception(tripped);
   }
 
   bool hasDeadline() const { return hasDeadline_; }

@@ -1,11 +1,12 @@
 // One-shot completion latch: the substrate's callback registration point.
 //
-// Every asynchronous handle in the substrate (TaskGroup, Parallel, mr::Job)
-// settles exactly once — when its last task finishes, when it degrades to an
-// inline drain, or when its error is recorded. CompletionLatch captures that
-// edge: callbacks registered before the edge run on the thread that settles
-// the latch (normally the pool worker that finished the final task);
-// callbacks registered after it run immediately on the registering thread.
+// Every asynchronous handle (TaskGroup and the Parallel it backs, mr::Job,
+// and the blocks' Future) settles exactly once — when its last task
+// finishes, when it degrades to an inline drain, or when its outcome is
+// recorded. CompletionLatch is that edge, the one settle-once primitive:
+// callbacks registered before the edge run on the thread that settles the
+// latch (normally the pool worker that finished the final task); callbacks
+// registered after it run immediately on the registering thread.
 // Either way a callback runs exactly once, and never under the latch's lock,
 // so a callback may re-enter the substrate (submit work, wake a scheduler,
 // register further callbacks elsewhere).
@@ -31,7 +32,7 @@
 
 #include "support/fault.hpp"
 
-namespace psnap::workers {
+namespace psnap {
 
 class CompletionLatch {
  public:
@@ -90,4 +91,4 @@ class CompletionLatch {
   std::vector<Callback> callbacks_;
 };
 
-}  // namespace psnap::workers
+}  // namespace psnap

@@ -234,7 +234,9 @@ void registerHofs(PrimitiveTable& t) {
     auto frame = blocks::Environment::make(c.env);
     frame->declare(c.inputs[0].asText(),
                    list->item(static_cast<size_t>(c.counter)));
-    p.pushScript(c.block->input(2).script().get(), frame);
+    // The body is the last slot, so doParallelForEach's sequential mode
+    // (whose slot 2 is the parallelism) runs through this handler too.
+    p.pushScript(c.block->inputs().back().script().get(), frame);
   });
 }
 

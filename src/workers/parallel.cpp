@@ -1,7 +1,6 @@
 #include "workers/parallel.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "support/fault.hpp"
@@ -12,17 +11,13 @@ namespace psnap::workers {
 
 using blocks::Value;
 
-namespace {
-constexpr size_t kDefaultWorkers = 4;  // the paper's Web Worker default
-}  // namespace
-
 Parallel::Parallel(blocks::ItemSpan data, ParallelOptions options)
     : workers_(options.maxWorkers == 0 ? kDefaultWorkers
                                        : options.maxWorkers),
       options_(options),
+      token_(CancelToken::create(options.cancel)),
       stats_(&substrateStats()),
-      perWorker_(options.maxWorkers == 0 ? kDefaultWorkers
-                                         : options.maxWorkers) {
+      perWorker_(workers_) {
   if (options_.chunkSize == 0) options_.chunkSize = 1;
   if (options_.maxRetries < 0) options_.maxRetries = 0;
   cloneIn(data);
@@ -46,23 +41,6 @@ void Parallel::cloneIn(blocks::ItemSpan source) {
   fault::inject(fault::Point::TransferFailure);  // clone-in boundary
   data_.reserve(source.size());
   for (const Value& v : source) data_.push_back(v.structuredClone());
-}
-
-void Parallel::recordError(std::exception_ptr error) {
-  {
-    std::lock_guard<std::mutex> lock(errorMutex_);
-    if (!failedFlag_.load(std::memory_order_relaxed)) {
-      errorPtr_ = error;
-      failedFlag_.store(true, std::memory_order_release);
-    }
-  }
-  // Fail-fast: unstarted sibling chunks are skipped, not drained.
-  if (group_) group_->cancel();
-}
-
-bool Parallel::keepGoing() const {
-  if (failedFlag_.load(std::memory_order_acquire)) return false;
-  return !(group_ && group_->cancelRequested());
 }
 
 uint64_t Parallel::processedItems() const {
@@ -95,38 +73,15 @@ void Parallel::mapRange(const MapFn& fn, size_t begin, size_t end,
   perWorker_[w].items.fetch_add(end - begin, std::memory_order_relaxed);
 }
 
-void Parallel::launch(std::function<void(size_t)> body, size_t taskCount) {
-  if (launched_.exchange(true)) {
+void Parallel::launch(TaskGroup::Task body, size_t taskCount) {
+  if (group_) {
     throw Error("Parallel: an operation is already running on this object");
   }
-  if (options_.deadlineSeconds > 0 || options_.cancel) {
-    token_ = options_.deadlineSeconds > 0
-                 ? CancelToken::withDeadline(options_.deadlineSeconds,
-                                             options_.cancel)
-                 : CancelToken::create(options_.cancel);
-  }
-  std::vector<TaskGroup::Task> tasks;
-  tasks.reserve(taskCount);
-  for (size_t w = 0; w < taskCount; ++w) {
-    tasks.push_back([this, body](size_t index) {
-      try {
-        body(index);
-      } catch (...) {
-        recordError(std::current_exception());
-      }
-    });
-  }
-  group_ = std::make_shared<TaskGroup>(std::move(tasks), token_);
-  {
-    // Attach callbacks registered before launch. An empty group settled
-    // in its constructor, so these may fire right here on the caller.
-    std::vector<std::function<void()>> pending;
-    {
-      std::lock_guard<std::mutex> lock(errorMutex_);
-      pending.swap(pendingCallbacks_);
-    }
-    for (auto& cb : pending) group_->onComplete(std::move(cb));
-  }
+  // Chunk bodies throw straight into the group: it keeps the first error
+  // (original type preserved) and cancels the unstarted siblings.
+  group_ = std::make_shared<TaskGroup>(
+      std::vector<TaskGroup::Task>(taskCount, std::move(body)), token_,
+      stats_);
   // A refused launch degrades: the chunk tasks drain on the caller — the
   // sequential rung of the ladder — rather than failing a correct script.
   switch (startGroup(group_,
@@ -224,56 +179,38 @@ void Parallel::reduce(ReduceFn fn) {
       taskCount);
 }
 
-bool Parallel::resolved() const {
-  return launched_.load() && group_ && group_->done();
-}
+bool Parallel::resolved() const { return group_ && group_->done(); }
 
 void Parallel::onComplete(std::function<void()> cb) {
-  {
-    std::lock_guard<std::mutex> lock(errorMutex_);
-    if (!group_) {
-      pendingCallbacks_.push_back(std::move(cb));
-      return;
-    }
+  if (!group_) {
+    throw Error("Parallel: onComplete before map() or reduce()");
   }
   group_->onComplete(std::move(cb));
 }
 
 void Parallel::cancel(const std::string& reason) {
-  {
-    std::lock_guard<std::mutex> lock(errorMutex_);
-    cancelReason_ = reason;
-  }
-  if (token_) token_->cancel(reason);
+  token_->cancel(reason);
   if (group_) group_->cancel();
 }
 
+std::exception_ptr Parallel::failure() const {
+  if (!resolved()) return nullptr;
+  if (std::exception_ptr error = group_->error()) return error;
+  // A cancellation that stopped work before every item was processed is
+  // the operation's typed error; one that tripped after the last item
+  // completed is not a failure. Both facts are fixed once resolved.
+  return processedItems() < inputSize_ ? group_->failure() : nullptr;
+}
+
 void Parallel::wait() {
-  if (!launched_.load()) return;
-  if (joined_) return;
+  if (!group_ || joined_) return;
   group_->wait();
   joined_ = true;
-  // A cancellation (explicit or deadline) that stopped work before every
-  // item was processed becomes the operation's typed error. A deadline
-  // that trips only after the last item completed is not a failure.
-  if (!failedFlag_.load(std::memory_order_acquire) &&
-      group_->cancelRequested() && processedItems() < inputSize_) {
-    try {
-      if (token_) token_->checkpoint();
-      std::string reason;
-      {
-        std::lock_guard<std::mutex> lock(errorMutex_);
-        reason = cancelReason_;
-      }
-      throw CancelledError(reason);
-    } catch (...) {
-      if (classifyError(std::current_exception()) == ErrorClass::Timeout) {
-        stats_->bump(&SubstrateStats::timeouts);
-      }
-      recordError(std::current_exception());
-    }
+  const std::exception_ptr error = failure();
+  if (classifyError(error) == ErrorClass::Timeout) {
+    stats_->bump(&SubstrateStats::timeouts);
   }
-  if (isReduce_ && !failedFlag_.load()) foldReducePartials();
+  if (isReduce_ && !error) foldReducePartials();
 }
 
 void Parallel::foldReducePartials() {
@@ -293,15 +230,11 @@ void Parallel::foldReducePartials() {
   if (!first) data_.push_back(std::move(acc));
 }
 
-bool Parallel::failed() const { return failedFlag_.load(); }
-
 const std::vector<Value>& Parallel::data() {
   wait();
-  if (failedFlag_.load()) {
-    // Surface the original exception type (a TypeError stays a
-    // TypeError), not a flattened base-class copy of its message.
-    std::rethrow_exception(errorPtr_);
-  }
+  // Surface the original exception type (a TypeError stays a TypeError),
+  // not a flattened base-class copy of its message.
+  if (std::exception_ptr error = failure()) std::rethrow_exception(error);
   return data_;
 }
 

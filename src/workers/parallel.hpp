@@ -25,6 +25,12 @@
 //     answers the instantaneous question for tests and wait() fast
 //     paths, but nothing in the runtime spins on it.
 //
+// A Parallel is its TaskGroup plus its data. The group owns the outcome:
+// chunk bodies throw straight into it (it keeps the first error and
+// cancels the siblings), its completion latch is the operation's, and
+// failed()/errorClass()/data() read its failure() — valid from the
+// moment the operation resolves, with or without wait().
+//
 // Execution substrate: operations no longer spawn threads. Each logical
 // worker becomes one chunk task in a TaskGroup submitted to the shared
 // WorkerPool, so op launch costs a queue push instead of maxWorkers
@@ -59,9 +65,11 @@
 //      reruns its pipeline sequentially. User-script errors (TypeError,
 //      …) never retry or degrade — they surface with their original
 //      exception type.
-// Deadlines ride the same machinery: deadlineSeconds arms a CancelToken
-// that chunk claims poll, and an expired deadline surfaces as a
-// TimeoutError unless every item had already been processed.
+// Deadlines ride the cancel token: the operation's own token is a child
+// of ParallelOptions::cancel (pass CancelToken::withDeadline(s) for a
+// budget), chunk claims poll it, and a trip surfaces as the token's typed
+// TimeoutError or CancelledError — unless every item had already been
+// processed, in which case the late trip is not a failure.
 //
 // In addition to wall-clock execution, the facade tracks items-per-worker
 // so benches can report *virtual makespan* (max items on any worker) —
@@ -81,7 +89,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,8 +151,7 @@ enum class Distribution {
 };
 
 struct ParallelOptions {
-  /// Number of logical workers; 0 uses the default of 4 (the paper:
-  /// "By default, four Web Workers are created").
+  /// Number of logical workers; 0 uses kDefaultWorkers.
   size_t maxWorkers = 0;
   Distribution distribution = Distribution::Dynamic;
   /// Chunk granularity for Dynamic and BlockCyclic (0 normalizes to 1).
@@ -153,14 +159,12 @@ struct ParallelOptions {
   /// Retries per chunk on SubstrateError (0 disables). Only the
   /// substrate class retries; user-script errors are deterministic.
   int maxRetries = 2;
-  /// Wall-clock budget from launch; 0 means none. Expiry cancels
-  /// remaining chunks and the operation fails with TimeoutError.
-  double deadlineSeconds = 0;
   /// Drain the chunk tasks on the caller when the pool cannot accept the
   /// launch, instead of failing the operation.
   bool allowDegrade = true;
-  /// External cancellation (e.g. the owning script's token): cancelling
-  /// it cancels this operation at its next chunk boundary.
+  /// External cancellation (e.g. the owning script's token, or
+  /// CancelToken::withDeadline for a wall-clock budget): a trip cancels
+  /// this operation at its next chunk boundary.
   CancelTokenPtr cancel;
   /// Estimated cost of one item in ns, for the grain model (grain.hpp):
   /// 0 means unknown and always launches on the pool. A known cost whose
@@ -208,8 +212,8 @@ class Parallel {
 
   /// Register a completion callback: fires exactly once, from the worker
   /// that finishes the operation (or immediately if already resolved, or
-  /// on the caller when the launch degrades to an inline drain).
-  /// Callbacks registered before map()/reduce() are attached at launch.
+  /// on the caller when the launch degrades to an inline drain). Throws
+  /// Error before map()/reduce(): there is nothing to complete yet.
   void onComplete(std::function<void()> cb);
 
   /// Block until resolved (draining unclaimed chunk tasks on this
@@ -222,11 +226,11 @@ class Parallel {
 
   /// True once resolved if the operation failed; errorMessage() holds the
   /// first error and errorClass() its type tag.
-  bool failed() const;
+  bool failed() const { return failure() != nullptr; }
   std::string errorMessage() const {
-    return exceptionMessage(errorPtr_, "unknown worker error");
+    return exceptionMessage(failure(), "unknown worker error");
   }
-  ErrorClass errorClass() const { return classifyError(errorPtr_); }
+  ErrorClass errorClass() const { return classifyError(failure()); }
 
   /// Did the operation complete through the sequential fallback?
   bool wasDegraded() const { return degraded_.load(); }
@@ -261,16 +265,16 @@ class Parallel {
 
   void cloneIn(blocks::ItemSpan source);
   /// Submit `taskCount` chunk tasks running `body(logicalWorker)`.
-  void launch(std::function<void(size_t)> body, size_t taskCount);
-  /// Record the first failure (original exception preserved) and cancel
-  /// the group so unstarted siblings are skipped.
-  void recordError(std::exception_ptr error);
+  void launch(TaskGroup::Task body, size_t taskCount);
+  /// The group's failure once resolved, or null: a cancellation that
+  /// trips after every item was processed is not a failure.
+  std::exception_ptr failure() const;
   /// Map one range in place under the retry rung. Returns normally or
   /// rethrows the unretryable / retry-exhausted error.
   void mapRange(const MapFn& fn, size_t begin, size_t end, size_t w);
-  /// Should the task keep claiming chunks? False once cancelled, failed,
-  /// or past the deadline.
-  bool keepGoing() const;
+  /// Should the task keep claiming chunks? False once the group is
+  /// cancelled: by a failing sibling, cancel(), or the token.
+  bool keepGoing() const { return !group_->cancelRequested(); }
   /// Total items processed across all logical workers.
   uint64_t processedItems() const;
   void foldReducePartials();
@@ -279,23 +283,15 @@ class Parallel {
   size_t workers_;
   ParallelOptions options_;
 
-  std::shared_ptr<TaskGroup> group_;
-  CancelTokenPtr token_;  // set when a deadline or external cancel exists
+  std::shared_ptr<TaskGroup> group_;  // set once, at launch
+  CancelTokenPtr token_;  // child of options.cancel: the cancel() handle
   SubstrateStats* stats_;  // the constructing thread's scope, never null
   std::vector<CounterSlot> perWorker_;
   std::atomic<size_t> cursor_{0};
-  std::atomic<bool> launched_{false};
-  std::atomic<bool> failedFlag_{false};
   std::atomic<bool> degraded_{false};
-  std::exception_ptr errorPtr_;
-  std::mutex errorMutex_;
-  // onComplete registrations made before launch; attached to the group
-  // (under errorMutex_) the moment it exists.
-  std::vector<std::function<void()>> pendingCallbacks_;
   std::vector<blocks::Value> partials_;  // reduce intermediates
   ReduceFn combiner_;                    // for the final sequential fold
   MapBatchFn batch_;                     // optional native chunk path
-  std::string cancelReason_ = "parallel operation cancelled";
   size_t inputSize_ = 0;
   bool isReduce_ = false;
   bool joined_ = false;

@@ -17,7 +17,10 @@
 // known to be failing. The captured error keeps its exception type — a
 // TypeError thrown on a worker resurfaces as a TypeError, not a flattened
 // string. An external token (a deadline, a script's stop) cancels the
-// group the same way.
+// group the same way. The group owns its operation's outcome: failure()
+// is the first task error, else the token's typed trip, else the group's
+// own cancellation — Parallel and mr::Job read it instead of keeping
+// their own error slots.
 //
 // Completion model: the group settles a CompletionLatch when its last task
 // finishes. onComplete() callbacks fire exactly once, from the worker that
@@ -35,11 +38,16 @@
 #include <vector>
 
 #include "support/cancel.hpp"
+#include "support/completion.hpp"
 #include "support/error.hpp"
-#include "workers/completion.hpp"
 #include "workers/stats.hpp"
 
 namespace psnap::workers {
+
+/// The paper's default worker count ("By default, four Web Workers are
+/// created"): the width of a Parallel, an mr::Job or a WorkerPool asked
+/// for 0.
+inline constexpr size_t kDefaultWorkers = 4;
 
 class TaskGroup {
  public:
@@ -48,14 +56,17 @@ class TaskGroup {
 
   /// `token`, when given, cancels the group from outside (deadline or
   /// caller stop); the group always also honours its own fail-fast flag.
-  /// The group records into the *constructing thread's* stats scope —
-  /// captured here so pool workers charge skips and cancellations to the
-  /// tenant that submitted the group, not to their own thread's scope.
-  explicit TaskGroup(std::vector<Task> tasks, CancelTokenPtr token = nullptr)
+  /// The group records skips and cancellations into `stats`, its owner's
+  /// ledger: by default the *constructing thread's* scope, so pool workers
+  /// charge the tenant that submitted the group, not their own thread's
+  /// scope. An owner that builds a group on a pool worker (mr::Job's
+  /// stage 2) passes its own ledger.
+  explicit TaskGroup(std::vector<Task> tasks, CancelTokenPtr token = nullptr,
+                     SubstrateStats* stats = &substrateStats())
       : tasks_(std::move(tasks)),
         pending_(tasks_.size()),
         token_(std::move(token)),
-        stats_(&substrateStats()) {
+        stats_(stats) {
     if (tasks_.empty()) latch_.settle();
   }
 
@@ -127,7 +138,7 @@ class TaskGroup {
 
   /// Drain unclaimed tasks on the calling thread, then block until the
   /// claimed-but-running remainder completes. Never throws; task
-  /// exceptions are captured (see error()).
+  /// exceptions are captured (see failure()).
   void wait() {
     drain();
     latch_.wait();
@@ -144,21 +155,19 @@ class TaskGroup {
   /// done().
   ErrorClass errorClass() const { return classifyError(error()); }
 
-  /// Rethrow the captured exception with its original type, if any; if
-  /// the group was cancelled with no task error, raise the cancellation
-  /// itself (TimeoutError when an external deadline tripped). Call after
-  /// wait().
-  void rethrowIfError() {
-    std::exception_ptr error;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      error = error_;
+  /// The group's outcome, with its original exception type: the first
+  /// task error; else the token's typed trip (TimeoutError, or
+  /// CancelledError with the token's reason); else CancelledError after
+  /// cancel(); else null. Meaningful once done().
+  std::exception_ptr failure() const {
+    if (std::exception_ptr first = error()) return first;
+    if (std::exception_ptr tripped = token_ ? token_->error() : nullptr) {
+      return tripped;
     }
-    if (error) std::rethrow_exception(error);
-    if (token_ && token_->cancelled()) token_->checkpoint();
     if (cancelled_.load(std::memory_order_acquire)) {
-      throw CancelledError("task group cancelled");
+      return std::make_exception_ptr(CancelledError("task group cancelled"));
     }
+    return nullptr;
   }
 
  private:

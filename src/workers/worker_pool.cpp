@@ -20,7 +20,7 @@ void checkAcceptsWork(bool stopped) {
 }  // namespace
 
 WorkerPool::WorkerPool(size_t width) {
-  const size_t count = width == 0 ? 4 : width;
+  const size_t count = width == 0 ? kDefaultWorkers : width;
   slots_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     slots_.push_back(std::make_unique<Slot>());
@@ -88,7 +88,7 @@ std::vector<uint64_t> WorkerPool::jobsPerWorker() const {
 
 WorkerPool& WorkerPool::shared() {
   static WorkerPool pool(
-      std::max<size_t>(4, std::thread::hardware_concurrency()));
+      std::max<size_t>(kDefaultWorkers, std::thread::hardware_concurrency()));
   return pool;
 }
 
@@ -112,9 +112,7 @@ bool WorkerPool::tryRunOne(size_t self) {
       }
     }
     queued_.fetch_sub(1, std::memory_order_relaxed);
-    inflight_.fetch_add(1, std::memory_order_relaxed);
     job();
-    inflight_.fetch_sub(1, std::memory_order_relaxed);
     slots_[self]->executed.fetch_add(1, std::memory_order_relaxed);
     completed_.fetch_add(1, std::memory_order_relaxed);
     return true;

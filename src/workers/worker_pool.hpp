@@ -35,8 +35,7 @@ namespace psnap::workers {
 
 class WorkerPool {
  public:
-  /// Spawn `width` worker threads (0 defaults to 4, the paper's default
-  /// Web Worker count).
+  /// Spawn `width` worker threads (0 defaults to kDefaultWorkers).
   explicit WorkerPool(size_t width = 0);
   ~WorkerPool();
 
@@ -69,7 +68,8 @@ class WorkerPool {
 
   /// The process-wide default pool, created on first use — analogous to
   /// the browser's worker slots always being available. Width is
-  /// max(4, hardware_concurrency): never below the paper's default.
+  /// max(kDefaultWorkers, hardware_concurrency): never below the paper's
+  /// default.
   static WorkerPool& shared();
 
  private:
@@ -91,7 +91,6 @@ class WorkerPool {
   std::vector<std::thread> threads_;
   std::atomic<uint64_t> completed_{0};
   std::atomic<int64_t> queued_{0};
-  std::atomic<int64_t> inflight_{0};
   std::atomic<size_t> nextSlot_{0};  // round-robin submit cursor
 
   // Parking. sleepers_ is read by submitters (Dekker-style with queued_,

@@ -15,6 +15,7 @@
 #include "blocks/builder.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
+#include "workers/stats.hpp"
 
 namespace psnap::mr {
 namespace {
@@ -188,7 +189,8 @@ TEST(MapReduce, PreCancelledTokenStopsPipeline) {
 TEST(MapReduce, ExpiredDeadlineSurfacesTimeout) {
   Options options;
   options.workers = 4;
-  options.deadlineSeconds = 1e-9;  // expires before the first chunk claim
+  // Expires before the first chunk claim.
+  options.cancel = CancelToken::withDeadline(1e-9);
   auto input = List::make();
   for (int i = 0; i < 50; ++i) input->add(Value(i % 3));
   EXPECT_THROW(run(input, constOne(), countValues(), options),
@@ -199,7 +201,8 @@ TEST(MapReduce, ExpiredDeadlineSurfacesTimeoutOnTheSequentialPaths) {
   auto input = List::make();
   for (int i = 0; i < 1000; ++i) input->add(Value(i % 7));
   EXPECT_THROW(run(input, constOne(), countValues(),
-                   {.sequential = true, .deadlineSeconds = 1e-9}),
+                   {.sequential = true,
+                    .cancel = CancelToken::withDeadline(1e-9)}),
                TimeoutError);
   // Every pooled task throws and nothing retries, so the Job degrades to
   // its sequential rerun, which outlives the deadline: 1000 items at
@@ -214,7 +217,9 @@ TEST(MapReduce, ExpiredDeadlineSurfacesTimeoutOnTheSequentialPaths) {
   config.pointMask = fault::maskOf(fault::Point::TaskThrow);
   fault::ScopedFault armed(config);
   Job job(input, slowOne, countValues(),
-          {.workers = 4, .maxRetries = 0, .deadlineSeconds = 0.05});
+          {.workers = 4,
+           .maxRetries = 0,
+           .cancel = CancelToken::withDeadline(0.05)});
   job.wait();
   ASSERT_TRUE(job.failed());
   EXPECT_EQ(job.errorClass(), ErrorClass::Timeout);
@@ -233,6 +238,51 @@ TEST(MapReduceJob, ErrorCarriesClassAndExceptionType) {
 
 TEST(MapReduce, NullInputThrows) {
   EXPECT_THROW(run(nullptr, constOne(), countValues()), Error);
+}
+
+TEST(MapReduceJob, StageTwoFailFastChargesTheConstructingTenant) {
+  // Stage 2 is built by stage 1's completion callback on a pool worker;
+  // its fail-fast cancellation still belongs to the tenant that built
+  // the job.
+  workers::SubstrateStats tenant;
+  tenant.setParent(&workers::processSubstrateStats());
+  auto input = List::make();
+  for (int i = 0; i < 1024; ++i) input->add(Value(i));
+  MapFn slow = [](const Value& v) {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    return v;
+  };
+  ReduceFn bad = [](const ListPtr&) -> Value {
+    throw TypeError("bad reduce");
+  };
+  {
+    workers::StatsScope scope(tenant);
+    Job job(input, slow, bad, {.workers = 4});
+    job.wait();
+    ASSERT_TRUE(job.failed());
+    EXPECT_EQ(job.errorClass(), ErrorClass::Type);
+  }
+  EXPECT_EQ(tenant.cancellations.load(), 1u);
+}
+
+TEST(MapReduceJob, DeadlineTripCountsOneTimeoutForTheTenant) {
+  workers::SubstrateStats tenant;
+  tenant.setParent(&workers::processSubstrateStats());
+  auto input = List::make();
+  for (int i = 0; i < 4000; ++i) input->add(Value(i % 5));
+  MapFn slow = [](const Value& v) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    return v;
+  };
+  {
+    workers::StatsScope scope(tenant);
+    Job job(input, slow, identityReduce(),
+            {.workers = 2, .cancel = CancelToken::withDeadline(0.02)});
+    job.wait();
+    ASSERT_TRUE(job.failed());
+    EXPECT_EQ(job.errorClass(), ErrorClass::Timeout);
+  }
+  EXPECT_EQ(tenant.timeouts.load(), 1u);
 }
 
 TEST(MapReduceJob, AsyncCompletion) {

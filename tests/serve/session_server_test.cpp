@@ -327,6 +327,11 @@ TEST(SessionServer, ParkCostsAtMostOneFrame) {
                                 In(9.0))),
                   blocks::Environment::make())
           .asRing();
+  // An earlier test in this process may have left the same kernel
+  // compiling on the pool: let that compile settle first, so the
+  // validated calls below promote the kernel it installs.
+  native::TierManager& tier = native::TierManager::instance();
+  tier.waitForCompile(tier.lookup(*celsius, codegen::KernelShape::Unary));
   {
     native::TierConfig sync;
     sync.hotThreshold = 1;

@@ -268,7 +268,7 @@ TEST(Chaos, FailFastSkipsUnstartedSiblings) {
   EXPECT_TRUE(group.done());
   EXPECT_EQ(ran.load(), 0);
   EXPECT_EQ(group.errorClass(), ErrorClass::Type);
-  EXPECT_THROW(group.rethrowIfError(), TypeError);
+  EXPECT_THROW(std::rethrow_exception(group.failure()), TypeError);
   EXPECT_GE(substrateStats().tasksSkipped.load(std::memory_order_relaxed),
             skippedBefore + 31);
 }
@@ -718,7 +718,7 @@ TEST(Chaos, InlineDeadlineTripRaisesTimeout) {
     return v;
   };
   Parallel p(numbers(200), {.maxWorkers = 2,
-                            .deadlineSeconds = 0.02,
+                            .cancel = CancelToken::withDeadline(0.02),
                             .itemCostNs = kTinyCostNs});
   p.map(slow);
   ASSERT_TRUE(p.ranInline());
@@ -736,12 +736,16 @@ TEST(Chaos, InlineDeadlineTripRaisesTimeout) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
     return v;
   };
+  const uint64_t jobTimeoutsBefore =
+      substrateStats().timeouts.load(std::memory_order_relaxed);
   mr::Job job(input, slower, mr::identityReduce(),
-              {.workers = 2, .deadlineSeconds = 0.02,
+              {.workers = 2, .cancel = CancelToken::withDeadline(0.02),
                .itemCostNs = kTinyCostNs});
   EXPECT_TRUE(job.ranInline());
   ASSERT_TRUE(job.failed());
   EXPECT_EQ(job.errorClass(), ErrorClass::Timeout);
+  EXPECT_EQ(substrateStats().timeouts.load(std::memory_order_relaxed),
+            jobTimeoutsBefore + 1);
   EXPECT_THROW(std::rethrow_exception(job.error()), TimeoutError);
   // A blown deadline never earns the sequential rerun.
   EXPECT_FALSE(job.wasDegraded());

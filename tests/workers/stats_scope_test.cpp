@@ -90,7 +90,8 @@ TEST(StatsScope, ParallelTimeoutChargesTheConstructingScope) {
     // A deadline that expires almost immediately, against a map slow
     // enough that it cannot finish first: wait() trips as a timeout, and
     // the trip is recorded into the scope captured at construction.
-    Parallel p(input, {.maxWorkers = 2, .deadlineSeconds = 1e-6});
+    Parallel p(input,
+               {.maxWorkers = 2, .cancel = CancelToken::withDeadline(1e-6)});
     p.map([](const Value& v) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       return v;
