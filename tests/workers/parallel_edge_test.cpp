@@ -127,6 +127,17 @@ TEST(ParallelEdge, SecondMapThrows) {
   EXPECT_EQ(p.data().size(), 8u);
 }
 
+TEST(ParallelEdge, OnCompleteBeforeLaunchThrows) {
+  // The group that owns completion exists only once map()/reduce() runs.
+  Parallel p(numbers(8), {.maxWorkers = 2});
+  EXPECT_THROW(p.onComplete([] {}), Error);
+  p.map(identity);
+  int fired = 0;
+  p.wait();
+  p.onComplete([&fired] { ++fired; });
+  EXPECT_EQ(fired, 1);
+}
+
 // --- stress: many tiny pooled ops from several threads ----------------------
 
 TEST(ParallelEdge, ThousandTinyOpsFromFourThreads) {
