@@ -3,12 +3,15 @@
 // parallel ≡ sequential, and the block path equals the reference. A
 // differential sweep pins every engine path (pooled at each width,
 // sequential, degraded by a saturated pool) to a reference shuffle on
-// seeded mixes of hard keys.
+// seeded mixes of hard keys, and pins lists loaded from a snapshot to
+// their in-memory twins on every path.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <iterator>
@@ -22,6 +25,7 @@
 #include "core/parallel_blocks.hpp"
 #include "data/corpus.hpp"
 #include "mapreduce/engine.hpp"
+#include "persist/snapshot.hpp"
 #include "sched/thread_manager.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -693,6 +697,159 @@ TEST(ShuffleDifferential, MixedColumnAndBoxedSlicesMatchTheReference) {
   // columns, so the reduce entry never ran.
   EXPECT_GT(mapped.load(), 0);
   EXPECT_EQ(reduced.load(), 0);
+}
+
+// --- Differential: lists loaded from a snapshot ------------------------------
+
+/// Text keys whose class and equality are easy to get wrong: case
+/// variants, numeric text in several spellings, "-0" against "0", "NaN",
+/// text longer than the inline capacity, and empty text.
+std::vector<Value> hardTextKeys() {
+  return {Value("The"),  Value("the"),  Value("THE"), Value("1"),
+          Value("1.0"),  Value("-0"),   Value("0"),   Value("NaN"),
+          Value("nan"),  Value(""),     Value("10"),  Value("1a"),
+          Value("A fairly long key of text"),
+          Value("a FAIRLY long key OF text"), Value("true")};
+}
+
+/// `n` seeded draws from the hard text keys plus a tail of distinct words.
+ListPtr hardTextList(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<Value> keys = hardTextKeys();
+  auto list = List::make();
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.below(4) == 0) {
+      list->add(Value("word" + std::to_string(rng.below(n))));
+    } else {
+      list->add(keys[rng.below(keys.size())]);
+    }
+  }
+  return list;
+}
+
+/// Keys every item by itself through an explicit [item, 1] pair.
+MapFn explicitPairMapper() {
+  return [](const Value& item) {
+    return Value(List::make({item, Value(1)}));
+  };
+}
+
+/// A scratch directory for one test's snapshots, removed on scope exit.
+struct SnapshotDir {
+  explicit SnapshotDir(const std::string& tag)
+      : dir(std::filesystem::temp_directory_path() /
+            ("psnap-mrprop-" + tag + "-" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+  }
+  ~SnapshotDir() { std::filesystem::remove_all(dir); }
+  std::string path(const std::string& name) const {
+    return (dir / name).string();
+  }
+  std::filesystem::path dir;
+};
+
+/// Every engine path — pooled and drained inline at widths 1/2/4,
+/// sequential, degraded by a saturated pool, and run() — gives `other`
+/// exactly the output and stats it gives `twin`.
+void expectTwinsMatch(const ListPtr& twin, const ListPtr& other,
+                      const MapFn& mapper, const ReduceFn& reduce,
+                      const Options& base, uint64_t seed) {
+  const auto both = [&](const Options& options, const std::string& path) {
+    SCOPED_TRACE(path);
+    const Outcome a = settledOutcome(twin, mapper, reduce, options);
+    const Outcome b = settledOutcome(other, mapper, reduce, options);
+    EXPECT_EQ(b.output, a.output);
+    EXPECT_EQ(b.inlined, a.inlined);
+    expectSameStats(b.stats, a.stats);
+  };
+  for (size_t width : {1, 2, 4}) {
+    Options options = base;
+    options.workers = width;
+    both(options, "pooled, width " + std::to_string(width));
+    options.itemCostNs = kTinyCostNs;
+    both(options, "inline, width " + std::to_string(width));
+  }
+  Options sequential = base;
+  sequential.sequential = true;
+  both(sequential, "sequential");
+  {
+    fault::Config saturated;
+    saturated.seed = seed;
+    saturated.rateNumerator = 1;
+    saturated.rateDenominator = 1;
+    saturated.pointMask = fault::maskOf(fault::Point::PoolSaturation);
+    fault::ScopedFault armed(saturated);
+    Options degraded = base;
+    degraded.workers = 4;
+    both(degraded, "degraded");
+  }
+  for (bool seq : {false, true}) {
+    SCOPED_TRACE(seq ? "run, sequential" : "run, parallel");
+    Options options = base;
+    options.workers = 4;
+    options.sequential = seq;
+    Stats a;
+    Stats b;
+    const std::string left =
+        exact(Value(run(twin, mapper, reduce, options, &a)));
+    EXPECT_EQ(exact(Value(run(other, mapper, reduce, options, &b))), left);
+    expectSameStats(b, a);
+  }
+}
+
+/// expectTwinsMatch under a boxed keyed-by-item map (identity and
+/// counting reduce), explicit [item, 1] pairs, and the numeric column
+/// with the reduce entry folding.
+void expectTwinsMatchEverywhere(const ListPtr& twin, const ListPtr& other,
+                                uint64_t seed) {
+  for (const ReduceFn& reduce : {identityReduce(), countValues()}) {
+    expectTwinsMatch(twin, other, differentialMapper(), reduce, {}, seed);
+  }
+  expectTwinsMatch(twin, other, explicitPairMapper(), countValues(), {},
+                   seed);
+  std::atomic<int> mapped{0};
+  std::atomic<int> reduced{0};
+  Options column;
+  column.mapNumeric = numberEntry({}, &mapped);
+  column.reduceNumeric = sumEntry(true, &reduced);
+  expectTwinsMatch(twin, other, numberMapper(), sumValues(), column, seed);
+  EXPECT_GT(mapped.load(), 0);
+  EXPECT_GT(reduced.load(), 0);
+}
+
+// Text lists round-tripped through saveList/loadList, through the
+// streaming DatasetWriter, and through writeWordsSnapshot give their
+// in-memory twins' output and stats byte for byte on every path.
+TEST(ShuffleDifferential, SnapshotListsMatchTheirInMemoryTwins) {
+  const SnapshotDir dir("twins");
+  for (uint64_t seed : {3, 8}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const ListPtr twin = hardTextList(1500, seed);
+    {
+      SCOPED_TRACE("saveList");
+      persist::saveList(dir.path("saved.psnap"), twin);
+      expectTwinsMatchEverywhere(
+          twin, persist::loadList(dir.path("saved.psnap")), seed);
+    }
+    {
+      SCOPED_TRACE("DatasetWriter");
+      persist::DatasetWriter writer(dir.path("streamed.psnap"));
+      for (const Value& item : twin->items()) writer.append(item);
+      writer.commit();
+      expectTwinsMatchEverywhere(
+          twin, persist::loadList(dir.path("streamed.psnap")), seed);
+    }
+  }
+  SCOPED_TRACE("writeWordsSnapshot");
+  data::writeWordsSnapshot(dir.path("words.psnap"), 3000, 200, 4);
+  auto twin = List::make();
+  for (const std::string& word :
+       data::tokenize(data::generateText(3000, 200, 4))) {
+    twin->add(Value(word));
+  }
+  expectTwinsMatchEverywhere(twin, persist::loadList(dir.path("words.psnap")),
+                             4);
 }
 
 }  // namespace
