@@ -174,18 +174,31 @@ uint64_t identityHash(const Value::Identity& id) {
   return h ^ (h >> 29);
 }
 
+/// The capacity a stage-1 slice's tables and class vectors start with: a
+/// slice has at most one class per pair, so its length bounds what it
+/// needs. Past the cap a slice regrows, and each regrowth then follows
+/// thousands of misses that cost more than the copy.
+constexpr size_t kSliceClassesCap = 4096;
+
 /// One stage-1 slice's order classes, in first-appearance order: each
-/// class's head key, member count and one-run flag, and its ids listed
-/// by shard. In front of the class table sits a memo from each key
-/// representation the slice has classed to its class id.
+/// class's head key, member count, one-run flag and shard, and its ids
+/// listed by shard. In front of the class table sits a memo from each
+/// key representation the slice has classed to its class id.
 struct SliceClasses {
-  void reset(size_t shards) {
-    memo.reset(0);
+  /// Empty, sized for `expected` classes so that nothing regrows below it.
+  void reset(size_t shards, size_t expected) {
+    memo.reset(expected);
     memoed.clear();
-    table.reset(0);
+    memoed.reserve(expected);
+    table.reset(expected);
     heads.clear();
+    heads.reserve(expected);
     sizes.clear();
+    sizes.reserve(expected);
     oneRun.clear();
+    oneRun.reserve(expected);
+    shard.clear();
+    shard.reserve(expected);
     byShard.assign(shards, {});
   }
 
@@ -193,8 +206,8 @@ struct SliceClasses {
   /// A key whose exact representation the slice has classed before is
   /// one memo probe. Any other key is probed and looked up in the class
   /// table; a key of a class the slice has not seen opens a class headed
-  /// by itself, which takes over `shown` as its display. The key must
-  /// stay pinned while the slice's classes live.
+  /// by itself, which takes over `shown` as its display and records its
+  /// shard. The key must stay pinned while the slice's classes live.
   uint32_t classify(const Value& key, std::string& shown) {
     const Value::Identity id = key.identity();
     uint32_t* memoSlot = nullptr;
@@ -224,7 +237,8 @@ struct SliceClasses {
       heads.push_back(std::move(head));
       sizes.push_back(1);
       oneRun.push_back(p.numeric ? !std::isnan(p.num) : key.isText());
-      byShard[p.hash % byShard.size()].push_back(c);
+      shard.push_back(uint32_t(p.hash % byShard.size()));
+      byShard[shard.back()].push_back(c);
       table.fit(heads.size(), [&](uint32_t h) { return heads[h].hash; });
     }
     if (memoSlot) {
@@ -245,6 +259,7 @@ struct SliceClasses {
   /// single run. True for a numeric non-NaN class and for a class whose
   /// members are all text.
   std::vector<uint8_t> oneRun;
+  std::vector<uint32_t> shard;                 // per class: hash % shards
   std::vector<std::vector<uint32_t>> byShard;  // [shard] → class ids
 };
 
@@ -264,29 +279,30 @@ struct Runs {
   Results results = Results::Slots;
 };
 
-/// The shuffle over the input items and their flat map results: pair i
-/// is read in place from items[i] and its map result (keyOf, valueOf),
-/// and classOf[i] is its class in its slice's table. A map result is
-/// mapped[i], or, when the numeric map entry served i's slice, a double
-/// in that slice's column; a column pair is keyed by its item. Slot i of
-/// every array is written by the one slice task covering i, and
-/// slices[slice], binned[slice], columns[slice] and columnar[slice] by
-/// that slice alone, so a slice that restarts from scratch rewrites all
-/// of its state exactly.
+/// The shuffle over the input items and their map results: pair i is
+/// read in place from items[i] and its map result (keyOf, valueOf), and
+/// classOf[i] is its class in its slice's table. A map result is held in
+/// its slice's mapped slots, or, when the numeric map entry served the
+/// slice, as a double in the slice's column; a column pair is keyed by its
+/// item. Slot i of classOf is written by the one slice task covering i,
+/// and slices[slice], mapped[slice], binned[slice], columns[slice] and
+/// columnar[slice] by that slice alone, so a slice that restarts from
+/// scratch rewrites all of its state exactly.
 struct Shuffle {
   Shuffle(blocks::ItemSpan input, size_t shards)
       : n(input.size()),
         shardCount(shards),
+        sliceLength((n + shards - 1) / shards),
         items(input),
-        mapped(n),
         classOf(n),
         slices(shards),
+        mapped(shards),
         binned(shards, std::vector<std::vector<uint32_t>>(shards)),
         columns(shards),
         columnar(shards, 0) {}
 
   /// Slice s covers [s * per(), min((s + 1) * per(), n)).
-  size_t per() const { return (n + shardCount - 1) / shardCount; }
+  size_t per() const { return sliceLength; }
 
   /// An explicit [key, value] map result; any other result is keyed by
   /// its item.
@@ -304,15 +320,19 @@ struct Shuffle {
     return !any ? Results::Slots : all ? Results::Columns : Results::Mixed;
   }
   /// Pair i's map result is in its slice's column. A column slice's
-  /// mapped slots are never read: an attempt that declined before the
-  /// entry served may have left values there.
+  /// mapped slots are empty: it never keeps boxed results.
   bool inColumn(size_t i, Results where) const {
     return where == Results::Columns ||
            (where == Results::Mixed && columnar[i / per()]);
   }
+  /// Pair i's boxed map result (not in a column).
+  const Value& resultOf(size_t i) const {
+    const size_t t = i / per();
+    return mapped[t][i - t * per()];
+  }
   const Value& keyOf(size_t i, Results where) const {
-    return !inColumn(i, where) && isPair(mapped[i])
-               ? mapped[i].asList()->items()[0]
+    return !inColumn(i, where) && isPair(resultOf(i))
+               ? resultOf(i).asList()->items()[0]
                : items[i];
   }
   Value valueOf(size_t i, Results where) const {
@@ -320,32 +340,47 @@ struct Shuffle {
       const size_t t = i / per();
       return Value(columns[t][i - t * per()]);
     }
-    return isPair(mapped[i]) ? mapped[i].asList()->items()[1] : mapped[i];
+    const Value& result = resultOf(i);
+    return isPair(result) ? result.asList()->items()[1] : result;
   }
 
-  /// Forget everything `slice` has classed and binned.
-  void resetSlice(size_t slice) {
-    slices[slice].reset(shardCount);
+  /// Forget everything `slice` has mapped, classed and binned.
+  void resetSlice(size_t slice, size_t length) {
+    slices[slice].reset(shardCount, std::min(length, kSliceClassesCap));
+    mapped[slice].clear();
     for (auto& bin : binned[slice]) bin.clear();
     columnar[slice] = false;
   }
 
-  /// Class pair i's key in `slice`'s table and bin its index by shard.
-  /// `shown` is the slice's scratch for a key's display.
-  void bin(size_t slice, size_t i, std::string& shown) {
-    const bool pair = !columnar[slice] && isPair(mapped[i]);
-    const Value& key = pair ? mapped[i].asList()->items()[0] : items[i];
-    if (pair && !key.isTransferable()) {
-      throw Error(
-          "mapReduce: explicit [key, value] pair has a non-transferable "
-          "key of kind '" +
-          std::string(blocks::valueKindName(key.kind())) +
-          "'; keys must be cloneable (no rings)");
-    }
+  /// Class every pair of `slice` in its table, then bin each pair's
+  /// index by its class's shard.
+  void classSlice(size_t slice) {
+    const size_t begin = slice * per();
+    const size_t end = std::min(begin + per(), n);
     SliceClasses& classes = slices[slice];
-    const uint32_t c = classes.classify(key, shown);
-    classOf[i] = c;
-    binned[slice][classes.heads[c].hash % shardCount].push_back(uint32_t(i));
+    std::string shown;  // scratch for a key's display
+    for (size_t i = begin; i < end; ++i) {
+      const bool pair = !columnar[slice] && isPair(mapped[slice][i - begin]);
+      const Value& key =
+          pair ? mapped[slice][i - begin].asList()->items()[0] : items[i];
+      if (pair && !key.isTransferable()) {
+        throw Error(
+            "mapReduce: explicit [key, value] pair has a non-transferable "
+            "key of kind '" +
+            std::string(blocks::valueKindName(key.kind())) +
+            "'; keys must be cloneable (no rings)");
+      }
+      classOf[i] = classes.classify(key, shown);
+    }
+    std::vector<std::vector<uint32_t>>& bins = binned[slice];
+    std::vector<size_t> counts(shardCount, 0);
+    for (size_t c = 0; c < classes.sizes.size(); ++c) {
+      counts[classes.shard[c]] += classes.sizes[c];
+    }
+    for (size_t b = 0; b < shardCount; ++b) bins[b].reserve(counts[b]);
+    for (size_t i = begin; i < end; ++i) {
+      bins[classes.shard[classOf[i]]].push_back(uint32_t(i));
+    }
   }
 
   /// One shard's runs in key order — exactly the groups a stable sort of
@@ -454,10 +489,13 @@ struct Shuffle {
 
   size_t n;
   size_t shardCount;
-  blocks::ItemSpan items;      // the job's input, read-only for its life
-  std::vector<Value> mapped;   // map results; pins explicit pairs' keys
+  size_t sliceLength;
+  blocks::ItemSpan items;  // the job's input, read-only for its life
   std::vector<uint32_t> classOf;
-  std::vector<SliceClasses> slices;                        // [slice]
+  std::vector<SliceClasses> slices;  // [slice]
+  /// [slice]: its boxed map results, one per pair; pins explicit pairs'
+  /// keys. Empty for a column slice.
+  std::vector<std::vector<Value>> mapped;
   std::vector<std::vector<std::vector<uint32_t>>> binned;  // [slice][shard]
   std::vector<std::vector<double>> columns;  // [slice]: numeric results
   std::vector<uint8_t> columnar;  // [slice]: its results are its column
@@ -588,7 +626,7 @@ void Job::mapSlice(size_t slice, bool pooled) {
   const size_t end = std::min(begin + s.per(), s.n);
   // mapFn is pure and every slot this slice writes is its own, so a
   // retry restarts the slice exactly.
-  s.resetSlice(slice);
+  s.resetSlice(slice, end - begin);
   // Native numeric path: the kernel's doubles go straight into the
   // slice's column, and pairs are keyed by their items.
   bool column = false;
@@ -598,27 +636,28 @@ void Job::mapSlice(size_t slice, bool pooled) {
     s.columnar[slice] = column;
     if (column) fault::inject(fault::Point::TaskThrow);
   }
+  std::vector<Value>& results = s.mapped[slice];
   // Native chunk path: copy the slice's items into its mapped slots and
   // transform them there (pairs stay keyed by the ORIGINAL items, which
   // p.input still holds). A false return writes nothing, and the loop
   // below maps every item itself.
   bool batched = false;
   if (pooled && !column && p.options.mapBatch && end > begin) {
-    std::copy(items.begin() + begin, items.begin() + end,
-              s.mapped.begin() + begin);
-    batched = p.options.mapBatch(s.mapped.data() + begin, end - begin);
+    results.assign(items.begin() + begin, items.begin() + end);
+    batched = p.options.mapBatch(results.data(), end - begin);
     // The slots now hold mapped values: a retry must copy afresh.
     if (batched) fault::inject(fault::Point::TaskThrow);
   }
-  const bool mapped = column || batched;
-  const bool inject = pooled && !mapped;
-  std::string shown;
-  for (size_t i = begin; i < end; ++i) {
-    if (inject) fault::inject(fault::Point::TaskThrow);
-    if ((i - begin) % 512 == 511) token_->checkpoint();
-    if (!mapped) s.mapped[i] = p.mapFn(items[i]);
-    s.bin(slice, i, shown);
+  if (!column && !batched) {
+    results.resize(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      if (pooled) fault::inject(fault::Point::TaskThrow);
+      if ((i - begin) % 512 == 511) token_->checkpoint();
+      results[i - begin] = p.mapFn(items[i]);
+    }
   }
+  token_->checkpoint();
+  s.classSlice(slice);
 }
 
 void Job::reduceShard(size_t shard, bool pooled) {
