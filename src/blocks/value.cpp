@@ -323,10 +323,11 @@ List::List(std::vector<Value> items) {
 
 ListPtr List::makeMapped(const Value* data, size_t size,
                          std::shared_ptr<const void> region,
-                         bool flatShareable) {
+                         bool flatShareable, TextCoding coding) {
   auto list = std::make_shared<List>();
   if (size == 0) return list;  // empty list needs no buffer (or region)
-  list->buf_ = std::make_shared<Buffer>(data, size, std::move(region));
+  list->buf_ =
+      std::make_shared<Buffer>(data, size, std::move(region), coding);
   if (flatShareable) {
     list->auditWord_.store(
         (uint64_t(1) << 2) | uint64_t(FlatAudit::Shareable),
@@ -342,7 +343,8 @@ void List::detachForWrite() {
     // sublist-free by construction — snapshotClone rebuilds any buffer
     // containing ListRefs, and the persist layer materializes spines —
     // so this shallow copy-out is the full deferred deep copy: scalars
-    // copy, texts bump a refcount.
+    // copy, texts bump a refcount. The fresh buffer has no coding, so no
+    // mutator needs to know that codes exist.
     auto fresh = std::make_shared<Buffer>();
     fresh->owned.assign(buf_->data(), buf_->data() + buf_->size());
     buf_ = std::move(fresh);

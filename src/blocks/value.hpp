@@ -248,6 +248,18 @@ inline Value::Identity Value::identity() const {
 /// list is alive and unmodified (any mutator may detach and reallocate).
 using ItemSpan = std::span<const Value>;
 
+/// A text list's dictionary coding, as a snapshot stores it
+/// (persist/format.hpp): item i's code is codes[i], and code e stands for
+/// the item at index entries[e], the first item with that exact text.
+/// Both spans are empty for an uncoded list. The snapshot loader checks
+/// every entry against the list's length; nothing checks the codes, so a
+/// reader checks each code it uses against entries.size().
+struct TextCoding {
+  std::span<const uint32_t> codes;
+  std::span<const uint32_t> entries;
+  bool empty() const { return codes.empty(); }
+};
+
 /// A first-class, 1-indexed Snap! list with reference semantics (share the
 /// ListPtr to share the object).
 ///
@@ -265,7 +277,9 @@ using ItemSpan = std::span<const Value>;
 /// type-erased region handle). Mapped buffers are never written through:
 /// the detach gate treats them exactly like a buffer shared with a
 /// snapshot and copies out on the first mutation, so every COW invariant
-/// holds for them unchanged.
+/// holds for them unchanged. A mapped buffer may also carry its list's
+/// TextCoding, which travels with the buffer through every share and
+/// which the detach gate drops: the copied-out buffer has none.
 class List {
  public:
   List() = default;
@@ -287,9 +301,11 @@ class List {
   /// the slots are known sublist- and ring-free (the dataset snapshot
   /// invariant); it pre-seeds the transfer audit so the first
   /// structuredClone never has to scan (and page in) the whole buffer.
+  /// `coding`, when not empty, is the slots' dictionary coding, held in
+  /// the same region.
   static ListPtr makeMapped(const Value* data, size_t size,
                             std::shared_ptr<const void> region,
-                            bool flatShareable);
+                            bool flatShareable, TextCoding coding = {});
 
   size_t length() const { return buf_ ? buf_->size() : 0; }
   bool empty() const { return length() == 0; }
@@ -313,6 +329,10 @@ class List {
   ItemSpan items() const {
     return buf_ ? ItemSpan(buf_->data(), buf_->size()) : ItemSpan();
   }
+
+  /// The buffer's dictionary coding: empty unless the list was loaded
+  /// coded from a snapshot and has not been mutated since.
+  TextCoding coding() const { return buf_ ? buf_->coding : TextCoding(); }
 
   /// Mutable access to the item buffer. Detaches any shared snapshot
   /// first and bumps the version stamp; the caller must be the only
@@ -355,11 +375,16 @@ class List {
  private:
   /// The COW item buffer: owned vector or immutable mapped view. Exactly
   /// one of the two representations is active (`region` discriminates).
+  /// Only a mapped buffer carries a coding.
   struct Buffer {
     Buffer() = default;
     explicit Buffer(std::vector<Value> items) : owned(std::move(items)) {}
-    Buffer(const Value* data, size_t size, std::shared_ptr<const void> keep)
-        : mappedData(data), mappedSize(size), region(std::move(keep)) {}
+    Buffer(const Value* data, size_t size, std::shared_ptr<const void> keep,
+           TextCoding textCoding)
+        : mappedData(data),
+          mappedSize(size),
+          region(std::move(keep)),
+          coding(textCoding) {}
 
     bool mapped() const { return region != nullptr; }
     const Value* data() const { return mapped() ? mappedData : owned.data(); }
@@ -371,6 +396,7 @@ class List {
     /// Keeps the mapped memory alive (type-erased: the persist layer's
     /// region object). Null for owned buffers.
     std::shared_ptr<const void> region;
+    TextCoding coding;  // views into `region`
   };
 
   /// What one scan of the *own* buffer (not sublists) established; cached
@@ -385,7 +411,7 @@ class List {
 
   FlatAudit flatAudit() const;
   /// Copy the buffer out if a snapshot still shares it or it aliases a
-  /// mapped region, then bump version.
+  /// mapped region, then bump version. The copy carries no coding.
   void detachForWrite();
   std::vector<Value>& writable();
   bool transferableGuarded(std::vector<const List*>& path) const;

@@ -204,23 +204,31 @@ struct SliceClasses {
 
   /// Count the pair key `key` into its class and return the class id.
   /// A key whose exact representation the slice has classed before is
-  /// one memo probe. Any other key is probed and looked up in the class
-  /// table; a key of a class the slice has not seen opens a class headed
-  /// by itself, which takes over `shown` as its display and records its
-  /// shard. The key must stay pinned while the slice's classes live.
+  /// one memo probe; any other key goes to classifyNew and is memoized.
+  /// The key must stay pinned while the slice's classes live.
   uint32_t classify(const Value& key, std::string& shown) {
     const Value::Identity id = key.identity();
-    uint32_t* memoSlot = nullptr;
-    if (id.tag != 0) {
-      uint32_t& slot = memo.find(
-          identityHash(id), [&](uint32_t e) { return memoed[e].first == id; });
-      if (slot != kNone) {
-        const uint32_t c = memoed[slot].second;
-        ++sizes[c];
-        return c;
-      }
-      memoSlot = &slot;
+    if (id.tag == 0) return classifyNew(key, shown);
+    uint32_t& slot = memo.find(
+        identityHash(id), [&](uint32_t e) { return memoed[e].first == id; });
+    if (slot != kNone) {
+      const uint32_t c = memoed[slot].second;
+      ++sizes[c];
+      return c;
     }
+    const uint32_t c = classifyNew(key, shown);
+    slot = uint32_t(memoed.size());
+    memoed.emplace_back(id, c);
+    memo.fit(memoed.size(),
+             [&](uint32_t e) { return identityHash(memoed[e].first); });
+    return c;
+  }
+
+  /// classify without the memo: `key` is probed and looked up in the
+  /// class table. A key of a class the slice has not seen opens a class
+  /// headed by itself, which takes over `shown` as its display and
+  /// records its shard.
+  uint32_t classifyNew(const Value& key, std::string& shown) {
     const Probe p = probeOf(key, shown);
     uint32_t& slot =
         table.find(p.hash, [&](uint32_t c) { return sameClass(heads[c], p); });
@@ -229,24 +237,18 @@ struct SliceClasses {
       ++sizes[c];
       // A non-numeric class stays one run only while every member is text.
       if (!p.numeric && !key.isText()) oneRun[c] = false;
-    } else {
-      c = uint32_t(heads.size());
-      slot = c;
-      SortKey head{&key, {}, p.num, p.hash, p.numeric};
-      if (!p.numeric && !key.isText()) head.shown = std::move(shown);
-      heads.push_back(std::move(head));
-      sizes.push_back(1);
-      oneRun.push_back(p.numeric ? !std::isnan(p.num) : key.isText());
-      shard.push_back(uint32_t(p.hash % byShard.size()));
-      byShard[shard.back()].push_back(c);
-      table.fit(heads.size(), [&](uint32_t h) { return heads[h].hash; });
+      return c;
     }
-    if (memoSlot) {
-      *memoSlot = uint32_t(memoed.size());
-      memoed.emplace_back(id, c);
-      memo.fit(memoed.size(),
-               [&](uint32_t e) { return identityHash(memoed[e].first); });
-    }
+    c = uint32_t(heads.size());
+    slot = c;
+    SortKey head{&key, {}, p.num, p.hash, p.numeric};
+    if (!p.numeric && !key.isText()) head.shown = std::move(shown);
+    heads.push_back(std::move(head));
+    sizes.push_back(1);
+    oneRun.push_back(p.numeric ? !std::isnan(p.num) : key.isText());
+    shard.push_back(uint32_t(p.hash % byShard.size()));
+    byShard[shard.back()].push_back(c);
+    table.fit(heads.size(), [&](uint32_t h) { return heads[h].hash; });
     return c;
   }
 
@@ -281,25 +283,45 @@ struct Runs {
 
 /// The shuffle over the input items and their map results: pair i is
 /// read in place from items[i] and its map result (keyOf, valueOf), and
-/// classOf[i] is its class in its slice's table. A map result is held in
-/// its slice's mapped slots, or, when the numeric map entry served the
-/// slice, as a double in the slice's column; a column pair is keyed by its
-/// item. Slot i of classOf is written by the one slice task covering i,
-/// and slices[slice], mapped[slice], binned[slice], columns[slice] and
-/// columnar[slice] by that slice alone, so a slice that restarts from
-/// scratch rewrites all of its state exactly.
+/// classOf[i] is its class. A map result is held in its slice's mapped
+/// slots, or, when the numeric map entry served the slice, as a double in
+/// the slice's column; a column pair is keyed by its item.
+///
+/// A pair's class lives in its slice's table, or, for a dictionary-coded
+/// input (blocks::TextCoding) in a slice whose pairs are all keyed by
+/// their items, in the job's dictionary classes: every dictionary entry
+/// is classed once, when the shuffle is built, and such a slice classes
+/// pair i as codeClass[codes[i]]. The dictionary classes are read-only
+/// while the stages run.
+///
+/// Slot i of classOf is written by the one slice task covering i, and
+/// slices[slice], mapped[slice], byCode[slice], codeSizes[slice],
+/// binned[slice], columns[slice] and columnar[slice] by that slice alone,
+/// so a slice that restarts from scratch rewrites all of its state
+/// exactly.
 struct Shuffle {
-  Shuffle(blocks::ItemSpan input, size_t shards)
+  Shuffle(blocks::ItemSpan input, size_t shards, blocks::TextCoding coded)
       : n(input.size()),
         shardCount(shards),
         sliceLength((n + shards - 1) / shards),
         items(input),
+        coding(coded),
         classOf(n),
         slices(shards),
         mapped(shards),
+        byCode(shards, 0),
+        codeSizes(shards),
         binned(shards, std::vector<std::vector<uint32_t>>(shards)),
         columns(shards),
-        columnar(shards, 0) {}
+        columnar(shards, 0) {
+    if (coding.empty()) return;
+    dictionary.reset(shards, coding.entries.size());
+    codeClass.reserve(coding.entries.size());
+    std::string shown;
+    for (uint32_t entry : coding.entries) {
+      codeClass.push_back(dictionary.classifyNew(items[entry], shown));
+    }
+  }
 
   /// Slice s covers [s * per(), min((s + 1) * per(), n)).
   size_t per() const { return sliceLength; }
@@ -345,24 +367,44 @@ struct Shuffle {
   }
 
   /// Forget everything `slice` has mapped, classed and binned.
-  void resetSlice(size_t slice, size_t length) {
-    slices[slice].reset(shardCount, std::min(length, kSliceClassesCap));
+  void resetSlice(size_t slice) {
+    slices[slice] = {};
     mapped[slice].clear();
+    byCode[slice] = false;
+    codeSizes[slice].clear();
     for (auto& bin : binned[slice]) bin.clear();
     columnar[slice] = false;
   }
 
-  /// Class every pair of `slice` in its table, then bin each pair's
-  /// index by its class's shard.
+  /// Class every pair of `slice`, then bin each pair's index by its
+  /// class's shard. A coded input's slice whose pairs are all keyed by
+  /// their items reads each pair's class by its code; any other slice
+  /// classes its keys in its own table.
   void classSlice(size_t slice) {
     const size_t begin = slice * per();
     const size_t end = std::min(begin + per(), n);
+    const std::vector<Value>& results = mapped[slice];
+    if (!coding.empty() &&
+        std::none_of(results.begin(), results.end(), isPair)) {
+      byCode[slice] = true;
+      std::vector<uint32_t>& sizes = codeSizes[slice];
+      sizes.assign(dictionary.heads.size(), 0);
+      const uint32_t* codes = coding.codes.data();
+      for (size_t i = begin; i < end; ++i) {
+        const uint32_t c = codeClass[codes[i]];
+        classOf[i] = c;
+        ++sizes[c];
+      }
+      binSlice(slice, dictionary.shard, sizes);
+      return;
+    }
     SliceClasses& classes = slices[slice];
+    classes.reset(shardCount, std::min(end - begin, kSliceClassesCap));
     std::string shown;  // scratch for a key's display
     for (size_t i = begin; i < end; ++i) {
-      const bool pair = !columnar[slice] && isPair(mapped[slice][i - begin]);
-      const Value& key =
-          pair ? mapped[slice][i - begin].asList()->items()[0] : items[i];
+      const bool pair = !columnar[slice] && isPair(results[i - begin]);
+      const Value& key = pair ? results[i - begin].asList()->items()[0]
+                              : items[i];
       if (pair && !key.isTransferable()) {
         throw Error(
             "mapReduce: explicit [key, value] pair has a non-transferable "
@@ -372,14 +414,21 @@ struct Shuffle {
       }
       classOf[i] = classes.classify(key, shown);
     }
+    binSlice(slice, classes.shard, classes.sizes);
+  }
+
+  /// Bin each pair of `slice` by its class's shard, given the classes'
+  /// shards and the slice's member count per class.
+  void binSlice(size_t slice, const std::vector<uint32_t>& shardOf,
+                const std::vector<uint32_t>& sizes) {
+    const size_t begin = slice * per();
+    const size_t end = std::min(begin + per(), n);
     std::vector<std::vector<uint32_t>>& bins = binned[slice];
     std::vector<size_t> counts(shardCount, 0);
-    for (size_t c = 0; c < classes.sizes.size(); ++c) {
-      counts[classes.shard[c]] += classes.sizes[c];
-    }
+    for (size_t c = 0; c < sizes.size(); ++c) counts[shardOf[c]] += sizes[c];
     for (size_t b = 0; b < shardCount; ++b) bins[b].reserve(counts[b]);
     for (size_t i = begin; i < end; ++i) {
-      bins[classes.shard[classOf[i]]].push_back(uint32_t(i));
+      bins[shardOf[classOf[i]]].push_back(uint32_t(i));
     }
   }
 
@@ -390,36 +439,75 @@ struct Shuffle {
     Runs runs;
     runs.results = results();
     const Results where = runs.results;
-    // 1. Merge the slices' classes for this shard in slice order: a slice
-    //    class joins the shard class whose head it matches, or heads a
-    //    new one. Slice t's classes map through merged[firstOf[t] + c].
+    // 1. The shard's classes. Each source of classes joins in turn: the
+    //    dictionary's, when some slice classed by code (its members
+    //    summed over those slices), then each other slice's, in slice
+    //    order. With more than one source, a class joins the shard class
+    //    whose head it matches, or heads a new one; a lone source's
+    //    classes are already distinct, so nothing merges. Slice t's own
+    //    classes map through merged[firstOf[t] + c], the dictionary's
+    //    through mergedCode[c].
     std::vector<size_t> firstOf(slices.size() + 1, 0);
     size_t incoming = 0;
+    size_t sources = 0;
+    bool anyCode = false;
     for (size_t t = 0; t < slices.size(); ++t) {
       firstOf[t + 1] = firstOf[t] + slices[t].heads.size();
-      incoming += slices[t].byShard[shard].size();
+      if (byCode[t]) {
+        anyCode = true;
+      } else {
+        incoming += slices[t].byShard[shard].size();
+        sources += !slices[t].heads.empty();
+      }
     }
+    if (anyCode) {
+      incoming += dictionary.byShard[shard].size();
+      ++sources;
+    }
+    const bool merging = sources > 1;
     ClassTable table;
-    table.reset(incoming);
+    if (merging) table.reset(incoming);
     std::vector<const SortKey*> heads;  // per shard class
     std::vector<uint32_t> sizes;        // per shard class: members
     std::vector<uint8_t> single;        // per shard class: one run
+    heads.reserve(incoming);
+    sizes.reserve(incoming);
+    single.reserve(incoming);
+    const auto join = [&](const SortKey& key, uint32_t size, bool oneRun) {
+      uint32_t* slot = nullptr;
+      if (merging) {
+        const Probe p = probeOf(key);
+        slot = &table.find(
+            p.hash, [&](uint32_t m) { return sameClass(*heads[m], p); });
+        if (*slot != kNone) {
+          sizes[*slot] += size;
+          single[*slot] &= oneRun;
+          return *slot;
+        }
+        *slot = uint32_t(heads.size());
+      }
+      heads.push_back(&key);
+      sizes.push_back(size);
+      single.push_back(oneRun);
+      return uint32_t(heads.size() - 1);
+    };
+    std::vector<uint32_t> mergedCode;
+    if (anyCode) {
+      mergedCode.assign(dictionary.heads.size(), kNone);
+      for (uint32_t c : dictionary.byShard[shard]) {
+        uint32_t size = 0;
+        for (size_t t = 0; t < slices.size(); ++t) {
+          if (byCode[t]) size += codeSizes[t][c];
+        }
+        mergedCode[c] = join(dictionary.heads[c], size, dictionary.oneRun[c]);
+      }
+    }
     std::vector<uint32_t> merged(firstOf.back(), kNone);
     for (size_t t = 0; t < slices.size(); ++t) {
+      if (byCode[t]) continue;
       for (uint32_t c : slices[t].byShard[shard]) {
-        const SortKey& key = slices[t].heads[c];
-        const Probe p = probeOf(key);
-        uint32_t& slot = table.find(
-            p.hash, [&](uint32_t m) { return sameClass(*heads[m], p); });
-        if (slot == kNone) {
-          slot = uint32_t(heads.size());
-          heads.push_back(&key);
-          sizes.push_back(0);
-          single.push_back(true);
-        }
-        merged[firstOf[t] + c] = slot;
-        sizes[slot] += slices[t].sizes[c];
-        single[slot] &= slices[t].oneRun[c];
+        merged[firstOf[t] + c] = join(slices[t].heads[c], slices[t].sizes[c],
+                                      slices[t].oneRun[c]);
       }
     }
     // 2. Sort only the class heads.
@@ -443,8 +531,10 @@ struct Shuffle {
     if (column) runs.numbers.resize(total);
     for (size_t t = 0; t < slices.size(); ++t) {
       const size_t base = t * per();
+      const uint32_t* classes =
+          byCode[t] ? mergedCode.data() : merged.data() + firstOf[t];
       for (uint32_t i : binned[t][shard]) {
-        const uint32_t m = cursor[merged[firstOf[t] + classOf[i]]]++;
+        const uint32_t m = cursor[classes[classOf[i]]]++;
         runs.members[m] = i;
         if (column) runs.numbers[m] = columns[t][i - base];
       }
@@ -491,15 +581,37 @@ struct Shuffle {
   size_t shardCount;
   size_t sliceLength;
   blocks::ItemSpan items;  // the job's input, read-only for its life
+  blocks::TextCoding coding;  // the input's, if coded
+  /// The dictionary's classes (built once, then read-only): entry e's is
+  /// codeClass[e]. Its sizes count entries, not pairs.
+  SliceClasses dictionary;
+  std::vector<uint32_t> codeClass;
   std::vector<uint32_t> classOf;
   std::vector<SliceClasses> slices;  // [slice]
   /// [slice]: its boxed map results, one per pair; pins explicit pairs'
   /// keys. Empty for a column slice.
   std::vector<std::vector<Value>> mapped;
+  std::vector<uint8_t> byCode;  // [slice]: classed through codeClass
+  /// [slice]: its members per dictionary class, when classed by code.
+  std::vector<std::vector<uint32_t>> codeSizes;
   std::vector<std::vector<std::vector<uint32_t>>> binned;  // [slice][shard]
   std::vector<std::vector<double>> columns;  // [slice]: numeric results
   std::vector<uint8_t> columnar;  // [slice]: its results are its column
 };
+
+/// Check a coded input's codes where they are used: every code must name
+/// a dictionary entry. One pass of compares over the codes, before any
+/// stage reads them.
+void checkCodes(const blocks::TextCoding& coding) {
+  uint32_t top = 0;
+  for (uint32_t code : coding.codes) top = std::max(top, code);
+  if (!coding.empty() && top >= coding.entries.size()) {
+    throw SubstrateError(
+        "mapReduce: corrupt coded list: code " + std::to_string(top) +
+        " is past its dictionary of " +
+        std::to_string(coding.entries.size()) + " entries");
+  }
+}
 
 /// Serial W-way merge of per-shard group lists, each in key order. A
 /// class lives in one shard, so keys never tie across shards and the
@@ -562,7 +674,7 @@ struct Job::Pipeline {
 
   // Stage 1 output: the map results, each slice's key classes and the
   // pairs' shard bins.
-  Shuffle shuffle{{}, 1};
+  Shuffle shuffle{{}, 1, {}};
   // Stage 2 output: per shard, its reduced groups in key order.
   std::vector<std::vector<Group>> shards;
 };
@@ -584,6 +696,7 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
     // lists; a ring or a future in the list settles a PurityError.
     if (!input) throw Error("mapReduce: null input list");
     p.input = input->snapshotClone();
+    checkCodes(p.input->coding());
   } catch (...) {
     settleError(std::current_exception());
     return;
@@ -603,7 +716,8 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
       p.options.workers == 0 ? workers::kDefaultWorkers : p.options.workers;
   // A single shard keeps the chain's overhead off short lists without
   // changing the output.
-  p.shuffle = Shuffle(p.input->items(), n < 256 ? 1 : width);
+  p.shuffle = Shuffle(p.input->items(), n < 256 ? 1 : width,
+                      p.input->coding());
   p.shards.resize(p.shuffle.shardCount);
   launch(&Job::mapSlice, &Job::startStage2);
 }
@@ -626,7 +740,7 @@ void Job::mapSlice(size_t slice, bool pooled) {
   const size_t end = std::min(begin + s.per(), s.n);
   // mapFn is pure and every slot this slice writes is its own, so a
   // retry restarts the slice exactly.
-  s.resetSlice(slice, end - begin);
+  s.resetSlice(slice);
   // Native numeric path: the kernel's doubles go straight into the
   // slice's column, and pairs are keyed by their items.
   bool column = false;
@@ -719,7 +833,7 @@ void Job::startStage2() { launch(&Job::reduceShard, &Job::finish); }
 void Job::runSequential() {
   Pipeline& p = *pipe_;
   try {
-    p.shuffle = Shuffle(p.input->items(), 1);
+    p.shuffle = Shuffle(p.input->items(), 1, p.input->coding());
     p.shards.assign(1, {});
     mapSlice(0, false);
     token_->checkpoint();

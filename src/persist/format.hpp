@@ -25,6 +25,17 @@
 // header carries a runtime fingerprint of the Value representation; a
 // mismatch (different compiler/stdlib/build) is rejected with a typed
 // error instead of misreading slots.
+//
+// Version 2 adds dictionary-coded text lists. Every leaf list with at
+// least one item whose items are all text is written with a dictionary
+// and one code per item (CodedListRec, DictEntries, Codes): the
+// dictionary lists, in first-appearance order, the index of the first
+// item of each distinct text (its exact bytes), and an item's code is
+// the dictionary index of its text. A loaded list carries them in its
+// buffer (blocks::TextCoding), so the mapReduce shuffle classes each
+// distinct text once per job. Open checks every record and dictionary
+// entry; a code is checked where it is used, against the dictionary
+// size. Version 1 files are rejected.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +45,7 @@ namespace psnap::persist {
 
 /// "psnapblk" in little-endian bytes.
 inline constexpr uint64_t kMagic = 0x6b6c6270616e7370ULL;
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Hard cap on sections per file: the table is reserved up front so the
 /// writer can stream payloads without knowing the final count.
@@ -71,6 +82,9 @@ enum class SectionId : uint64_t {
   Names = 7,        ///< char[] — auxiliary name blob (project variables)
   VarTable = 8,     ///< VarRec[] — variable manifest (project snapshots)
   Xml = 9,          ///< char[] — project XML skeleton
+  CodedLists = 10,  ///< CodedListRec[] — one per dictionary-coded list
+  DictEntries = 11, ///< uint32_t[] — per coded list, its dictionary
+  Codes = 12,       ///< uint32_t[] — per coded list, a code per item
 };
 
 struct SectionHeader {
@@ -95,6 +109,18 @@ struct FileHeader {
 struct ListRec {
   uint64_t firstSlot = 0;
   uint64_t slotCount = 0;
+};
+
+/// A dictionary-coded leaf list: its dictionary is
+/// DictEntries[firstEntry, firstEntry + entryCount), each entry an item
+/// index into the list, and its codes are Codes[firstCode, firstCode +
+/// codeCount), one per item, so codeCount is the list's slotCount.
+struct CodedListRec {
+  uint64_t list = 0;  ///< index into Lists
+  uint64_t firstEntry = 0;
+  uint64_t entryCount = 0;
+  uint64_t firstCode = 0;
+  uint64_t codeCount = 0;
 };
 
 /// A slot holding text longer than the Value-inline capacity: the slot is

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <new>
+#include <string_view>
 #include <unordered_map>
 
 #include "persist/file.hpp"
@@ -34,6 +36,78 @@ void normalizeSlot(const Value& v, unsigned char* out) {
   // and the variant destructor would scribble its "destroyed" index
   // marker over the image we just took.
 }
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Dictionary coding: the one routine behind the encoder and DatasetWriter
+// ---------------------------------------------------------------------------
+
+/// The coded-list sections of one snapshot, in list order.
+struct CodedSections {
+  std::vector<CodedListRec> lists;
+  std::vector<uint32_t> entries;
+  std::vector<uint32_t> codes;
+
+  void write(SnapshotFileWriter& w) const {
+    w.writeArraySection(SectionId::CodedLists, lists);
+    w.writeArraySection(SectionId::DictEntries, entries);
+    w.writeArraySection(SectionId::Codes, codes);
+  }
+};
+
+/// Codes one list's items in order. The coding rule (DESIGN.md,
+/// "Persistence"): a list is coded when it has at least one item, fewer
+/// than 2^32, and every item is text. Its dictionary holds one entry per
+/// distinct text, keyed by its exact bytes, in first-appearance order.
+/// The first item that is not text ends coding for the list and frees
+/// what was built.
+class TextCoder {
+ public:
+  void add(const Value& item) {
+    if (!text_) return;
+    if (!item.isText() ||
+        codes_.size() == std::numeric_limits<uint32_t>::max()) {
+      text_ = false;
+      index_ = {};
+      entries_ = {};
+      codes_ = {};
+      return;
+    }
+    const std::string_view text = item.textView();
+    auto it = index_.find(text);
+    if (it == index_.end()) {
+      it = index_.emplace(std::string(text), uint32_t(entries_.size())).first;
+      entries_.push_back(uint32_t(codes_.size()));
+    }
+    codes_.push_back(it->second);
+  }
+
+  /// Append list `list`'s record, dictionary and codes to `out` if the
+  /// rule codes it.
+  void finish(uint64_t list, CodedSections& out) const {
+    if (!text_ || codes_.empty()) return;
+    out.lists.push_back(CodedListRec{list, out.entries.size(),
+                                     entries_.size(), out.codes.size(),
+                                     codes_.size()});
+    out.entries.insert(out.entries.end(), entries_.begin(), entries_.end());
+    out.codes.insert(out.codes.end(), codes_.begin(), codes_.end());
+  }
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> index_;
+  std::vector<uint32_t> entries_;  // per code: its first item's index
+  std::vector<uint32_t> codes_;    // per item
+  bool text_ = true;
+};
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Encoder: value tree -> in-memory sections
@@ -91,6 +165,7 @@ class Encoder {
     w.writeArraySection(SectionId::ListPatches, listPatches_);
     w.writeBytesSection(SectionId::TextBlob, blob_.data(), blob_.size());
     w.writeArraySection(SectionId::Roots, roots_);
+    coded_.write(w);
   }
 
   std::string& blob() { return blob_; }
@@ -118,9 +193,11 @@ class Encoder {
     // text, sublists) re-resolve their output address after recursion,
     // which may have grown (reallocated) slots_.
     path_.push_back(key);
+    TextCoder coder;
     for (uint64_t i = 0; i < items.size(); ++i) {
       const uint64_t slot = firstSlot + i;
       const Value& v = items[size_t(i)];
+      coder.add(v);
       switch (v.kind()) {
         case ValueKind::Nothing:
         case ValueKind::Number:
@@ -146,6 +223,7 @@ class Encoder {
       }
     }
     path_.pop_back();
+    coder.finish(index, coded_);
     return index;
   }
 
@@ -161,6 +239,7 @@ class Encoder {
   std::vector<ListPatch> listPatches_;
   std::string blob_;
   std::vector<RootRec> roots_;
+  CodedSections coded_;
   std::unordered_map<const List*, uint64_t> seen_;
   std::vector<const List*> path_;
 };
@@ -185,6 +264,7 @@ struct Decoder {
   uint64_t rootCount = 0;
   std::unordered_map<uint64_t, uint64_t> childAt;  // slot -> child list
   std::vector<bool> isSpine;
+  std::vector<blocks::TextCoding> codingOf;  // per list
   std::vector<ListPtr> decoded;
   std::vector<uint8_t> inProgress;
 
@@ -250,8 +330,52 @@ struct Decoder {
             *lo < lists[i].firstSlot + lists[i].slotCount;
       }
     }
+    decodeCodings();
     decoded.assign(size_t(listCount), nullptr);
     inProgress.assign(size_t(listCount), 0);
+  }
+
+  /// Check every coded-list record and dictionary entry, and hand each
+  /// coded leaf its coding. Codes are left for their reader to check
+  /// (format.hpp): checking them here would read every code at open.
+  void decodeCodings() {
+    uint64_t recCount = 0;
+    const auto* recs =
+        region->array<CodedListRec>(SectionId::CodedLists, &recCount);
+    uint64_t entryCount = 0;
+    const auto* entries =
+        region->array<uint32_t>(SectionId::DictEntries, &entryCount);
+    uint64_t codeCount = 0;
+    const auto* codes = region->array<uint32_t>(SectionId::Codes, &codeCount);
+    codingOf.assign(size_t(listCount), {});
+    for (uint64_t r = 0; r < recCount; ++r) {
+      const CodedListRec& rec = recs[r];
+      if (rec.list >= listCount || isSpine[size_t(rec.list)]) {
+        corruptTable("coded list: not a leaf list");
+      }
+      if (!codingOf[size_t(rec.list)].empty()) {
+        corruptTable("coded list: list coded twice");
+      }
+      if (rec.codeCount == 0 || rec.codeCount != lists[rec.list].slotCount) {
+        corruptTable("coded list: code count differs from the list length");
+      }
+      if (rec.firstCode > codeCount || rec.codeCount > codeCount - rec.firstCode) {
+        corruptTable("coded list: codes out of bounds");
+      }
+      if (rec.firstEntry > entryCount ||
+          rec.entryCount > entryCount - rec.firstEntry) {
+        corruptTable("coded list: dictionary out of bounds");
+      }
+      const uint32_t* dictionary = entries + rec.firstEntry;
+      for (uint64_t e = 0; e < rec.entryCount; ++e) {
+        if (dictionary[e] >= rec.codeCount) {
+          corruptTable("coded list: dictionary entry outside its list");
+        }
+      }
+      codingOf[size_t(rec.list)] = {
+          {codes + rec.firstCode, size_t(rec.codeCount)},
+          {dictionary, size_t(rec.entryCount)}};
+    }
   }
 
   ListPtr decodeList(uint64_t index) {
@@ -262,7 +386,7 @@ struct Decoder {
       // the range has no list patches and rings are never persisted.
       decoded[size_t(index)] = List::makeMapped(
           slots + rec.firstSlot, size_t(rec.slotCount), region,
-          /*flatShareable=*/true);
+          /*flatShareable=*/true, codingOf[size_t(index)]);
       return decoded[size_t(index)];
     }
     if (inProgress[size_t(index)]) {
@@ -350,7 +474,8 @@ ListPtr loadList(const std::string& path) {
 
 DatasetWriter::DatasetWriter(std::string path)
     : writer_(std::make_unique<SnapshotFileWriter>(std::move(path),
-                                                   SnapshotKind::Dataset)) {
+                                                   SnapshotKind::Dataset)),
+      coder_(std::make_unique<TextCoder>()) {
   writer_->beginSection(SectionId::ValueSlots, sizeof(Value), alignof(Value));
 }
 
@@ -378,11 +503,14 @@ void DatasetWriter::append(const Value& item) {
       throw PurityError(std::string("dataset rows must be scalar, not ") +
                         blocks::valueKindName(item.kind()));
   }
+  coder_->add(item);
   ++count_;
 }
 
 void DatasetWriter::appendNumber(double number) {
-  writer_->appendValueSlot(Value(number));
+  const Value item(number);
+  writer_->appendValueSlot(item);
+  coder_->add(item);
   ++count_;
 }
 
@@ -397,6 +525,9 @@ void DatasetWriter::commit() {
   root.kind = uint64_t(RootKind::List);
   std::vector<RootRec> roots{root};
   writer_->writeArraySection(SectionId::Roots, roots);
+  CodedSections coded;
+  coder_->finish(0, coded);
+  coded.write(*writer_);
   writer_->commit();
   committed_ = true;
 }

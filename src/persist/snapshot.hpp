@@ -5,7 +5,9 @@
 // by identity (shared sublists stay shared after a round trip), cycles
 // and rings rejected with PurityError, every slot a normalized raw
 // `blocks::Value` image. `DatasetWriter` streams a single flat list one
-// element at a time, so a 100M-row dataset is written in O(1) memory.
+// element at a time, so a 100M-row dataset never materializes as Values.
+// Both paths dictionary-code every all-text leaf list (format.hpp) through
+// one routine.
 //
 // Read side: `loadValue` / `loadList` mmap the file (persist/file.hpp)
 // and rebuild the roots in O(pages touched), not O(items):
@@ -39,6 +41,7 @@
 namespace psnap::persist {
 
 class SnapshotFileWriter;
+class TextCoder;
 
 /// Writes `root` (any transferable value tree) as a dataset snapshot.
 /// Atomic: the file appears only complete. Throws PurityError for rings,
@@ -55,10 +58,15 @@ blocks::Value loadValue(const std::string& path);
 void saveList(const std::string& path, const blocks::ListPtr& list);
 blocks::ListPtr loadList(const std::string& path);
 
-/// Streams one flat list to a dataset snapshot in O(1) memory (long-text
-/// blob excepted). Elements must be scalar — nothing, number, boolean,
-/// or text; a sublist, ring, or future throws PurityError. Nothing is
-/// observable at `path` until commit().
+/// Streams one flat list to a dataset snapshot. Elements must be scalar —
+/// nothing, number, boolean, or text; a sublist, ring, or future throws
+/// PurityError. Nothing is observable at `path` until commit().
+///
+/// Memory: slots stream straight to the file, so a list with a non-text
+/// row holds only its long-text blob. While every row so far is text, the
+/// list's coding is held too, until commit writes it: 4 bytes per row
+/// for its code, plus, per distinct text, its bytes, a hash-map node and
+/// a 4-byte dictionary entry. The first non-text row frees the coding.
 class DatasetWriter {
  public:
   explicit DatasetWriter(std::string path);
@@ -78,6 +86,7 @@ class DatasetWriter {
 
  private:
   std::unique_ptr<SnapshotFileWriter> writer_;
+  std::unique_ptr<TextCoder> coder_;
   std::vector<TextPatch> textPatches_;
   std::string blob_;
   uint64_t count_ = 0;

@@ -3,13 +3,21 @@
 // leave nothing on disk (temp-and-rename atomicity), failed maps leave
 // nothing mapped, and a seeded sweep shows every outcome is all-or-
 // nothing: a path either holds a complete, loadable snapshot or no file
-// at all.
+// at all. Corrupt coded-list sections and old-version headers end in
+// typed errors too.
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "blocks/value.hpp"
+#include "mapreduce/engine.hpp"
+#include "persist/format.hpp"
 #include "persist/snapshot.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -197,6 +205,127 @@ TEST_F(PersistChaos, CorruptFilesAreTypedNotCrashes) {
   }
   // The good file is untouched by its corrupt neighbours.
   EXPECT_EQ(loadList(good)->length(), 32u);
+  std::filesystem::remove_all(dir);
+}
+
+// --- Dictionary-coded lists ---------------------------------------------------
+
+/// A snapshot file's bytes, to corrupt and write back.
+struct FileBytes {
+  explicit FileBytes(const std::string& path) : path(path) {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  void saveAs(const std::string& target) const {
+    std::ofstream(target, std::ios::binary)
+        .write(bytes.data(), std::streamsize(bytes.size()));
+  }
+  template <typename T>
+  T* at(uint64_t offset) {
+    return reinterpret_cast<T*>(bytes.data() + offset);
+  }
+  FileHeader* header() { return at<FileHeader>(0); }
+  SectionHeader* section(SectionId id) {
+    auto* table = at<SectionHeader>(sizeof(FileHeader));
+    for (uint64_t i = 0; i < header()->sectionCount; ++i) {
+      if (table[i].id == uint64_t(id)) return &table[i];
+    }
+    return nullptr;
+  }
+  template <typename T>
+  T* payload(SectionId id) {
+    return at<T>(section(id)->offset);
+  }
+
+  std::string path;
+  std::vector<char> bytes;
+};
+
+ListPtr wordList() {
+  auto list = List::make();
+  const char* words[] = {"the", "The", "cat", "sat", "on", "the", "mat"};
+  for (int i = 0; i < 600; ++i) list->add(Value(words[i % 7]));
+  return list;
+}
+
+// Each corruption of the coded sections that open can see — a codes
+// range past the section (a truncated section), a code count that differs
+// from the list length, a dictionary entry outside its list, a dictionary
+// range outside its section — and a version-1 header are typed
+// SubstrateErrors at open, and the good file still loads coded.
+TEST_F(PersistChaos, CorruptCodedSectionsFailOpenTyped) {
+  const auto dir = makeDir("coded");
+  const std::string good = (dir / "good.psnap").string();
+  saveList(good, wordList());
+  const auto expectOpenFails = [&](const std::string& name,
+                                   const std::function<void(FileBytes&)>& lie,
+                                   const std::string& message) {
+    SCOPED_TRACE(name);
+    FileBytes file(good);
+    ASSERT_NE(file.section(SectionId::Codes), nullptr);
+    lie(file);
+    const std::string bad = (dir / name).string();
+    file.saveAs(bad);
+    try {
+      loadList(bad);
+      FAIL() << "expected SubstrateError";
+    } catch (const SubstrateError& error) {
+      EXPECT_NE(std::string(error.what()).find(message), std::string::npos)
+          << error.what();
+    }
+  };
+  expectOpenFails("truncated.psnap", [](FileBytes& f) {
+    Block& codes = f.section(SectionId::Codes)->block;
+    codes.num_entries -= 1;
+    codes.byte_size -= sizeof(uint32_t);
+  }, "codes out of bounds");
+  expectOpenFails("count.psnap", [](FileBytes& f) {
+    f.payload<CodedListRec>(SectionId::CodedLists)->codeCount -= 1;
+  }, "code count differs");
+  expectOpenFails("entry.psnap", [](FileBytes& f) {
+    f.payload<uint32_t>(SectionId::DictEntries)[1] = 0xfffffff0u;
+  }, "dictionary entry outside its list");
+  expectOpenFails("range.psnap", [](FileBytes& f) {
+    f.payload<CodedListRec>(SectionId::CodedLists)->firstEntry = 1ull << 40;
+  }, "dictionary out of bounds");
+  expectOpenFails("v1.psnap", [](FileBytes& f) {
+    f.header()->version = 1;
+    f.header()->headerCheck = headerCheck(*f.header());
+  }, "unsupported format version 1");
+  ListPtr loaded = loadList(good);
+  EXPECT_EQ(loaded->length(), 600u);
+  EXPECT_FALSE(loaded->coding().empty());
+  std::filesystem::remove_all(dir);
+}
+
+// A code at or past its dictionary's size opens (codes are checked where
+// they are used), and every mapReduce path over the list then fails with
+// a typed SubstrateError instead of reading past the dictionary.
+TEST_F(PersistChaos, OutOfRangeCodeFailsTheShuffleTyped) {
+  const auto dir = makeDir("code");
+  const std::string good = (dir / "good.psnap").string();
+  saveList(good, wordList());
+  const std::string bad = (dir / "bad.psnap").string();
+  for (uint32_t code : {6u, 0xffffffffu}) {
+    SCOPED_TRACE("code " + std::to_string(code));
+    FileBytes file(good);
+    file.payload<uint32_t>(SectionId::Codes)[599] = code;
+    file.saveAs(bad);
+    ListPtr loaded = loadList(bad);
+    ASSERT_EQ(loaded->coding().entries.size(), 6u);
+    const mr::MapFn one = [](const Value&) { return Value(1); };
+    for (bool sequential : {false, true}) {
+      try {
+        mr::run(loaded, one, mr::identityReduce(),
+                {.workers = 4, .sequential = sequential});
+        FAIL() << "expected SubstrateError";
+      } catch (const SubstrateError& error) {
+        EXPECT_NE(std::string(error.what()).find("past its dictionary"),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -1,11 +1,12 @@
 // Unit tests for the zero-copy persistence layer: round trips, mapped
 // aliasing, COW preservation, writer atomicity, corrupt-file rejection,
-// and the shared-open catalog.
+// dictionary-coded text lists, and the shared-open catalog.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,100 @@ TEST_F(SnapshotTest, DatasetWriterStreamsAndRoundTrips) {
   EXPECT_EQ(loaded->item(5002).asText(), longText);
   EXPECT_TRUE(loaded->item(5003).asBoolean());
   EXPECT_TRUE(loaded->item(5004).isNothing());
+}
+
+/// Every item's code names the entry whose item has exactly its text, and
+/// the entries are the first items of each distinct text, in order.
+void expectCodingOf(const List& list, size_t distinct) {
+  const blocks::TextCoding coding = list.coding();
+  ASSERT_EQ(coding.codes.size(), list.length());
+  ASSERT_EQ(coding.entries.size(), distinct);
+  const blocks::ItemSpan items = list.items();
+  uint32_t next = 0;  // the next code to appear first
+  for (size_t i = 0; i < items.size(); ++i) {
+    const uint32_t code = coding.codes[i];
+    ASSERT_LT(code, coding.entries.size());
+    EXPECT_EQ(items[coding.entries[code]].textView(), items[i].textView());
+    if (code == next) {
+      EXPECT_EQ(coding.entries[code], i);
+      ++next;
+    } else {
+      EXPECT_LT(code, next);
+    }
+  }
+  EXPECT_EQ(next, distinct);
+}
+
+// The coding rule: every leaf list with at least one item whose items
+// are all text is coded, one entry per exact text ("The" and "the" apart,
+// long text by its bytes); a list with any other item, an empty list and
+// a spine are not. saveList and DatasetWriter code alike.
+TEST_F(SnapshotTest, AllTextLeafListsLoadDictionaryCoded) {
+  const std::string longText(40, 'x');
+  auto words = List::make({Value("the"), Value("The"), Value("the"),
+                           Value(longText), Value(""), Value(longText),
+                           Value("1"), Value("1.0"), Value("")});
+  saveList(path("words.psnap"), words);
+  ListPtr loaded = loadList(path("words.psnap"));
+  ASSERT_TRUE(loaded->mappedBuffer());
+  expectCodingOf(*loaded, 6);
+  {
+    DatasetWriter writer(path("streamed.psnap"));
+    for (const Value& item : words->items()) writer.append(item);
+    writer.commit();
+  }
+  expectCodingOf(*loadList(path("streamed.psnap")), 6);
+
+  saveList(path("mixed.psnap"), List::make({Value("a"), Value(1)}));
+  EXPECT_TRUE(loadList(path("mixed.psnap"))->coding().empty());
+  {
+    DatasetWriter writer(path("numbers.psnap"));
+    writer.append(Value("a"));
+    writer.appendNumber(2);
+    writer.append(Value("a"));
+    writer.commit();
+  }
+  EXPECT_TRUE(loadList(path("numbers.psnap"))->coding().empty());
+  saveList(path("empty.psnap"), List::make());
+  EXPECT_TRUE(loadList(path("empty.psnap"))->coding().empty());
+
+  // A spine is never coded; its all-text leaves are.
+  auto nested = List::make({Value(List::make({Value("x"), Value("y"),
+                                              Value("x")})),
+                            Value("z")});
+  saveList(path("nested.psnap"), nested);
+  ListPtr spine = loadList(path("nested.psnap"));
+  EXPECT_TRUE(spine->coding().empty());
+  expectCodingOf(*spine->item(1).asList(), 2);
+}
+
+// Clones share the buffer and so its coding; any mutation goes through
+// the detach gate, whose copy carries none. The mutated list keeps every
+// item the mutation did not touch.
+TEST_F(SnapshotTest, MutationDropsTheCodingClonesShareIt) {
+  auto words = List::make({Value("a"), Value("b"), Value("a"), Value("c")});
+  saveList(path("codes.psnap"), words);
+  ListPtr loaded = loadList(path("codes.psnap"));
+  ASSERT_FALSE(loaded->coding().empty());
+  Value clone = Value(loaded).structuredClone();
+  EXPECT_EQ(clone.asList()->coding().codes.data(),
+            loaded->coding().codes.data());
+
+  const auto mutations = std::vector<std::function<void(List&)>>{
+      [](List& l) { l.add(Value("d")); },
+      [](List& l) { l.replaceAt(2, Value("a")); },
+      [](List& l) { l.removeAt(1); },
+      [](List& l) { l.insertAt(1, Value("z")); },
+      [](List& l) { l.mutableItems(); },
+      [](List& l) { l.clear(); }};
+  for (const auto& mutate : mutations) {
+    ListPtr copy = Value(loaded).structuredClone().asList();
+    ASSERT_FALSE(copy->coding().empty());
+    mutate(*copy);
+    EXPECT_TRUE(copy->coding().empty());
+    EXPECT_FALSE(loaded->coding().empty());
+  }
+  EXPECT_FALSE(clone.asList()->coding().empty());
 }
 
 TEST_F(SnapshotTest, DatasetWriterRejectsNonScalars) {
