@@ -8,6 +8,11 @@
 //   * mapthroughput/n:<k> — items/s for one Parallel::map at n = 10'000.
 //   * wordcount/n:<k>     — words/s for an end-to-end mapReduce word count
 //                           (map, sharded shuffle, reduce) on a Zipf corpus.
+//   * mapreduce_distinct/snapshot:<0|1>/n:<k> — keys/s for the same count
+//                           over mostly distinct keys (9 in 10 keys appear
+//                           once), built in memory (snapshot:0) or loaded
+//                           from a dataset snapshot, and so dictionary-
+//                           coded (snapshot:1).
 //   * grain_mapreduce/inline:<0|1>/w:<w>/n:<k>, grain_map/… — the grain
 //                           model's sweep: one operation timed both ways,
 //                           drained on the calling thread (inline:1) and
@@ -26,7 +31,10 @@
 // (the JSON records the host: CPUs, MHz, caches, build type, date).
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -34,6 +42,7 @@
 #include "blocks/value.hpp"
 #include "data/corpus.hpp"
 #include "mapreduce/engine.hpp"
+#include "persist/snapshot.hpp"
 #include "support/completion.hpp"
 #include "workers/parallel.hpp"
 
@@ -107,6 +116,42 @@ BENCHMARK(BM_WordCount)
     ->Name("wordcount")
     ->ArgName("n")
     ->Arg(20'000)
+    ->UseRealTime();
+
+void BM_MapReduceDistinct(benchmark::State& state) {
+  const size_t n = size_t(state.range(1));
+  // A permutation of [0, n) folded onto 9n/10 keys: each of the first n/10
+  // keys appears twice, every other key once.
+  auto list = List::make();
+  for (size_t i = 0; i < n; ++i) {
+    list->add(Value("key" + std::to_string((i * 7919) % n % (n - n / 10))));
+  }
+  if (state.range(0)) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("psnap-bench-distinct-" + std::to_string(::getpid()) + ".psnap"))
+            .string();
+    psnap::persist::saveList(path, list);
+    list = psnap::persist::loadList(path);
+    std::filesystem::remove(path);  // the mapping keeps the inode
+  }
+  psnap::mr::MapFn one = [](const Value&) { return Value(1); };
+  psnap::mr::ReduceFn count = [](const ListPtr& values) {
+    return Value(values->length());
+  };
+  psnap::mr::Options options;
+  options.workers = 4;
+  for (auto _ : state) {
+    auto result = psnap::mr::run(list, one, count, options);
+    if (result->empty()) std::abort();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_MapReduceDistinct)
+    ->Name("mapreduce_distinct")
+    ->ArgNames({"snapshot", "n"})
+    ->Args({0, 20'000})
+    ->Args({1, 20'000})
     ->UseRealTime();
 
 /// A nominal known per-item cost: every size below falls under the grain

@@ -239,13 +239,6 @@ std::vector<std::string> ThreadManager::collectSayLog() const {
   return log;
 }
 
-Process* ThreadManager::findProcess(uint64_t id) {
-  for (Task& task : tasks_) {
-    if (task.process->id() == id) return task.process.get();
-  }
-  return nullptr;
-}
-
 uint64_t ThreadManager::broadcast(const std::string& message) {
   uint64_t token = nextBroadcastToken_++;
   std::vector<uint64_t> listeners;

@@ -88,7 +88,6 @@ class ThreadManager : public vm::Host {
   void setDefaultCancelToken(CancelTokenPtr root) {
     defaultToken_ = std::move(root);
   }
-  const CancelTokenPtr& defaultCancelToken() const { return defaultToken_; }
 
   // --- process management --------------------------------------------------
   /// The handle returned by spawn*: the process pointer is valid until the
@@ -204,10 +203,6 @@ class ThreadManager : public vm::Host {
   ErrorDrain drainErrors();
   /// Say-log of every process, in spawn order (for assertions).
   std::vector<std::string> collectSayLog() const;
-
-  /// Look up a process by id (nullptr when finished processes have been
-  /// dropped or the id is unknown).
-  vm::Process* findProcess(uint64_t id);
 
   // --- vm::Host -------------------------------------------------------------
   double nowSeconds() const override { return now_; }

@@ -14,22 +14,6 @@
 
 namespace psnap::serve {
 
-const char* sessionStateName(SessionState state) {
-  switch (state) {
-    case SessionState::Active:
-      return "active";
-    case SessionState::Completed:
-      return "completed";
-    case SessionState::Failed:
-      return "failed";
-    case SessionState::Shed:
-      return "shed";
-    case SessionState::Drained:
-      return "drained";
-  }
-  return "?";
-}
-
 SessionServer::SessionServer(ServerConfig config)
     : config_(config),
       registry_(&blocks::BlockRegistry::standard()),
@@ -422,10 +406,6 @@ blocks::ListPtr SessionServer::openDataset(const std::string& name) const {
     throw SubstrateError("no dataset published as \"" + name + "\"");
   }
   return it->second->snapshotClone();
-}
-
-bool SessionServer::unpublishDataset(const std::string& name) {
-  return datasets_.erase(name) > 0;
 }
 
 void SessionServer::shedNewestActive(const std::string& reason) {

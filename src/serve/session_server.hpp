@@ -80,7 +80,6 @@ namespace psnap::serve {
 /// Drained sessions were checkpointed and quiesced by drain(); their
 /// checkpoints stay on disk for a successor server to recover.
 enum class SessionState : uint8_t { Active, Completed, Failed, Shed, Drained };
-const char* sessionStateName(SessionState state);
 
 struct ServerConfig {
   /// Admission high-water mark: admissions past this many live sessions
@@ -268,12 +267,6 @@ class SessionServer {
   /// one tenant's mutation — which copies out, COW — is invisible to the
   /// rest. Throws SubstrateError for unknown names.
   blocks::ListPtr openDataset(const std::string& name) const;
-
-  /// Drop a published name (no-op when absent; tenants holding views
-  /// keep the mapping alive). Returns true when something was dropped.
-  bool unpublishDataset(const std::string& name);
-
-  size_t publishedDatasets() const { return datasets_.size(); }
 
   size_t activeSessions() const { return active_.size(); }
   /// Sessions parked for a restart backoff (due at a future frame).

@@ -852,5 +852,93 @@ TEST(ShuffleDifferential, SnapshotListsMatchTheirInMemoryTwins) {
                              4);
 }
 
+/// Loads `list` back from a snapshot written by saveList: a coded twin.
+ListPtr codedTwin(const ListPtr& list, const SnapshotDir& dir) {
+  const std::string path = dir.path("coded.psnap");
+  persist::saveList(path, list);
+  ListPtr loaded = persist::loadList(path);
+  EXPECT_FALSE(loaded->coding().empty());
+  return loaded;
+}
+
+/// Emits an explicit pair for a few texts only — "cat" keyed as "CAT",
+/// "1" as the number 1, "NaN" as the boolean true — and a value keyed by
+/// its item for every other text. A slice holding one of those texts
+/// classes in its own table; the others class by code.
+MapFn somePairsMapper() {
+  return [](const Value& item) -> Value {
+    const std::string_view text = item.textView();
+    if (text == "cat") return Value(List::make({Value("CAT"), Value(1)}));
+    if (text == "1") return Value(List::make({Value(1), Value(2)}));
+    if (text == "NaN") return Value(List::make({Value(true), Value(3)}));
+    return Value(double(text.size()));
+  };
+}
+
+// A coded list and its uncoded twin agree on every path: with every pair
+// keyed by its item, with explicit pairs everywhere, and with explicit
+// pairs in the later slices only, whose classes then merge with the
+// dictionary's. So do a list of one dictionary entry and a list whose
+// entries are all distinct.
+TEST(ShuffleDifferential, CodedListsMatchTheirUncodedTwins) {
+  const SnapshotDir dir("coded");
+  auto late = List::make();
+  const std::vector<Value> keys = hardTextKeys();
+  for (size_t i = 0; i < 1600; ++i) {
+    late->add(keys[i % keys.size()]);
+    if (i >= 900 && i % 11 == 0) {
+      late->add(Value(i % 3 == 0 ? "cat" : i % 3 == 1 ? "1" : "NaN"));
+    }
+  }
+  const ListPtr lateCoded = codedTwin(late, dir);
+  expectTwinsMatchEverywhere(late, lateCoded, 21);
+  for (const ReduceFn& reduce : {identityReduce(), countValues()}) {
+    expectTwinsMatch(late, lateCoded, somePairsMapper(), reduce, {}, 21);
+  }
+  EXPECT_EQ(exact(Value(run(lateCoded, somePairsMapper(), countValues(),
+                            {.workers = 4}))),
+            exact(Value(referenceMapReduce(late, somePairsMapper(),
+                                           countValues()))));
+
+  auto same = List::make();
+  for (int i = 0; i < 700; ++i) same->add(Value("Same"));
+  const ListPtr sameCoded = codedTwin(same, dir);
+  EXPECT_EQ(sameCoded->coding().entries.size(), 1u);
+  expectTwinsMatchEverywhere(same, sameCoded, 22);
+
+  auto distinct = List::make();
+  for (int i = 0; i < 1500; ++i) {
+    distinct->add(Value((i % 2 ? "Key" : "key") + std::to_string(i)));
+  }
+  const ListPtr distinctCoded = codedTwin(distinct, dir);
+  EXPECT_EQ(distinctCoded->coding().entries.size(), 1500u);
+  expectTwinsMatchEverywhere(distinct, distinctCoded, 23);
+}
+
+// A coded list mutated after load (an add, a replace, a delete) loses its
+// codes at the detach gate and still matches its twin mutated the same
+// way; the list it was cloned from stays coded and matches the original.
+TEST(ShuffleDifferential, CodedListsMutatedAfterLoadMatchTheirTwins) {
+  const SnapshotDir dir("mutated");
+  const ListPtr twin = hardTextList(900, 31);
+  const ListPtr coded = codedTwin(twin, dir);
+  const std::vector<std::function<void(List&)>> mutations = {
+      [](List& l) { l.add(Value("the")); },
+      [](List& l) { l.replaceAt(5, Value("NaN")); },
+      [](List& l) { l.removeAt(1); }};
+  for (size_t k = 0; k < mutations.size(); ++k) {
+    SCOPED_TRACE("mutation " + std::to_string(k));
+    const ListPtr mutatedTwin = twin->deepCopy();
+    const ListPtr mutated = Value(coded).structuredClone().asList();
+    ASSERT_FALSE(mutated->coding().empty());
+    mutations[k](*mutatedTwin);
+    mutations[k](*mutated);
+    EXPECT_TRUE(mutated->coding().empty());
+    expectTwinsMatchEverywhere(mutatedTwin, mutated, 31 + k);
+  }
+  EXPECT_FALSE(coded->coding().empty());
+  expectTwinsMatch(twin, coded, differentialMapper(), countValues(), {}, 31);
+}
+
 }  // namespace
 }  // namespace psnap::mr

@@ -7,16 +7,20 @@
 // sweep them across seeds (PSNAP_CHAOS_SEED adds one) under asan + tsan.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "mapreduce/engine.hpp"
+#include "persist/snapshot.hpp"
 #include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
@@ -420,6 +424,82 @@ TEST(Chaos, TaskThrowAfterNumericColumnAndFoldRestartsExactly) {
     // retry after a served entry.
     EXPECT_GT(mapCalls.load(), kRounds * kSlices);
     EXPECT_GT(foldCalls.load(), kRounds * kSlices);
+    EXPECT_GT(substrateStats().retries.load(std::memory_order_relaxed),
+              retriesBefore);
+    expectPoolUsable();
+  }
+}
+
+TEST(Chaos, TaskThrowOverCodedInputRestartsExactly) {
+  // A text list loaded from a snapshot is dictionary-coded, so each
+  // stage-1 slice classes its pairs through the job's one table of
+  // dictionary classes, which every slice only reads. Plain C++ entries
+  // stand in for the native tier's (a column of ones, a fold counting
+  // each run), and TaskThrow at 1/4 fires once per slice after its
+  // column and once per shard after its fold. A retried slice restarts
+  // after an earlier attempt classed and binned, and must rewrite its
+  // class counts and bins exactly.
+  auto twin = List::make();
+  const char* words[] = {"the", "The", "cat", "1", "1.0", "-0", "0", "NaN",
+                         "", "a fairly long word of text"};
+  for (int i = 0; i < 2048; ++i) {
+    twin->add(Value(i % 3 == 0 ? std::string(words[(i * 7) % 10])
+                               : "w" + std::to_string(i % 131)));
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("psnap-chaos-coded-" + std::to_string(::getpid()) + ".psnap"))
+          .string();
+  persist::saveList(path, twin);
+  const ListPtr coded = persist::loadList(path);
+  std::filesystem::remove(path);
+  ASSERT_FALSE(coded->coding().empty());
+
+  std::atomic<int> mapCalls{0};
+  mr::MapFn one = [](const Value&) { return Value(1); };
+  mr::ReduceFn count = [](const ListPtr& values) {
+    return Value(values->length());
+  };
+  mr::MapNumericFn column = [&mapCalls](const Value*, size_t n,
+                                        std::vector<double>& out) {
+    mapCalls.fetch_add(1, std::memory_order_relaxed);
+    out.assign(n, 1.0);
+    return true;
+  };
+  mr::ReduceNumericFn fold = [](const double*, const uint32_t* bounds,
+                                size_t runs, Value* out) {
+    for (size_t r = 0; r < runs; ++r) {
+      out[r] = Value(double(bounds[r + 1] - bounds[r]));
+    }
+    return true;
+  };
+  const std::string reference =
+      mr::run(twin, one, count, {.sequential = true})->display();
+  constexpr int kRounds = 8;
+  constexpr int kSlices = 4;
+  for (uint64_t seed : chaosSeeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const uint64_t retriesBefore =
+        substrateStats().retries.load(std::memory_order_relaxed);
+    mapCalls = 0;
+    {
+      fault::ScopedFault armed(
+          configFor(seed, fault::Point::TaskThrow, 1, 4));
+      for (int round = 0; round < kRounds; ++round) {
+        mr::Job job(coded, one, count,
+                    {.workers = kSlices,
+                     .maxRetries = 40,
+                     .mapNumeric = column,
+                     .reduceNumeric = fold});
+        std::promise<void> settled;
+        job.onComplete([&settled] { settled.set_value(); });
+        settled.get_future().wait();
+        ASSERT_FALSE(job.failed()) << job.errorMessage();
+        EXPECT_FALSE(job.wasDegraded());
+        EXPECT_EQ(job.result()->display(), reference);
+      }
+    }
+    EXPECT_GT(mapCalls.load(), kRounds * kSlices);
     EXPECT_GT(substrateStats().retries.load(std::memory_order_relaxed),
               retriesBefore);
     expectPoolUsable();
