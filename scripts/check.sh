@@ -35,7 +35,10 @@
 #   asan: every engine path (pooled at each width, sequential, and
 #   degraded by a saturated pool) against an in-test reference shuffle.
 #   Then runs that suite and test_mapreduce once under tsan: the stage-1
-#   slices share the read-only input and keep per-slice key memos.
+#   slices share the read-only input and keep per-slice key memos. The
+#   Chaos* sweep includes a dictionary-coded input (a text list loaded
+#   from a snapshot), whose job-wide dictionary classes every stage-1
+#   slice reads while retried slices rewrite their own counts and bins.
 #
 # Usage: scripts/check.sh --native
 #   Builds the asan preset and runs the native-tier suites (test_native:
@@ -64,7 +67,8 @@
 # Usage: scripts/check.sh --persist
 #   Builds the asan preset and runs the persistence suites (test_persist:
 #   snapshot round-trips, mmap aliasing, the property sweep, and the
-#   SnapshotWriteFailure/MmapFailure + corrupt-file chaos tests) under
+#   SnapshotWriteFailure/MmapFailure + corrupt-file chaos tests, corrupt
+#   coded-list sections and version-1 headers among them) under
 #   AddressSanitizer — the placement-imaged slots, text fixups, and
 #   mapping lifetimes must be memory-clean. Then smoke-runs bench_persist
 #   (release preset, --smoke) so the measured cold-open path stays alive.

@@ -137,13 +137,18 @@ ReduceFn identityReduce();
 /// An asynchronous MapReduce job for integration with the cooperative
 /// scheduler — a completion-chained pipeline with no phase barriers:
 ///
-///   stage 1   W slice tasks: map each item into a flat array of map
-///             results — or, where Options::mapNumeric serves the slice,
-///             the whole slice into a column of raw doubles — class its
-///             pair's key (read in place, through the slice's memo of key
-///             representations and its hash table of order classes), bin
-///             its index by shard (the map phase and the shuffle's key
-///             pass, fused);
+///   stage 1   W slice tasks: map each item of the slice into the
+///             slice's map results — or, where Options::mapNumeric serves
+///             the slice, the whole slice into a column of raw doubles —
+///             then class every pair's key (read in place, through the
+///             slice's memo of key representations and its hash table of
+///             order classes), then bin each pair's index by its class's
+///             shard (the map phase and the shuffle's key pass, fused).
+///             A dictionary-coded input (blocks::TextCoding, a text list
+///             loaded from a snapshot) has each dictionary entry classed
+///             once per job, before stage 1; a slice whose pairs are all
+///             keyed by their items then classes pair i by its code
+///             alone, with no hash and no compare;
 ///   stage 2   W shard tasks: merge the slices' classes for the shard,
 ///             sort the class heads, lay the members out flat in key
 ///             order (with their doubles, when every slice is a column),
@@ -165,7 +170,9 @@ ReduceFn identityReduce();
 /// The constructor takes a snapshotClone() of the input (O(1) for flat
 /// and mapped lists), and every stage reads that snapshot: a caller that
 /// mutates its list while the job runs changes nothing the job sees. An
-/// input holding a ring or a future settles the job with PurityError.
+/// input holding a ring or a future settles the job with PurityError; a
+/// coded input with a code past its dictionary settles it with
+/// SubstrateError (one pass over the codes, before any stage reads them).
 ///
 /// The block primitive registers onComplete() and parks; the callback
 /// fires exactly once, from the worker that settles the pipeline (or

@@ -359,7 +359,8 @@ struct Decoder {
       if (rec.codeCount == 0 || rec.codeCount != lists[rec.list].slotCount) {
         corruptTable("coded list: code count differs from the list length");
       }
-      if (rec.firstCode > codeCount || rec.codeCount > codeCount - rec.firstCode) {
+      if (rec.firstCode > codeCount ||
+          rec.codeCount > codeCount - rec.firstCode) {
         corruptTable("coded list: codes out of bounds");
       }
       if (rec.firstEntry > entryCount ||

@@ -208,7 +208,7 @@ TEST_F(PersistChaos, CorruptFilesAreTypedNotCrashes) {
   std::filesystem::remove_all(dir);
 }
 
-// --- Dictionary-coded lists ---------------------------------------------------
+// --- Dictionary-coded lists -------------------------------------------------
 
 /// A snapshot file's bytes, to corrupt and write back.
 struct FileBytes {
