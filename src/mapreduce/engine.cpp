@@ -150,15 +150,17 @@ struct ClassTable {
     return slots[slot];
   }
 
-  /// Past half load with ids [0, count), grow and reinsert each id at
-  /// `hashOf(id)`.
+  /// Past half load with ids [0, count), grow to room for at least
+  /// `room` ids (and at least double), reinsert each id at `hashOf(id)`
+  /// and return true.
   template <typename HashOf>
-  void fit(size_t count, const HashOf& hashOf) {
-    if (2 * count <= slots.size()) return;
-    reset(count);
+  bool fit(size_t count, size_t room, const HashOf& hashOf) {
+    if (2 * count <= slots.size()) return false;
+    reset(std::max(count, room));
     for (uint32_t id = 0; id < count; ++id) {
       find(hashOf(id), [](uint32_t) { return false; }) = id;
     }
+    return true;
   }
 
   std::vector<uint32_t> slots;
@@ -174,10 +176,11 @@ uint64_t identityHash(const Value::Identity& id) {
   return h ^ (h >> 29);
 }
 
-/// The capacity a stage-1 slice's tables and class vectors start with: a
-/// slice has at most one class per pair, so its length bounds what it
-/// needs. Past the cap a slice regrows, and each regrowth then follows
-/// thousands of misses that cost more than the copy.
+/// The room a stage-1 slice's tables grow to the first time they fill,
+/// and its class vectors reserve, is its length up to this cap: a slice
+/// has at most one class per pair. Past the cap a slice doubles again,
+/// and each doubling then follows thousands of misses that cost more than
+/// the copy.
 constexpr size_t kSliceClassesCap = 4096;
 
 /// One stage-1 slice's order classes, in first-appearance order: each
@@ -185,20 +188,20 @@ constexpr size_t kSliceClassesCap = 4096;
 /// listed by shard. In front of the class table sits a memo from each
 /// key representation the slice has classed to its class id.
 struct SliceClasses {
-  /// Empty, sized for `expected` classes so that nothing regrows below it.
+  /// Empty, with room for `expected` classes: the tables start at 16
+  /// slots and grow straight to `expected` the first time they fill, and
+  /// the vectors they index reserve what each table holds as it grows. A
+  /// slice of a few keys allocates no more than that; one of many grows
+  /// each table once below `expected`.
   void reset(size_t shards, size_t expected) {
-    memo.reset(expected);
+    room = expected;
+    memo.reset(0);
     memoed.clear();
-    memoed.reserve(expected);
-    table.reset(expected);
+    table.reset(0);
     heads.clear();
-    heads.reserve(expected);
     sizes.clear();
-    sizes.reserve(expected);
     oneRun.clear();
-    oneRun.reserve(expected);
     shard.clear();
-    shard.reserve(expected);
     byShard.assign(shards, {});
   }
 
@@ -219,8 +222,11 @@ struct SliceClasses {
     const uint32_t c = classifyNew(key, shown);
     slot = uint32_t(memoed.size());
     memoed.emplace_back(id, c);
-    memo.fit(memoed.size(),
-             [&](uint32_t e) { return identityHash(memoed[e].first); });
+    if (memo.fit(memoed.size(), room, [&](uint32_t e) {
+          return identityHash(memoed[e].first);
+        })) {
+      memoed.reserve(memo.slots.size() / 2);
+    }
     return c;
   }
 
@@ -248,10 +254,18 @@ struct SliceClasses {
     oneRun.push_back(p.numeric ? !std::isnan(p.num) : key.isText());
     shard.push_back(uint32_t(p.hash % byShard.size()));
     byShard[shard.back()].push_back(c);
-    table.fit(heads.size(), [&](uint32_t h) { return heads[h].hash; });
+    if (table.fit(heads.size(), room,
+                  [&](uint32_t h) { return heads[h].hash; })) {
+      const size_t capacity = table.slots.size() / 2;
+      heads.reserve(capacity);
+      sizes.reserve(capacity);
+      oneRun.reserve(capacity);
+      shard.reserve(capacity);
+    }
     return c;
   }
 
+  size_t room = 0;  // what the tables grow to first
   ClassTable memo;  // identityHash → index into memoed
   std::vector<std::pair<Value::Identity, uint32_t>> memoed;  // → class id
   ClassTable table;
