@@ -189,10 +189,10 @@ constexpr size_t kSliceClassesCap = 4096;
 /// key representation the slice has classed to its class id.
 struct SliceClasses {
   /// Empty, with room for `expected` classes: the tables start at 16
-  /// slots and grow straight to `expected` the first time they fill, and
-  /// the vectors they index reserve what each table holds as it grows. A
-  /// slice of a few keys allocates no more than that; one of many grows
-  /// each table once below `expected`.
+  /// slots and grow straight to `expected` the first time they pass half
+  /// load, and the vectors they index reserve what each table holds as
+  /// it grows. A slice of at most 8 keys keeps its 16-slot tables; one of
+  /// more grows each table once below `expected`.
   void reset(size_t shards, size_t expected) {
     room = expected;
     memo.reset(0);
