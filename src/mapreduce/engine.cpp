@@ -456,29 +456,25 @@ struct Shuffle {
     // 1. The shard's classes. Each source of classes joins in turn: the
     //    dictionary's, when some slice classed by code (its members
     //    summed over those slices), then each other slice's, in slice
-    //    order. With more than one source, a class joins the shard class
-    //    whose head it matches, or heads a new one; a lone source's
-    //    classes are already distinct, so nothing merges. Slice t's own
-    //    classes map through merged[firstOf[t] + c], the dictionary's
-    //    through mergedCode[c].
+    //    order. A class joins the shard class whose head it matches, or
+    //    heads a new one. When every slice classed by code, the
+    //    dictionary's classes are the only ones and already distinct, so
+    //    nothing merges. Slice t's own classes map through
+    //    merged[firstOf[t] + c], the dictionary's through mergedCode[c].
     std::vector<size_t> firstOf(slices.size() + 1, 0);
     size_t incoming = 0;
-    size_t sources = 0;
     bool anyCode = false;
+    bool merging = false;
     for (size_t t = 0; t < slices.size(); ++t) {
       firstOf[t + 1] = firstOf[t] + slices[t].heads.size();
       if (byCode[t]) {
         anyCode = true;
       } else {
+        merging = true;
         incoming += slices[t].byShard[shard].size();
-        sources += !slices[t].heads.empty();
       }
     }
-    if (anyCode) {
-      incoming += dictionary.byShard[shard].size();
-      ++sources;
-    }
-    const bool merging = sources > 1;
+    if (anyCode) incoming += dictionary.byShard[shard].size();
     ClassTable table;
     if (merging) table.reset(incoming);
     std::vector<const SortKey*> heads;  // per shard class

@@ -799,8 +799,9 @@ void expectTwinsMatch(const ListPtr& twin, const ListPtr& other,
 }
 
 /// expectTwinsMatch under a boxed keyed-by-item map (identity and
-/// counting reduce), explicit [item, 1] pairs, and the numeric column
-/// with the reduce entry folding.
+/// counting reduce), explicit [item, 1] pairs, a batch entry mapping
+/// each slice in place, and the numeric column with the reduce entry
+/// folding.
 void expectTwinsMatchEverywhere(const ListPtr& twin, const ListPtr& other,
                                 uint64_t seed) {
   for (const ReduceFn& reduce : {identityReduce(), countValues()}) {
@@ -808,6 +809,12 @@ void expectTwinsMatchEverywhere(const ListPtr& twin, const ListPtr& other,
   }
   expectTwinsMatch(twin, other, explicitPairMapper(), countValues(), {},
                    seed);
+  Options batch;
+  batch.mapBatch = [](Value* items, size_t n) {
+    for (size_t i = 0; i < n; ++i) items[i] = Value(numberOf(items[i]));
+    return true;
+  };
+  expectTwinsMatch(twin, other, numberMapper(), countValues(), batch, seed);
   std::atomic<int> mapped{0};
   std::atomic<int> reduced{0};
   Options column;
