@@ -37,8 +37,9 @@
 #   Then runs that suite and test_mapreduce once under tsan: the stage-1
 #   slices share the read-only input and keep per-slice key memos. The
 #   Chaos* sweep includes a dictionary-coded input (a text list loaded
-#   from a snapshot), whose job-wide dictionary classes every stage-1
-#   slice reads while retried slices rewrite their own counts and bins.
+#   from a snapshot), whose job-wide dictionary classes the first coded
+#   stage-1 slice builds under a lock and every other one then reads
+#   while retried slices rewrite their own counts and bins.
 #
 # Usage: scripts/check.sh --native
 #   Builds the asan preset and runs the native-tier suites (test_native:

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <utility>
 
@@ -150,17 +152,15 @@ struct ClassTable {
     return slots[slot];
   }
 
-  /// Past half load with ids [0, count), grow to room for at least
-  /// `room` ids (and at least double), reinsert each id at `hashOf(id)`
-  /// and return true.
+  /// Past half load with ids [0, count), grow and reinsert each id at
+  /// `hashOf(id)`.
   template <typename HashOf>
-  bool fit(size_t count, size_t room, const HashOf& hashOf) {
-    if (2 * count <= slots.size()) return false;
-    reset(std::max(count, room));
+  void fit(size_t count, const HashOf& hashOf) {
+    if (2 * count <= slots.size()) return;
+    reset(count);
     for (uint32_t id = 0; id < count; ++id) {
       find(hashOf(id), [](uint32_t) { return false; }) = id;
     }
-    return true;
   }
 
   std::vector<uint32_t> slots;
@@ -176,28 +176,17 @@ uint64_t identityHash(const Value::Identity& id) {
   return h ^ (h >> 29);
 }
 
-/// The room a stage-1 slice's tables grow to the first time they fill,
-/// and its class vectors reserve, is its length up to this cap: a slice
-/// has at most one class per pair. Past the cap a slice doubles again,
-/// and each doubling then follows thousands of misses that cost more than
-/// the copy.
-constexpr size_t kSliceClassesCap = 4096;
-
 /// One stage-1 slice's order classes, in first-appearance order: each
 /// class's head key, member count, one-run flag and shard, and its ids
 /// listed by shard. In front of the class table sits a memo from each
 /// key representation the slice has classed to its class id.
 struct SliceClasses {
-  /// Empty, with room for `expected` classes: the tables start at 16
-  /// slots and grow straight to `expected` the first time they pass half
-  /// load, and the vectors they index reserve what each table holds as
-  /// it grows. A slice of at most 8 keys keeps its 16-slot tables; one of
-  /// more grows each table once below `expected`.
-  void reset(size_t shards, size_t expected) {
-    room = expected;
+  /// Empty, with a class table sized for `expected` classes (the tables
+  /// start at 16 slots and double as they fill).
+  void reset(size_t shards, size_t expected = 0) {
     memo.reset(0);
     memoed.clear();
-    table.reset(0);
+    table.reset(expected);
     heads.clear();
     sizes.clear();
     oneRun.clear();
@@ -222,11 +211,8 @@ struct SliceClasses {
     const uint32_t c = classifyNew(key, shown);
     slot = uint32_t(memoed.size());
     memoed.emplace_back(id, c);
-    if (memo.fit(memoed.size(), room, [&](uint32_t e) {
-          return identityHash(memoed[e].first);
-        })) {
-      memoed.reserve(memo.slots.size() / 2);
-    }
+    memo.fit(memoed.size(),
+             [&](uint32_t e) { return identityHash(memoed[e].first); });
     return c;
   }
 
@@ -254,18 +240,10 @@ struct SliceClasses {
     oneRun.push_back(p.numeric ? !std::isnan(p.num) : key.isText());
     shard.push_back(uint32_t(p.hash % byShard.size()));
     byShard[shard.back()].push_back(c);
-    if (table.fit(heads.size(), room,
-                  [&](uint32_t h) { return heads[h].hash; })) {
-      const size_t capacity = table.slots.size() / 2;
-      heads.reserve(capacity);
-      sizes.reserve(capacity);
-      oneRun.reserve(capacity);
-      shard.reserve(capacity);
-    }
+    table.fit(heads.size(), [&](uint32_t h) { return heads[h].hash; });
     return c;
   }
 
-  size_t room = 0;  // what the tables grow to first
   ClassTable memo;  // identityHash → index into memoed
   std::vector<std::pair<Value::Identity, uint32_t>> memoed;  // → class id
   ClassTable table;
@@ -295,6 +273,43 @@ struct Runs {
   Results results = Results::Slots;
 };
 
+/// A coded input's dictionary classes: every dictionary entry classed
+/// once per job into one class table (a slice table's probe, sameClass
+/// and heads, without the memo). Entry e's class is codeClass[e]; the
+/// sizes count entries, not pairs. The first slice that classes by code
+/// builds them under the lock, and they are read-only from then on, so a
+/// job none of whose slices classes by code never builds them.
+struct CodeClasses {
+  /// The classes of `coding`'s entries, built on the first call.
+  const CodeClasses& built(blocks::ItemSpan items,
+                           const blocks::TextCoding& coding, size_t shards) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (!done) {
+      classes.reset(shards, coding.entries.size());
+      codeClass.clear();
+      codeClass.reserve(coding.entries.size());
+      std::string shown;
+      for (uint32_t entry : coding.entries) {
+        codeClass.push_back(classes.classifyNew(items[entry], shown));
+      }
+      done = true;
+    }
+    return *this;
+  }
+
+  std::mutex mutex;
+  bool done = false;
+  SliceClasses classes;
+  std::vector<uint32_t> codeClass;
+};
+
+/// A code that names no dictionary entry: the coded list is corrupt.
+[[noreturn]] void throwPastDictionary(uint32_t code, size_t entries) {
+  throw SubstrateError("mapReduce: corrupt coded list: code " +
+                       std::to_string(code) + " is past its dictionary of " +
+                       std::to_string(entries) + " entries");
+}
+
 /// The shuffle over the input items and their map results: pair i is
 /// read in place from items[i] and its map result (keyOf, valueOf), and
 /// classOf[i] is its class. A map result is held in its slice's mapped
@@ -303,10 +318,8 @@ struct Runs {
 ///
 /// A pair's class lives in its slice's table, or, for a dictionary-coded
 /// input (blocks::TextCoding) in a slice whose pairs are all keyed by
-/// their items, in the job's dictionary classes: every dictionary entry
-/// is classed once, when the shuffle is built, and such a slice classes
-/// pair i as codeClass[codes[i]]. The dictionary classes are read-only
-/// while the stages run.
+/// their items, in the job's CodeClasses: such a slice classes pair i as
+/// codeClass[codes[i]].
 ///
 /// Slot i of classOf is written by the one slice task covering i, and
 /// slices[slice], mapped[slice], byCode[slice], codeSizes[slice],
@@ -320,6 +333,7 @@ struct Shuffle {
         sliceLength((n + shards - 1) / shards),
         items(input),
         coding(coded),
+        dictionary(coded.empty() ? nullptr : std::make_unique<CodeClasses>()),
         classOf(n),
         slices(shards),
         mapped(shards),
@@ -327,18 +341,16 @@ struct Shuffle {
         codeSizes(shards),
         binned(shards, std::vector<std::vector<uint32_t>>(shards)),
         columns(shards),
-        columnar(shards, 0) {
-    if (coding.empty()) return;
-    dictionary.reset(shards, coding.entries.size());
-    codeClass.reserve(coding.entries.size());
-    std::string shown;
-    for (uint32_t entry : coding.entries) {
-      codeClass.push_back(dictionary.classifyNew(items[entry], shown));
-    }
-  }
+        columnar(shards, 0) {}
 
-  /// Slice s covers [s * per(), min((s + 1) * per(), n)).
+  /// Slice s covers [sliceBegin(s), sliceEnd(s)): per() pairs from
+  /// s * per(), clamped to n. With more shards than the input fills, the
+  /// last slices start at or past n and are empty.
   size_t per() const { return sliceLength; }
+  size_t sliceBegin(size_t slice) const { return std::min(slice * per(), n); }
+  size_t sliceEnd(size_t slice) const {
+    return std::min(sliceBegin(slice) + per(), n);
+  }
 
   /// An explicit [key, value] map result; any other result is keyed by
   /// its item.
@@ -391,31 +403,38 @@ struct Shuffle {
   }
 
   /// Class every pair of `slice`, then bin each pair's index by its
-  /// class's shard. A coded input's slice whose pairs are all keyed by
-  /// their items reads each pair's class by its code; any other slice
-  /// classes its keys in its own table.
-  void classSlice(size_t slice) {
-    const size_t begin = slice * per();
-    const size_t end = std::min(begin + per(), n);
+  /// class's shard. A coded input's non-empty slice whose pairs are all
+  /// keyed by their items reads each pair's class by its code, checking
+  /// the code first; any other slice classes its keys in its own table,
+  /// passing `token`'s checkpoint every 512 pairs. The coded loop takes
+  /// no checkpoint: at a compare and a few array reads per pair, a whole
+  /// slice of it runs in tens of microseconds.
+  void classSlice(size_t slice, const CancelToken& token) {
+    const size_t begin = sliceBegin(slice);
+    const size_t end = sliceEnd(slice);
     const std::vector<Value>& results = mapped[slice];
-    if (!coding.empty() &&
+    if (dictionary && begin < end &&
         std::none_of(results.begin(), results.end(), isPair)) {
-      byCode[slice] = true;
+      const CodeClasses& dict = dictionary->built(items, coding, shardCount);
       std::vector<uint32_t>& sizes = codeSizes[slice];
-      sizes.assign(dictionary.heads.size(), 0);
+      sizes.assign(dict.classes.heads.size(), 0);
       const uint32_t* codes = coding.codes.data();
+      const size_t entries = dict.codeClass.size();
       for (size_t i = begin; i < end; ++i) {
-        const uint32_t c = codeClass[codes[i]];
+        if (codes[i] >= entries) throwPastDictionary(codes[i], entries);
+        const uint32_t c = dict.codeClass[codes[i]];
         classOf[i] = c;
         ++sizes[c];
       }
-      binSlice(slice, dictionary.shard, sizes);
+      byCode[slice] = true;
+      binSlice(slice, dict.classes.shard, sizes);
       return;
     }
     SliceClasses& classes = slices[slice];
-    classes.reset(shardCount, std::min(end - begin, kSliceClassesCap));
+    classes.reset(shardCount);
     std::string shown;  // scratch for a key's display
     for (size_t i = begin; i < end; ++i) {
+      if ((i - begin) % 512 == 511) token.checkpoint();
       const bool pair = !columnar[slice] && isPair(results[i - begin]);
       const Value& key = pair ? results[i - begin].asList()->items()[0]
                               : items[i];
@@ -435,8 +454,8 @@ struct Shuffle {
   /// shards and the slice's member count per class.
   void binSlice(size_t slice, const std::vector<uint32_t>& shardOf,
                 const std::vector<uint32_t>& sizes) {
-    const size_t begin = slice * per();
-    const size_t end = std::min(begin + per(), n);
+    const size_t begin = sliceBegin(slice);
+    const size_t end = sliceEnd(slice);
     std::vector<std::vector<uint32_t>>& bins = binned[slice];
     std::vector<size_t> counts(shardCount, 0);
     for (size_t c = 0; c < sizes.size(); ++c) counts[shardOf[c]] += sizes[c];
@@ -474,7 +493,8 @@ struct Shuffle {
         incoming += slices[t].byShard[shard].size();
       }
     }
-    if (anyCode) incoming += dictionary.byShard[shard].size();
+    const SliceClasses* coded = anyCode ? &dictionary->classes : nullptr;
+    if (anyCode) incoming += coded->byShard[shard].size();
     ClassTable table;
     if (merging) table.reset(incoming);
     std::vector<const SortKey*> heads;  // per shard class
@@ -503,13 +523,13 @@ struct Shuffle {
     };
     std::vector<uint32_t> mergedCode;
     if (anyCode) {
-      mergedCode.assign(dictionary.heads.size(), kNone);
-      for (uint32_t c : dictionary.byShard[shard]) {
+      mergedCode.assign(coded->heads.size(), kNone);
+      for (uint32_t c : coded->byShard[shard]) {
         uint32_t size = 0;
         for (size_t t = 0; t < slices.size(); ++t) {
           if (byCode[t]) size += codeSizes[t][c];
         }
-        mergedCode[c] = join(dictionary.heads[c], size, dictionary.oneRun[c]);
+        mergedCode[c] = join(coded->heads[c], size, coded->oneRun[c]);
       }
     }
     std::vector<uint32_t> merged(firstOf.back(), kNone);
@@ -592,10 +612,7 @@ struct Shuffle {
   size_t sliceLength;
   blocks::ItemSpan items;  // the job's input, read-only for its life
   blocks::TextCoding coding;  // the input's, if coded
-  /// The dictionary's classes (built once, then read-only): entry e's is
-  /// codeClass[e]. Its sizes count entries, not pairs.
-  SliceClasses dictionary;
-  std::vector<uint32_t> codeClass;
+  std::unique_ptr<CodeClasses> dictionary;  // null unless coded
   std::vector<uint32_t> classOf;
   std::vector<SliceClasses> slices;  // [slice]
   /// [slice]: its boxed map results, one per pair; pins explicit pairs'
@@ -608,20 +625,6 @@ struct Shuffle {
   std::vector<std::vector<double>> columns;  // [slice]: numeric results
   std::vector<uint8_t> columnar;  // [slice]: its results are its column
 };
-
-/// Check a coded input's codes where they are used: every code must name
-/// a dictionary entry. One pass of compares over the codes, before any
-/// stage reads them.
-void checkCodes(const blocks::TextCoding& coding) {
-  uint32_t top = 0;
-  for (uint32_t code : coding.codes) top = std::max(top, code);
-  if (!coding.empty() && top >= coding.entries.size()) {
-    throw SubstrateError(
-        "mapReduce: corrupt coded list: code " + std::to_string(top) +
-        " is past its dictionary of " +
-        std::to_string(coding.entries.size()) + " entries");
-  }
-}
 
 /// Serial W-way merge of per-shard group lists, each in key order. A
 /// class lives in one shard, so keys never tie across shards and the
@@ -706,7 +709,6 @@ Job::Job(ListPtr input, MapFn mapFn, ReduceFn reduceFn, Options options)
     // lists; a ring or a future in the list settles a PurityError.
     if (!input) throw Error("mapReduce: null input list");
     p.input = input->snapshotClone();
-    checkCodes(p.input->coding());
   } catch (...) {
     settleError(std::current_exception());
     return;
@@ -746,8 +748,8 @@ void Job::mapSlice(size_t slice, bool pooled) {
   Pipeline& p = *pipe_;
   Shuffle& s = p.shuffle;
   const blocks::ItemSpan items = s.items;
-  const size_t begin = slice * s.per();
-  const size_t end = std::min(begin + s.per(), s.n);
+  const size_t begin = s.sliceBegin(slice);
+  const size_t end = s.sliceEnd(slice);
   // mapFn is pure and every slot this slice writes is its own, so a
   // retry restarts the slice exactly.
   s.resetSlice(slice);
@@ -781,7 +783,7 @@ void Job::mapSlice(size_t slice, bool pooled) {
     }
   }
   token_->checkpoint();
-  s.classSlice(slice);
+  s.classSlice(slice, *token_);
 }
 
 void Job::reduceShard(size_t shard, bool pooled) {

@@ -922,6 +922,48 @@ TEST(ShuffleDifferential, CodedListsMatchTheirUncodedTwins) {
   expectTwinsMatchEverywhere(distinct, distinctCoded, 23);
 }
 
+// With more shards than the input fills, the last slices start past its
+// end: 300 items over 64 shards is 5 per slice, so slice 60 starts at
+// the end and slices 61 to 63 past it. They map, class and bin nothing,
+// over a coded list and its uncoded twin alike, on every map entry.
+TEST(ShuffleDifferential, SlicesPastTheInputAreEmpty) {
+  const SnapshotDir dir("past");
+  const ListPtr twin = hardTextList(300, 41);
+  const ListPtr coded = codedTwin(twin, dir);
+  std::atomic<int> served{0};
+  Options batch;
+  batch.mapBatch = [](Value* items, size_t n) {
+    for (size_t i = 0; i < n; ++i) items[i] = Value(numberOf(items[i]));
+    return true;
+  };
+  Options column;
+  column.mapNumeric = numberEntry({}, &served);
+  const std::vector<std::pair<MapFn, Options>> entries = {
+      {differentialMapper(), {}},
+      {explicitPairMapper(), {}},
+      {numberMapper(), batch},
+      {numberMapper(), column}};
+  for (size_t e = 0; e < entries.size(); ++e) {
+    SCOPED_TRACE("entry " + std::to_string(e));
+    const auto& [mapper, base] = entries[e];
+    const std::string expected =
+        exact(Value(referenceMapReduce(twin, mapper, countValues())));
+    for (bool drained : {false, true}) {
+      SCOPED_TRACE(drained ? "inline" : "pooled");
+      Options options = base;
+      options.workers = 64;
+      if (drained) options.itemCostNs = kTinyCostNs;
+      const Outcome a = settledOutcome(twin, mapper, countValues(), options);
+      const Outcome b = settledOutcome(coded, mapper, countValues(), options);
+      EXPECT_EQ(a.output, expected);
+      EXPECT_EQ(b.output, expected);
+      EXPECT_EQ(a.stats.mapMakespan, 5u);
+      expectSameStats(b.stats, a.stats);
+    }
+  }
+  EXPECT_GT(served.load(), 0);
+}
+
 // A coded list mutated after load (an add, a replace, a delete) loses its
 // codes at the detach gate and still matches its twin mutated the same
 // way; the list it was cloned from stays coded and matches the original.
