@@ -319,7 +319,11 @@ struct CodeClasses {
 /// A pair's class lives in its slice's table, or, for a dictionary-coded
 /// input (blocks::TextCoding) in a slice whose pairs are all keyed by
 /// their items, in the job's CodeClasses: such a slice classes pair i as
-/// codeClass[codes[i]].
+/// codeClass[codes[i]]. The shuffle classes by code only when the
+/// dictionary has no more entries than a slice has pairs. One slice
+/// classes the whole dictionary while the others wait, so a larger one
+/// (mostly distinct keys) takes longer than the slices take to class
+/// their own pairs in parallel.
 ///
 /// Slot i of classOf is written by the one slice task covering i, and
 /// slices[slice], mapped[slice], byCode[slice], codeSizes[slice],
@@ -333,7 +337,9 @@ struct Shuffle {
         sliceLength((n + shards - 1) / shards),
         items(input),
         coding(coded),
-        dictionary(coded.empty() ? nullptr : std::make_unique<CodeClasses>()),
+        dictionary(!coded.empty() && coded.entries.size() <= sliceLength
+                       ? std::make_unique<CodeClasses>()
+                       : nullptr),
         classOf(n),
         slices(shards),
         mapped(shards),
@@ -612,7 +618,8 @@ struct Shuffle {
   size_t sliceLength;
   blocks::ItemSpan items;  // the job's input, read-only for its life
   blocks::TextCoding coding;  // the input's, if coded
-  std::unique_ptr<CodeClasses> dictionary;  // null unless coded
+  /// Null unless the input is coded with at most per() entries.
+  std::unique_ptr<CodeClasses> dictionary;
   std::vector<uint32_t> classOf;
   std::vector<SliceClasses> slices;  // [slice]
   /// [slice]: its boxed map results, one per pair; pins explicit pairs'

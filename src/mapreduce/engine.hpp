@@ -145,10 +145,11 @@ ReduceFn identityReduce();
 ///             order classes), then bin each pair's index by its class's
 ///             shard (the map phase and the shuffle's key pass, fused).
 ///             A dictionary-coded input (blocks::TextCoding, a text list
-///             loaded from a snapshot) has each dictionary entry classed
-///             once per job, before stage 1; a slice whose pairs are all
-///             keyed by their items then classes pair i by its code
-///             alone, with no hash and no compare;
+///             loaded from a snapshot) whose dictionary has no more
+///             entries than a slice has pairs has each entry classed
+///             once per job, by the first slice whose pairs are all keyed
+///             by their items; every such slice then classes pair i by
+///             its code alone, with no hash and no compare;
 ///   stage 2   W shard tasks: merge the slices' classes for the shard,
 ///             sort the class heads, lay the members out flat in key
 ///             order (with their doubles, when every slice is a column),
@@ -172,7 +173,7 @@ ReduceFn identityReduce();
 /// mutates its list while the job runs changes nothing the job sees. An
 /// input holding a ring or a future settles the job with PurityError; a
 /// coded input with a code past its dictionary settles it with
-/// SubstrateError (one pass over the codes, before any stage reads them).
+/// SubstrateError (each code is checked as a slice reads it).
 ///
 /// The block primitive registers onComplete() and parks; the callback
 /// fires exactly once, from the worker that settles the pipeline (or

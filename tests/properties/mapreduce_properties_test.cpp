@@ -925,11 +925,17 @@ TEST(ShuffleDifferential, CodedListsMatchTheirUncodedTwins) {
 // With more shards than the input fills, the last slices start past its
 // end: 300 items over 64 shards is 5 per slice, so slice 60 starts at
 // the end and slices 61 to 63 past it. They map, class and bin nothing,
-// over a coded list and its uncoded twin alike, on every map entry.
+// over a coded list and its uncoded twin alike, on every map entry. The
+// list has 5 distinct texts, so the coded one classes by code.
 TEST(ShuffleDifferential, SlicesPastTheInputAreEmpty) {
   const SnapshotDir dir("past");
-  const ListPtr twin = hardTextList(300, 41);
+  const std::vector<Value> keys = {Value("The"), Value("the"), Value("-0"),
+                                   Value("NaN"),
+                                   Value("A fairly long key of text")};
+  auto twin = List::make();
+  for (size_t i = 0; i < 300; ++i) twin->add(keys[(i * 7 + i / 13) % 5]);
   const ListPtr coded = codedTwin(twin, dir);
+  ASSERT_EQ(coded->coding().entries.size(), 5u);
   std::atomic<int> served{0};
   Options batch;
   batch.mapBatch = [](Value* items, size_t n) {

@@ -431,14 +431,15 @@ TEST(Chaos, TaskThrowAfterNumericColumnAndFoldRestartsExactly) {
 }
 
 TEST(Chaos, TaskThrowOverCodedInputRestartsExactly) {
-  // A text list loaded from a snapshot is dictionary-coded, so each
-  // stage-1 slice classes its pairs through the job's one table of
-  // dictionary classes, which every slice only reads. Plain C++ entries
-  // stand in for the native tier's (a column of ones, a fold counting
-  // each run), and TaskThrow at 1/4 fires once per slice after its
-  // column and once per shard after its fold. A retried slice restarts
-  // after an earlier attempt classed and binned, and must rewrite its
-  // class counts and bins exactly.
+  // A text list loaded from a snapshot is dictionary-coded (141 entries
+  // against 512 pairs per slice), so each stage-1 slice classes its
+  // pairs through the job's one table of dictionary classes, which the
+  // first slice builds under a lock and every slice then only reads.
+  // Plain C++ entries stand in for the native tier's (a column of ones,
+  // a fold counting each run), and TaskThrow at 1/4 fires once per slice
+  // after its column and once per shard after its fold. A retried slice
+  // restarts after an earlier attempt classed and binned, and must
+  // rewrite its class counts and bins exactly.
   auto twin = List::make();
   const char* words[] = {"the", "The", "cat", "1", "1.0", "-0", "0", "NaN",
                          "", "a fairly long word of text"};
