@@ -69,7 +69,9 @@ class WorkerPool {
   /// The process-wide default pool, created on first use — analogous to
   /// the browser's worker slots always being available. Width is
   /// max(kDefaultWorkers, hardware_concurrency): never below the paper's
-  /// default.
+  /// default. Its first call also fixes malloc's thresholds for the
+  /// process (glibc), so memory one job frees is reused by the next
+  /// instead of being handed back to the kernel and faulted in again.
   static WorkerPool& shared();
 
  private:
