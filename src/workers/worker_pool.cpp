@@ -28,7 +28,7 @@ constexpr int kArenaChunkBytes = 4 << 20;
 /// on the pool's threads and freed when the job ends. With glibc's
 /// default thresholds, which only rise as large mmap'd chunks are freed,
 /// much of it goes back to the kernel between jobs and the next job
-/// faults it in again: 30 to 80 extra page faults per 100k-word count,
+/// faults it in again: up to 80 extra page faults per 100k-word count,
 /// a number and a kernel cost that change from run to run. Fixed
 /// thresholds keep it in the arenas: chunks under kArenaChunkBytes come
 /// from them, and an arena is trimmed only past twice that of free top.
