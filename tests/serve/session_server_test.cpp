@@ -349,6 +349,65 @@ TEST(SessionServer, ParkCostsAtMostOneFrame) {
   EXPECT_LE(inlined.front(), *low);
 }
 
+// The server's runaway guard: past `maxFrames` server frames it throws a
+// TimeoutError naming the sessions still active, at most eight of them.
+TEST(SessionServer, QuietBudgetNamesAtMostEightActiveSessions) {
+  SessionServer server;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 10; ++i) {
+    ids.push_back(server.admit(scenarios::serveSpinWorkload()));
+  }
+  std::string message;
+  try {
+    server.runUntilQuiet(5);
+    ADD_FAILURE() << "spinning tenants must exhaust the budget";
+  } catch (const TimeoutError& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(server.frameCount(), 5u);
+  std::string named;
+  for (size_t i = 0; i < 8; ++i) {
+    if (i > 0) named += ", ";
+    named += "session " + std::to_string(ids[i]) + " ('spin')";
+  }
+  EXPECT_EQ(message, "timeout: server exceeded its frame budget (5 frames); "
+                     "still active: " + named + ", …");
+  for (uint64_t id : ids) server.cancelSession(id, "test done");
+  EXPECT_TRUE(server.quiet());
+}
+
+// Frame accounting for tenants that never leave the server thread (the
+// ticker and the concession stand start no pool work), with the native
+// tier off: each session's frames, admission and finish frames, the
+// server's frame count and runUntilQuiet's return are exact.
+TEST(SessionServer, InlineWorkloadFrameCountsArePinned) {
+  ServerConfig config;
+  config.nativeTier = false;
+  SessionServer server(config);
+  const uint64_t ticker = server.admit(scenarios::serveTickerWorkload(12));
+  const uint64_t stand = server.admit(scenarios::serveConcessionWorkload(3));
+  for (int f = 0; f < 4; ++f) server.runFrame();
+  const uint64_t late = server.admit(scenarios::serveTickerWorkload(5));
+  const uint64_t small = server.admit(scenarios::serveConcessionWorkload(1));
+  EXPECT_EQ(server.runUntilQuiet(1000), 8u);
+  EXPECT_EQ(server.frameCount(), 12u);
+  struct Expected {
+    uint64_t id, framesRun, admittedAt, finishedAt;
+  };
+  for (const Expected& want : {Expected{ticker, 12, 0, 12},
+                               Expected{stand, 3, 0, 3},
+                               Expected{late, 5, 4, 9},
+                               Expected{small, 3, 4, 7}}) {
+    const SessionRecord record = recordOf(server, want.id);
+    SCOPED_TRACE(record.label);
+    EXPECT_EQ(record.state, SessionState::Completed) << record.error;
+    EXPECT_TRUE(record.outputOk);
+    EXPECT_EQ(record.framesRun, want.framesRun);
+    EXPECT_EQ(record.admittedAtFrame, want.admittedAt);
+    EXPECT_EQ(record.finishedAtFrame, want.finishedAt);
+  }
+}
+
 TEST(SessionServer, FairnessSpreadEdgeCases) {
   EXPECT_DOUBLE_EQ(SessionServer::fairnessSpread({}), 0.0);
   EXPECT_DOUBLE_EQ(SessionServer::fairnessSpread({0, 5}), 0.0);
