@@ -151,39 +151,11 @@ void Parallel::map(MapFn fn, MapBatchFn batch) {
   }
 }
 
-void Parallel::reduce(ReduceFn fn) {
-  isReduce_ = true;
-  combiner_ = fn;
-  const size_t n = data_.size();
-  inputSize_ = n;
-  partials_.assign(workers_, Value());
-  const size_t per = (n + workers_ - 1) / workers_;
-  const size_t taskCount = per == 0 ? 0 : (n + per - 1) / per;
-  launch(
-      [this, fn, n, per](size_t w) {
-        size_t begin = w * per;
-        size_t end = std::min(begin + per, n);
-        if (begin >= end || !keepGoing()) return;
-        // Same exact-resume retry structure as mapRange: a throw from fn
-        // leaves acc at the last good fold, so the retry resumes at i.
-        Value acc = data_[begin];
-        size_t i = begin + 1;
-        withRetries(options_.maxRetries, stats_, [&] {
-          fault::inject(fault::Point::TaskThrow);
-          for (; i < end; ++i) acc = fn(acc, data_[i]);
-        });
-        perWorker_[w].items.fetch_add(end - begin,
-                                      std::memory_order_relaxed);
-        partials_[w] = std::move(acc);
-      },
-      taskCount);
-}
-
 bool Parallel::resolved() const { return group_ && group_->done(); }
 
 void Parallel::onComplete(std::function<void()> cb) {
   if (!group_) {
-    throw Error("Parallel: onComplete before map() or reduce()");
+    throw Error("Parallel: onComplete before map()");
   }
   group_->onComplete(std::move(cb));
 }
@@ -210,24 +182,6 @@ void Parallel::wait() {
   if (classifyError(error) == ErrorClass::Timeout) {
     stats_->bump(&SubstrateStats::timeouts);
   }
-  if (isReduce_ && !error) foldReducePartials();
-}
-
-void Parallel::foldReducePartials() {
-  // Combine the per-worker partials in worker order.
-  Value acc;
-  bool first = true;
-  for (Value& partial : partials_) {
-    if (partial.isNothing()) continue;  // worker had an empty range
-    if (first) {
-      acc = std::move(partial);
-      first = false;
-    } else {
-      acc = combiner_(acc, partial);
-    }
-  }
-  data_.clear();
-  if (!first) data_.push_back(std::move(acc));
 }
 
 const std::vector<Value>& Parallel::data() {

@@ -45,7 +45,7 @@
 //      place up to maxRetries times with bounded deterministic backoff
 //      (withRetries below, the one retry loop, which mr::Job's stage
 //      tasks share).
-//      Safe because map/reduce functions are pure by construction (the
+//      Safe because map functions are pure by construction (the
 //      core module only compiles pure rings to MapFn) and the chunk loops
 //      write each element exactly once — a throw from fn leaves the
 //      element unwritten, so resuming at the failed index re-applies fn
@@ -79,7 +79,7 @@
 // Grain: an operation whose estimated work (ParallelOptions::itemCostNs
 // per item) is below the measured crossover drains its chunk tasks on
 // the launching thread (grain.hpp) — same tasks and logical workers, no
-// pool submit, settled before map()/reduce() returns.
+// pool submit, settled before map() returns.
 #pragma once
 
 #include <algorithm>
@@ -101,9 +101,9 @@
 
 namespace psnap::workers {
 
-/// The retry rung of the fault model, shared by Parallel's map and reduce
-/// chunks and mr::Job's stage tasks: run `body`; when it throws a
-/// retryable (substrate-class) error, count the retry in `stats`, back off
+/// The retry rung of the fault model, shared by Parallel's map chunks and
+/// mr::Job's stage tasks: run `body`; when it throws a retryable
+/// (substrate-class) error, count the retry in `stats`, back off
 /// 100us, 200us, 400us, … capped at 2ms, and run `body` again — at most
 /// `maxRetries` times. Anything else, or a fault past the last retry,
 /// rethrows with its original type. The backoff is fixed (no jitter) so
@@ -133,9 +133,6 @@ void withRetries(int maxRetries, SubstrateStats* stats, const Body& body) {
 /// touch interpreter state (the core module compiles *pure* rings to this
 /// type, mirroring Listing 2's mappedCode()-to-Function step).
 using MapFn = std::function<blocks::Value(const blocks::Value&)>;
-/// A binary combiner for reduce.
-using ReduceFn =
-    std::function<blocks::Value(const blocks::Value&, const blocks::Value&)>;
 /// An optional chunk-at-a-time fast path for map (the native tier's
 /// compiled kernels): transform `count` values in place and return true,
 /// or return false WITHOUT writing anything — the caller then applies the
@@ -200,11 +197,6 @@ class Parallel {
   /// loop (see MapBatchFn).
   void map(MapFn fn, MapBatchFn batch = {});
 
-  /// Launch an asynchronous parallel reduce: workers fold contiguous
-  /// chunks, the caller's wait() combines the partials in order. `fn`
-  /// must be associative for the result to be deterministic.
-  void reduce(ReduceFn fn);
-
   /// Has the running operation finished? (Listing 2's `_resolved`.)
   /// Kept for tests and assertions; scheduler integration registers
   /// onComplete() instead of polling this per frame.
@@ -213,7 +205,7 @@ class Parallel {
   /// Register a completion callback: fires exactly once, from the worker
   /// that finishes the operation (or immediately if already resolved, or
   /// on the caller when the launch degrades to an inline drain). Throws
-  /// Error before map()/reduce(): there is nothing to complete yet.
+  /// Error before map(): there is nothing to complete yet.
   void onComplete(std::function<void()> cb);
 
   /// Block until resolved (draining unclaimed chunk tasks on this
@@ -238,9 +230,9 @@ class Parallel {
   /// Did the grain model drain the operation on the launching thread?
   bool ranInline() const { return inline_; }
 
-  /// Result data. map: element-wise results. reduce: a single element.
-  /// Calls wait() internally. Rethrows the worker's error with its
-  /// original exception type if the operation failed.
+  /// Result data: the element-wise map results. Calls wait() internally.
+  /// Rethrows the worker's error with its original exception type if the
+  /// operation failed.
   const std::vector<blocks::Value>& data();
 
   /// Move the result out instead of copying (the MapReduce engine's
@@ -277,7 +269,6 @@ class Parallel {
   bool keepGoing() const { return !group_->cancelRequested(); }
   /// Total items processed across all logical workers.
   uint64_t processedItems() const;
-  void foldReducePartials();
 
   std::vector<blocks::Value> data_;
   size_t workers_;
@@ -289,11 +280,8 @@ class Parallel {
   std::vector<CounterSlot> perWorker_;
   std::atomic<size_t> cursor_{0};
   std::atomic<bool> degraded_{false};
-  std::vector<blocks::Value> partials_;  // reduce intermediates
-  ReduceFn combiner_;                    // for the final sequential fold
-  MapBatchFn batch_;                     // optional native chunk path
+  MapBatchFn batch_;  // optional native chunk path
   size_t inputSize_ = 0;
-  bool isReduce_ = false;
   bool joined_ = false;
   bool inline_ = false;
 };

@@ -105,38 +105,28 @@ TEST_P(GrainEquivalence, InlineMatchesPooled) {
   const auto [distribution, size, chunk, width] = GetParam();
   std::vector<Value> input;
   for (int i = 1; i <= size; ++i) input.emplace_back(double(i));
-  const auto run = [&](double itemCostNs, bool reduce) {
+  const auto run = [&](double itemCostNs) {
     auto job = std::make_unique<workers::Parallel>(
         input, workers::ParallelOptions{.maxWorkers = size_t(width),
                                         .distribution = distribution,
                                         .chunkSize = size_t(chunk),
                                         .itemCostNs = itemCostNs});
-    if (reduce) {
-      job->reduce([](const Value& a, const Value& b) {
-        return Value(a.asNumber() + b.asNumber());
-      });
-    } else {
-      job->map([](const Value& v) { return Value(v.asNumber() * 3 - 1); });
-    }
+    job->map([](const Value& v) { return Value(v.asNumber() * 3 - 1); });
     job->wait();
     return job;
   };
-  for (bool reduce : {false, true}) {
-    SCOPED_TRACE(reduce ? "reduce" : "map");
-    const auto pooled = run(0, reduce);
-    const auto inlined = run(kTinyCostNs, reduce);
-    EXPECT_FALSE(pooled->ranInline());
-    EXPECT_TRUE(inlined->ranInline());
-    EXPECT_EQ(Value(blocks::List::make(inlined->data())).display(),
-              Value(blocks::List::make(pooled->data())).display());
-    uint64_t total = 0;
-    for (uint64_t c : inlined->itemsPerWorker()) total += c;
-    EXPECT_EQ(total, uint64_t(size));
-    // reduce always splits contiguously, whatever the distribution.
-    if (reduce || distribution != workers::Distribution::Dynamic) {
-      EXPECT_EQ(inlined->itemsPerWorker(), pooled->itemsPerWorker());
-      EXPECT_EQ(inlined->virtualMakespan(), pooled->virtualMakespan());
-    }
+  const auto pooled = run(0);
+  const auto inlined = run(kTinyCostNs);
+  EXPECT_FALSE(pooled->ranInline());
+  EXPECT_TRUE(inlined->ranInline());
+  EXPECT_EQ(Value(blocks::List::make(inlined->data())).display(),
+            Value(blocks::List::make(pooled->data())).display());
+  uint64_t total = 0;
+  for (uint64_t c : inlined->itemsPerWorker()) total += c;
+  EXPECT_EQ(total, uint64_t(size));
+  if (distribution != workers::Distribution::Dynamic) {
+    EXPECT_EQ(inlined->itemsPerWorker(), pooled->itemsPerWorker());
+    EXPECT_EQ(inlined->virtualMakespan(), pooled->virtualMakespan());
   }
 }
 

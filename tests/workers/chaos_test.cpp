@@ -98,37 +98,6 @@ TEST(Chaos, TaskThrowMapConvergesOrFailsTyped) {
   }
 }
 
-TEST(Chaos, TaskThrowReduceConvergesOrFailsTyped) {
-  const uint64_t retriesBefore =
-      substrateStats().retries.load(std::memory_order_relaxed);
-  for (uint64_t seed : chaosSeeds()) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    {
-      fault::ScopedFault armed(
-          configFor(seed, fault::Point::TaskThrow, 1, 4));
-      Parallel p(numbers(256), {.maxWorkers = 4, .maxRetries = 4});
-      p.reduce([](const Value& a, const Value& b) {
-        return Value(a.asNumber() + b.asNumber());
-      });
-      p.wait();
-      if (p.failed()) {
-        // Retries exhausted: typed substrate failure, never a partial sum.
-        EXPECT_TRUE(isSubstrateClass(p.errorClass()));
-        EXPECT_THROW(p.data(), SubstrateError);
-      } else {
-        // A retry resumes the fold where it stopped: every item is added
-        // exactly once, so the sum is exact.
-        const auto& data = p.data();
-        ASSERT_EQ(data.size(), 1u);
-        EXPECT_EQ(data[0].asNumber(), 32896);  // 1 + 2 + … + 256
-      }
-    }
-    expectPoolUsable();
-  }
-  EXPECT_GT(substrateStats().retries.load(std::memory_order_relaxed),
-            retriesBefore);
-}
-
 TEST(Chaos, TaskThrowCertainFailureKeepsSubstrateType) {
   const uint64_t retriesBefore =
       substrateStats().retries.load(std::memory_order_relaxed);

@@ -44,14 +44,6 @@ TEST(ParallelEdge, EmptyInputResolvesEveryDistribution) {
   }
 }
 
-TEST(ParallelEdge, EmptyInputReduceYieldsNothing) {
-  Parallel p(std::vector<Value>{}, {.maxWorkers = 3});
-  p.reduce([](const Value& a, const Value& b) {
-    return Value(a.asNumber() + b.asNumber());
-  });
-  EXPECT_TRUE(p.data().empty());
-}
-
 TEST(ParallelEdge, ChunkSizeZeroNormalizesToOne) {
   Parallel p(numbers(7), {.maxWorkers = 2,
                           .distribution = Distribution::BlockCyclic,
@@ -107,17 +99,6 @@ TEST(ParallelEdge, MidChunkThrowSurfacesInEveryDistribution) {
   }
 }
 
-TEST(ParallelEdge, ReduceThrowSurfaces) {
-  Parallel p(numbers(32), {.maxWorkers = 4});
-  p.reduce([](const Value& a, const Value& b) -> Value {
-    if (b.asNumber() == 20) throw Error("bad fold");
-    return Value(a.asNumber() + b.asNumber());
-  });
-  p.wait();
-  EXPECT_TRUE(p.failed());
-  EXPECT_THROW(p.data(), Error);
-}
-
 TEST(ParallelEdge, SecondMapThrows) {
   Parallel p(numbers(8), {.maxWorkers = 2});
   p.map(identity);
@@ -128,7 +109,7 @@ TEST(ParallelEdge, SecondMapThrows) {
 }
 
 TEST(ParallelEdge, OnCompleteBeforeLaunchThrows) {
-  // The group that owns completion exists only once map()/reduce() runs.
+  // The group that owns completion exists only once map() runs.
   Parallel p(numbers(8), {.maxWorkers = 2});
   EXPECT_THROW(p.onComplete([] {}), Error);
   p.map(identity);
