@@ -60,7 +60,6 @@ void SessionServer::bringUp(Session& s,
   // the workload hook, which may already park processes.
   life.manager->setWakeHub(hub_);
   life.manager->setDefaultCancelToken(life.root);
-  life.manager->setSliceSteps(config_.sliceSteps);
   life.manager->setMaxWorkers(config_.maxWorkers);
   if (!config_.nativeTier) life.manager->setNativeTier(false);
   s.framesRun = 0;
@@ -548,17 +547,10 @@ std::vector<SessionRecord> SessionServer::records() const {
 
 bool SessionServer::consumeRestartBudget(Session& s) {
   const RestartPolicy& policy = config_.restartPolicy;
-  // Erlang-style max-R-in-T: a window with no failures for T frames
-  // resets the count, so a long-healthy session earns its budget back.
-  if (policy.budgetWindowFrames > 0 && s.restartsInWindow > 0 &&
-      frame_ - s.windowStart >= policy.budgetWindowFrames) {
-    s.restartsInWindow = 0;
-  }
-  if (s.restartsInWindow >= policy.maxRestarts) return false;
-  if (s.restartsInWindow == 0) s.windowStart = frame_;
-  ++s.restartsInWindow;
+  if (s.restartsHere >= policy.maxRestarts) return false;
+  ++s.restartsHere;
   ++s.restarts;
-  s.dueFrame = frame_ + policy.backoffFrames(s.restartsInWindow);
+  s.dueFrame = frame_ + policy.backoffFrames(s.restartsHere);
   return true;
 }
 
@@ -587,8 +579,8 @@ void SessionServer::finishOrRestart(std::unique_ptr<Session> session) {
     s.error = RestartsExhaustedError(
                   "session " + std::to_string(s.id) + " ('" +
                   s.workload.label + "') failed " +
-                  std::to_string(s.restartsInWindow) +
-                  " times within its budget window; last error: " + s.error)
+                  std::to_string(s.restartsHere) +
+                  " times within its restart budget; last error: " + s.error)
                   .what();
     ++metrics_.restartsExhausted;
     finalize(std::move(session));  // terminal: checkpoints are removed

@@ -45,7 +45,7 @@
 //   * Restart policy — a session that fails with a substrate-class error
 //     (including watchdog timeouts) is re-admitted from its newest valid
 //     checkpoint after an exponential backoff, under an Erlang-style
-//     max-R-in-T budget; once the budget is spent the session is
+//     restart budget; once the budget is spent the session is
 //     finalized with a typed RestartsExhaustedError. User-script errors
 //     (type errors, index errors) never restart: replaying a
 //     deterministic bug reproduces it. A restart tears down the session's
@@ -90,8 +90,6 @@ struct ServerConfig {
   uint64_t frameBudget = 0;
   /// Wall-clock deadline per session from admission (0 = none).
   double sessionDeadlineSeconds = 0;
-  /// Interpreter steps per process per frame (ThreadManager slice).
-  size_t sliceSteps = vm::Process::kDefaultSliceSteps;
   /// Logical worker width each session's parallel blocks request.
   size_t maxWorkers = 4;
   /// Let this server's sessions use the native execution tier (per-tenant
@@ -344,8 +342,7 @@ class SessionServer {
     uint64_t checkpointsWritten = 0;
     uint64_t checkpointsSkipped = 0;
     uint32_t restarts = 0;          ///< attempts consumed (lifetime)
-    uint32_t restartsInWindow = 0;
-    uint64_t windowStart = 0;       ///< server frame the window opened
+    uint32_t restartsHere = 0;      ///< charged since bring-up here
     uint64_t dueFrame = 0;          ///< revival frame while parked
     uint64_t recoveredFrames = 0;
 
@@ -416,9 +413,9 @@ class SessionServer {
   /// Failed session: park it for restart, or finalize RestartsExhausted /
   /// plain Failed when ineligible. Consumes the session either way.
   void finishOrRestart(std::unique_ptr<Session> session);
-  /// Charge one restart against the session's max-R-in-T budget and set
-  /// its backoff due-frame; returns false when the window budget is
-  /// spent (the caller finalizes as RestartsExhausted).
+  /// Charge one restart against the session's budget and set its
+  /// backoff due-frame; returns false when the budget is spent (the
+  /// caller finalizes as RestartsExhausted).
   bool consumeRestartBudget(Session& session);
   /// Re-admit every parked session whose backoff elapsed.
   void reviveDue();

@@ -37,19 +37,18 @@
 
 namespace psnap::serve {
 
-/// Erlang-style max-R-in-T restart budget, measured on the server's
-/// frame clock (deterministic — no wall time).
+/// Erlang-style restart budget: at most maxRestarts restarts of a session
+/// since it was brought up on this server (a lifetime budget; a session
+/// recovered by a successor server starts at 0), with backoffs measured
+/// on the server's frame clock (deterministic — no wall time).
 struct RestartPolicy {
-  /// Restarts allowed within the window (0 = supervision never restarts;
-  /// failures stay Failed as before).
+  /// Restarts allowed (0 = supervision never restarts; failures stay
+  /// Failed as before).
   uint32_t maxRestarts = 0;
   /// First restart waits backoffBaseFrames server frames; each further
   /// restart doubles the wait, capped at backoffCapFrames.
   uint64_t backoffBaseFrames = 2;
   uint64_t backoffCapFrames = 64;
-  /// Restart budget window in server frames. After a window with no
-  /// restart the count resets. 0 = lifetime budget (never resets).
-  uint64_t budgetWindowFrames = 0;
 
   /// The backoff delay before restart attempt `restarts` (1-based).
   uint64_t backoffFrames(uint32_t restarts) const;
