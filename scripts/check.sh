@@ -85,7 +85,10 @@
 #   shed tenant's launched pool work is joined before its ledger is
 #   freed (ShedJoinsTheTenantsLaunchedPoolWork). Each preset then runs
 #   the SessionServer.* suite once in one process: no serving test may
-#   lean on a native kernel an earlier test left compiling.
+#   lean on a native kernel an earlier test left compiling. Each preset
+#   also runs test_sched once: the server drives its sessions through
+#   the scheduler's idle loop (sched::runIdleLoop), so the scheduler's
+#   own suite gates the serving layer's loop too.
 #
 # Usage: scripts/check.sh --supervise [seed...]
 #   The recovery gate: builds the asan preset and sweeps the supervision
@@ -239,7 +242,7 @@ if [ "${1:-}" = "--serve" ]; then
   fi
   for preset in asan tsan; do
     cmake --preset "${preset}"
-    cmake --build --preset "${preset}" -j "${jobs}" --target test_serve
+    cmake --build --preset "${preset}" -j "${jobs}" --target test_serve test_sched
     for seed in "${seeds[@]}"; do
       echo "== serve chaos: ${preset}, seed ${seed} =="
       # Same leak-accounting stance as the asan ctest preset (see header).
@@ -250,6 +253,8 @@ if [ "${1:-}" = "--serve" ]; then
     echo "== serve: ${preset}, SessionServer.* in one process =="
     ASAN_OPTIONS=detect_leaks=0 "build-${preset}/tests/test_serve" \
       --gtest_filter='SessionServer.*'
+    echo "== sched: ${preset}, test_sched =="
+    ASAN_OPTIONS=detect_leaks=0 "build-${preset}/tests/test_sched"
   done
   echo "== serve chaos sweep green: seeds ${seeds[*]} under asan + tsan =="
   exit 0

@@ -84,7 +84,38 @@ void ThreadManager::stopAll() {
   }
 }
 
-void ThreadManager::pollParked() {
+std::string frameBudgetExceeded(const std::string& who, uint64_t frames) {
+  return who + " exceeded its frame budget (" + std::to_string(frames) +
+         " frames)";
+}
+
+void runIdleLoop(vm::WakeHub& hub, uint64_t maxRounds, const IdleLoop& loop) {
+  for (uint64_t rounds = 0; loop.live(); ++rounds) {
+    if (rounds == maxRounds) {
+      // A structured timeout with attribution: name who is still live, so
+      // "which script (or tenant) is spinning" is in the error, not a
+      // debugger session.
+      constexpr size_t kMaxNamed = 8;
+      const std::vector<std::string> names = loop.overrun();
+      std::string who;
+      for (size_t i = 0; i < names.size(); ++i) {
+        if (i == kMaxNamed) {
+          who += ", …";
+          break;
+        }
+        who += (i > 0 ? ", " : "") + names[i];
+      }
+      throw TimeoutError(frameBudgetExceeded(loop.owner, maxRounds) +
+                         "; still " + loop.state + ": " + who);
+    }
+    // Snapshot before the frame polls: a completion landing anywhere after
+    // its poll bumps the stamp, and the wait below returns at once.
+    const uint64_t seen = hub.snapshot();
+    if (!loop.frame() && loop.live()) hub.waitChanged(seen, loop.waitBound());
+  }
+}
+
+bool ThreadManager::pollParked() {
   bool failedAny = false;
   for (Task& task : tasks_) {
     Process& process = *task.process;
@@ -101,18 +132,23 @@ void ThreadManager::pollParked() {
     failedAny |= process.finished();
   }
   // Record and reap deadline failures immediately: callers that skip the
-  // frame loop for fully-parked tenants (the serving layer) still see the
+  // frame for fully-parked tenants (the serving layer) still see the
   // failure in the error log.
   if (failedAny) reapFinished();
+  return hasReadyWork();
 }
 
 void ThreadManager::runFrame() {
+  pollParked();
+  runPolledFrame();
+}
+
+void ThreadManager::runPolledFrame() {
   // Per-session native-tier config: block handlers that compile rings
   // during this frame's slices snapshot this scope's config, so a
   // tier-disabled session stays interpreter-only however hot its rings.
   native::TierScope tierScope(nativeTier_);
   ++frame_;
-  pollParked();
   if (!interference_.steals(frame_)) {
     // Processes spawned during this frame run starting next frame, so only
     // iterate over the tasks that existed when the frame began.
@@ -134,7 +170,7 @@ void ThreadManager::runFrame() {
   reapFinished();
 }
 
-double ThreadManager::parkedWaitBound() const {
+double ThreadManager::parkedWaitBound(double cap) const {
   // The hub wait must return in time for the nearest parked deadline
   // (parent chains included), and stay short enough that an external
   // stopAll()/cancel — which does not notify the hub — is honoured
@@ -142,7 +178,7 @@ double ThreadManager::parkedWaitBound() const {
   // worst-case latency of un-notified cancellation.
   constexpr double kMaxWait = 0.05;
   constexpr double kMinWait = 0.0001;
-  double bound = kMaxWait;
+  double bound = std::min(cap, kMaxWait);
   for (const Task& task : tasks_) {
     if (!task.process->blocked()) continue;
     const CancelTokenPtr& token = task.process->cancelToken();
@@ -152,56 +188,28 @@ double ThreadManager::parkedWaitBound() const {
 }
 
 uint64_t ThreadManager::runUntilIdle(uint64_t maxFrames) {
-  uint64_t executed = 0;
-  uint64_t budgetUsed = 0;  // frames plus parked wait rounds
-  while (!idle()) {
-    if (budgetUsed >= maxFrames) {
-      // A structured timeout with per-script attribution: name the
-      // processes still runnable or parked when the budget elapsed, so
-      // "which script is spinning" is in the error, not a debugger
-      // session.
-      constexpr size_t kMaxNamed = 8;
-      std::string who;
-      size_t named = 0;
-      for (const Task& task : tasks_) {
-        const bool parked = task.process->blocked();
-        if (!task.process->runnable() && !parked) continue;
-        if (named == kMaxNamed) {
-          who += ", …";
-          break;
-        }
-        if (named > 0) who += ", ";
-        who += "process " + std::to_string(task.process->id()) + " (" +
-               task.process->rootOpcode() + ")";
-        if (parked) who += " [parked]";
-        ++named;
-      }
-      workers::substrateStats().bump(&workers::SubstrateStats::timeouts);
-      throw TimeoutError("scheduler exceeded its frame budget (" +
-                         std::to_string(maxFrames) +
-                         " frames); still runnable: " + who);
-    }
-    if (!hasReadyWork() && parkedCount() > 0) {
-      // Everything live is parked: sleep on the hub instead of burning
-      // frames. Snapshot-then-recheck makes the wait race-free — a wake
-      // landing between pollParked() and waitChanged() bumps the stamp
-      // and the wait returns immediately. Zero frames are charged here;
-      // the wake itself costs one frame (the slice that resumes the
-      // handler), making parked frame accounting structural.
-      const uint64_t seen = hub_->snapshot();
-      pollParked();
-      if (!hasReadyWork() && parkedCount() > 0) {
-        hub_->waitChanged(seen, parkedWaitBound());
-        pollParked();  // reaps any process failed by its deadline
-      }
-      ++budgetUsed;
-      continue;
-    }
-    runFrame();
-    ++executed;
-    ++budgetUsed;
-  }
-  return executed;
+  const uint64_t first = frame_;
+  runIdleLoop(*hub_, maxFrames,
+              {"scheduler", "runnable", [this] { return !idle(); },
+               [this] {
+                 if (pollParked()) runPolledFrame();
+                 return hasReadyWork();
+               },
+               [this] { return parkedWaitBound(); },
+               [this] {
+                 workers::substrateStats().bump(
+                     &workers::SubstrateStats::timeouts);
+                 std::vector<std::string> names;
+                 for (const Task& task : tasks_) {
+                   const Process& process = *task.process;
+                   if (!process.runnable() && !process.blocked()) continue;
+                   names.push_back("process " + std::to_string(process.id()) +
+                                   " (" + process.rootOpcode() + ")" +
+                                   (process.blocked() ? " [parked]" : ""));
+                 }
+                 return names;
+               }});
+  return frame_ - first;
 }
 
 bool ThreadManager::idle() const {
@@ -220,13 +228,6 @@ size_t ThreadManager::runnableCount() const {
   return static_cast<size_t>(
       std::count_if(tasks_.begin(), tasks_.end(), [](const Task& task) {
         return task.process->runnable();
-      }));
-}
-
-size_t ThreadManager::parkedCount() const {
-  return static_cast<size_t>(
-      std::count_if(tasks_.begin(), tasks_.end(), [](const Task& task) {
-        return task.process->blocked();
       }));
 }
 

@@ -6,6 +6,12 @@
 // the parallel blocks' polling points). The *frame counter* is the
 // "timestep" unit the paper's concession-stand timer displays (Fig. 7/9/10).
 //
+// runUntilIdle() is the paper's runtime loop: frames until nothing is
+// left, and a sleep on the wake hub while every script waits on a worker.
+// That loop is one routine, runIdleLoop(), which the serving layer's
+// runUntilQuiet() drives too, with a server frame in place of a manager
+// frame.
+//
 // The scheduler also models the paper's observation that browser
 // interference inflates wall-clock timesteps: the sequential concession
 // stand needs 9 ideal timesteps but was observed at 12 because "other
@@ -14,6 +20,7 @@
 // by the interfering task and no user process runs.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -60,6 +67,36 @@ struct StageHooks {
   /// Start all listeners of a broadcast; returns their process ids.
   std::function<std::vector<uint64_t>(const std::string&)> startListeners;
 };
+
+/// "<who> exceeded its frame budget (<frames> frames)": the text of every
+/// frame-budget TimeoutError, the idle loop's and the server watchdog's.
+std::string frameBudgetExceeded(const std::string& who, uint64_t frames);
+
+/// One idle loop, as runIdleLoop() runs it.
+struct IdleLoop {
+  const char* owner;  ///< "scheduler", "server"
+  const char* state;  ///< what the named culprits still are
+  /// Is anything left to run or to wait for?
+  std::function<bool()> live;
+  /// Run a frame for whatever can use one; return whether anything is
+  /// still ready afterwards.
+  std::function<bool()> frame;
+  /// Upper bound, in seconds, for one sleep while nothing is ready.
+  std::function<double()> waitBound;
+  /// Called once when the budget is spent: the culprits, in order.
+  std::function<std::vector<std::string>()> overrun;
+};
+
+/// The one idle loop (Snap!'s step loop), behind
+/// ThreadManager::runUntilIdle and serve::SessionServer::runUntilQuiet.
+/// While `loop.live()`, each round snapshots `hub`, calls `loop.frame()`
+/// and, when nothing is ready afterwards, sleeps on the hub until a
+/// completion lands after the snapshot (so none is missed) or
+/// `loop.waitBound()` elapses. A parked wait thus costs a round, never a
+/// frame. Past `maxRounds` rounds it throws TimeoutError:
+/// frameBudgetExceeded(owner, maxRounds) + "; still <state>: " and the
+/// first eight culprits, then "…".
+void runIdleLoop(vm::WakeHub& hub, uint64_t maxRounds, const IdleLoop& loop);
 
 class ThreadManager : public vm::Host {
  public:
@@ -119,36 +156,37 @@ class ThreadManager : public vm::Host {
   void stopAll();
 
   // --- the frame loop ------------------------------------------------------
-  /// Execute one frame: wake/fail parked processes whose completion or
-  /// cancellation arrived, then (unless stolen by interference) give every
-  /// runnable process one slice; then advance the virtual clock and reap.
-  /// Parked processes consume no slices and no frames.
+  /// Execute one frame: pollParked(), then runPolledFrame().
   void runFrame();
+  /// One frame for a caller that has just polled: unless stolen by
+  /// interference, give every runnable process one slice; then advance
+  /// the virtual clock and reap. Parked processes consume no slices.
+  void runPolledFrame();
   /// Run frames until no process is runnable or parked; returns frames
-  /// executed. When every live process is parked, sleeps on the wake hub
-  /// instead of spinning — parked waits execute zero frames. Throws
-  /// TimeoutError after `maxFrames` frames-plus-wait-rounds (runaway
-  /// guard), naming the processes still runnable or parked.
+  /// executed. Each round of runIdleLoop() polls and runs a frame if a
+  /// process is ready; when every live process is parked it sleeps on the
+  /// wake hub instead — parked waits execute zero frames. Throws
+  /// TimeoutError after `maxFrames` rounds (runaway guard), naming the
+  /// processes still runnable or parked and counting one timeout.
   uint64_t runUntilIdle(uint64_t maxFrames = 1'000'000);
 
   /// Wake parked processes whose completion callback fired, and fail (with
   /// the token's typed reason, attributed to the process) parked processes
   /// whose cancel token tripped — the deadline watchdog for processes that
-  /// consume no frames.
-  void pollParked();
+  /// consume no frames. Returns hasReadyWork().
+  bool pollParked();
 
   bool idle() const;
   /// Any process currently Ready?
   bool hasReadyWork() const;
   /// Upper bound for one hub wait while everything live is parked: the
   /// nearest deadline over parked processes' tokens (parent chains
-  /// included), clamped to [0.1ms, 50ms] so an un-notified external
-  /// cancel is still honoured promptly. The serving layer uses this to
-  /// bound its own hub waits across tenants.
-  double parkedWaitBound() const;
+  /// included) and `cap`, clamped to [0.1ms, 50ms] so an un-notified
+  /// external cancel is still honoured promptly. The serving layer folds
+  /// its tenants' bounds by passing each one the bound so far.
+  double parkedWaitBound(double cap = HUGE_VAL) const;
   uint64_t frameCount() const { return frame_; }
   size_t runnableCount() const;
-  size_t parkedCount() const;
 
   // --- resumable clock state ----------------------------------------------
   /// The virtual clock, as checkpointable state. A supervised restart

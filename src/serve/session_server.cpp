@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <utility>
@@ -127,32 +128,31 @@ uint64_t SessionServer::admit(SessionWorkload workload) {
   return id;
 }
 
-void SessionServer::runSessionFrame(Session& session) {
+bool SessionServer::runSessionFrame(Session& session) {
   // Everything this tenant executes on the server thread — and, via
   // capture-at-construction in TaskGroup/Parallel/mr::Job, everything its
   // frame hands to pool workers — records into its own ledger.
   workers::StatsScope scope(session.stats);
+  sched::ThreadManager& manager = *session.life->manager;
   try {
-    // Wake parked processes whose completion arrived and fail those whose
-    // deadline tripped while parked, *before* deciding whether the tenant
-    // has anything to run.
-    session.life->manager->pollParked();
-    if (!session.life->manager->hasReadyWork()) {
-      // Every live process is parked on an in-flight completion (or the
-      // manager just went idle and the recycle pass will collect it).
-      // Skip the slice and charge nothing: a blocked tenant must not
-      // burn its frame budget — nor count in the fairness ledger — on
-      // frames it could not use.
-      return;
-    }
+    // The frame's one poll: wake parked processes whose completion arrived
+    // and fail those whose deadline tripped while parked, *before*
+    // deciding whether the tenant has anything to run. With nothing ready
+    // — every live process parked on an in-flight completion, or the
+    // manager idle for the recycle pass to collect — skip the slice and
+    // charge nothing: a blocked tenant must not burn its frame budget —
+    // nor count in the fairness ledger — on frames it could not use.
+    if (!manager.pollParked()) return false;
     fault::inject(fault::Point::TenantStall, session.id);
-    session.life->manager->runFrame();
+    manager.runPolledFrame();
     ++session.framesRun;
     watchdog(session);
     maybeCheckpoint(session);
+    return manager.hasReadyWork();
   } catch (...) {
     // Frame crash containment: only this tenant fails.
     contain(session, std::current_exception());
+    return false;
   }
 }
 
@@ -282,16 +282,20 @@ void SessionServer::watchdog(Session& session) {
   // Trip only this tenant's root; its processes raise TimeoutError at
   // their next slice and the failure is attributed to this session id.
   life.root->timeoutNow(
-      "session " + std::to_string(session.id) + " ('" +
-      session.workload.label + "') exceeded its frame budget (" +
-      std::to_string(config_.frameBudget) + " frames)");
+      sched::frameBudgetExceeded(name(session), config_.frameBudget));
 }
 
-void SessionServer::runFrame() {
+std::string SessionServer::name(const Session& session) {
+  return "session " + std::to_string(session.id) + " ('" +
+         session.workload.label + "')";
+}
+
+bool SessionServer::step() {
   const auto started = std::chrono::steady_clock::now();
   ++frame_;
   ++metrics_.framesRun;
   reviveDue();
+  bool ready = false;
   const size_t count = active_.size();
   if (count > 0) {
     // Round-robin from a rotating start: over many frames every session
@@ -299,7 +303,7 @@ void SessionServer::runFrame() {
     // first (and sees the freshest pool capacity) is not always the same.
     const size_t first = rotate_ % count;
     for (size_t k = 0; k < count; ++k) {
-      runSessionFrame(*active_[(first + k) % count]);
+      ready |= runSessionFrame(*active_[(first + k) % count]);
     }
     ++rotate_;
   }
@@ -320,67 +324,33 @@ void SessionServer::runFrame() {
   frameSeconds_.push_back(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count());
-}
-
-bool SessionServer::anySessionReady() const {
-  for (const auto& session : active_) {
-    if (session->life->manager->hasReadyWork()) return true;
-  }
-  return false;
-}
-
-double SessionServer::parkedWaitBound() const {
-  // The nearest parked deadline across all tenants bounds the sleep, so
-  // a watchdog/deadline trip on a fully-parked session is still observed
-  // promptly (each manager clamps its own bound to [0.1ms, 50ms]).
-  double bound = 0.05;
-  for (const auto& session : active_) {
-    bound = std::min(bound, session->life->manager->parkedWaitBound());
-  }
-  // Pending restarts are due at a *frame* count, and wait rounds run no
-  // frames — keep the sleeps short so backoff frames keep ticking.
-  if (!pendingRestarts_.empty()) bound = std::min(bound, 0.0005);
-  return bound;
+  return ready;
 }
 
 uint64_t SessionServer::runUntilQuiet(uint64_t maxFrames) {
-  uint64_t executed = 0;
-  while (!quiet()) {
-    if (executed >= maxFrames) {
-      // Attribution mirrors ThreadManager::runUntilIdle: name who is
-      // still active, so the stuck tenant is in the error message.
-      constexpr size_t kMaxNamed = 8;
-      std::string who;
-      size_t named = 0;
-      for (const auto& session : active_) {
-        if (named == kMaxNamed) {
-          who += ", …";
-          break;
-        }
-        if (named > 0) who += ", ";
-        who += "session " + std::to_string(session->id) + " ('" +
-               session->workload.label + "')";
-        ++named;
-      }
-      throw TimeoutError("server exceeded its frame budget (" +
-                         std::to_string(maxFrames) +
-                         " frames); still active: " + who);
-    }
-    // Snapshot before the frame polls each tenant: a completion landing
-    // anywhere after its session's poll bumps the stamp and the wait
-    // below returns immediately (race-free snapshot-then-recheck).
-    const uint64_t seen = hub_->snapshot();
-    runFrame();
-    ++executed;
-    if (!quiet() && !anySessionReady()) {
-      // Every tenant is parked on in-flight completions: sleep on the
-      // shared hub instead of spinning server frames. The wait round
-      // still counts against maxFrames (runaway guard), but no session
-      // is charged a frame for it.
-      hub_->waitChanged(seen, parkedWaitBound());
-    }
-  }
-  return executed;
+  // Every round is one server frame, so frames tick while every tenant is
+  // parked: restart backoffs are due at a frame count. Parked tenants are
+  // charged nothing for it.
+  const uint64_t first = frame_;
+  sched::runIdleLoop(
+      *hub_, maxFrames,
+      {"server", "active", [this] { return !quiet(); },
+       [this] { return step(); },
+       [this] {
+         // The nearest parked deadline across all tenants bounds the
+         // sleep; pending restarts keep it short so backoff frames tick.
+         double bound = pendingRestarts_.empty() ? HUGE_VAL : 0.0005;
+         for (const auto& session : active_) {
+           bound = session->life->manager->parkedWaitBound(bound);
+         }
+         return bound;
+       },
+       [this] {
+         std::vector<std::string> names;
+         for (const auto& session : active_) names.push_back(name(*session));
+         return names;
+       }});
+  return frame_ - first;
 }
 
 void SessionServer::cancelSession(uint64_t id, const std::string& reason) {
@@ -577,9 +547,7 @@ void SessionServer::finishOrRestart(std::unique_ptr<Session> session) {
   if (!consumeRestartBudget(s)) {
     s.errorClass = ErrorClass::RestartsExhausted;
     s.error = RestartsExhaustedError(
-                  "session " + std::to_string(s.id) + " ('" +
-                  s.workload.label + "') failed " +
-                  std::to_string(s.restartsHere) +
+                  name(s) + " failed " + std::to_string(s.restartsHere) +
                   " times within its restart budget; last error: " + s.error)
                   .what();
     ++metrics_.restartsExhausted;
@@ -628,9 +596,7 @@ void SessionServer::reviveDue() {
       s.endState = SessionState::Failed;
       s.errorClass = ErrorClass::RestartsExhausted;
       s.error = RestartsExhaustedError(
-                    "session " + std::to_string(s.id) + " ('" +
-                    s.workload.label +
-                    "') could not be revived; last error: " +
+                    name(s) + " could not be revived; last error: " +
                     exceptionMessage(std::current_exception(),
                                      "unknown error"))
                     .what();

@@ -215,14 +215,14 @@ class SessionServer {
   /// but charged nothing — parked tenants consume zero framesRun.
   /// Sessions whose manager went idle are finalized and their slots
   /// recycled.
-  void runFrame();
+  void runFrame() { step(); }
 
-  /// Run server frames until no session is active; returns frames run.
-  /// When every active tenant is parked, sleeps on the shared wake hub
-  /// (bounded by the nearest parked deadline) instead of spinning.
-  /// Throws TimeoutError past `maxFrames` frames-plus-wait-rounds,
-  /// naming the sessions still active (the per-tenant watchdog should
-  /// fire long before this).
+  /// Run server frames through sched::runIdleLoop until no session is
+  /// active or parked for a restart; returns frames run. After a frame in
+  /// which every active tenant ended parked, sleeps on the shared wake
+  /// hub (bounded by the nearest parked deadline) instead of spinning.
+  /// Throws TimeoutError past `maxFrames` frames, naming the sessions
+  /// still active (the per-tenant watchdog should fire long before this).
   uint64_t runUntilQuiet(uint64_t maxFrames = 10'000'000);
 
   /// Cancel one live session (counts as shed). Unknown/finished ids are
@@ -353,6 +353,10 @@ class SessionServer {
   };
 
   SessionRecord snapshot(const Session& session, uint64_t finishedAt) const;
+  /// "session <id> ('<label>')"
+  static std::string name(const Session& session);
+  /// runFrame(); returns whether any session is still ready afterwards.
+  bool step();
   /// Mark `session` failed with `error`'s type and message (containment).
   void contain(Session& session, const std::exception_ptr& error);
   /// Trip the watchdog if the session is over its frame budget.
@@ -378,14 +382,10 @@ class SessionServer {
   /// records.
   void finalize(std::unique_ptr<Session> session);
   /// Give one session one scheduler frame under its scope (contained).
-  /// Wakes its parked processes first; if nothing is ready the frame is
-  /// skipped and the tenant's framesRun is not charged.
-  void runSessionFrame(Session& session);
-  /// Any active session with a Ready process?
-  bool anySessionReady() const;
-  /// Nearest parked deadline across all active sessions (hub wait bound);
-  /// tightened while restarts are pending so backoff frames tick.
-  double parkedWaitBound() const;
+  /// Polls its manager once; if nothing is ready the frame is skipped and
+  /// the tenant's framesRun is not charged. Returns whether the session
+  /// still has ready work afterwards.
+  bool runSessionFrame(Session& session);
 
   // --- supervision ---
   bool supervised() const { return !config_.checkpointDir.empty(); }
