@@ -21,13 +21,15 @@
 //     work exactly one scheduler frame, round-robin from a rotating
 //     start, with per-tenant slice accounting. A hot tenant cannot
 //     monopolize the frame loop; its interpreter work is bounded by the
-//     slice like everyone else's. A tenant whose processes are all
-//     parked on in-flight completions is *skipped and not charged*: its
-//     framesRun ledger (the fairness unit and the watchdog's budget
-//     meter) only counts frames in which it could actually run. All
-//     sessions share one WakeHub, so when every tenant is parked,
-//     runUntilQuiet() sleeps on the hub instead of spinning server
-//     frames, and the first completion from any tenant rouses the loop.
+//     slice like everyone else's. Each session frame polls the tenant's
+//     manager once; a tenant whose processes are all parked on in-flight
+//     completions is *skipped and not charged*: its framesRun ledger
+//     (the fairness unit and the watchdog's budget meter) only counts
+//     frames in which it could actually run. runUntilQuiet() drives
+//     server frames through the scheduler's idle loop
+//     (sched::runIdleLoop), and all sessions share one WakeHub, so when
+//     every tenant is parked the server sleeps on the hub instead of
+//     spinning, and the first completion from any tenant rouses it.
 //   * Crash containment — an exception escaping one session's launch or
 //     frame slice marks that session Failed and recycles its slot; the
 //     server keeps serving the rest.
