@@ -5,6 +5,8 @@
 // interpreter's, and every failure lands in a typed, accounted state.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "blocks/builder.hpp"
 #include "codegen/toolchain.hpp"
 #include "core/pure_eval.hpp"
@@ -195,6 +197,41 @@ TEST(NativeChaos, InstallRacesFaultRiddenParallelMap) {
   // it after install.)
   EXPECT_TRUE(state == KernelState::Trusted || state == KernelState::Ready)
       << native::kernelStateName(state);
+}
+
+TEST(NativeChaos, TenantFreedWhileItsCompileIsOnThePoolChargesTheRoot) {
+  // No compiler needed: the fault fires before the emitter runs. The
+  // tenant that heats the ring is gone before its async compile settles,
+  // so the compile may touch nothing of it: the downgrade is charged to
+  // the root ledger (the asan build checks the rest).
+  RingPtr ring = makeRing(build::ring(sum(product(empty(), 7.0), 8161.0)));
+  TierConfig cfg;
+  cfg.hotThreshold = 2;
+  cfg.synchronousCompile = false;
+
+  fault::Config chaos;
+  chaos.pointMask = fault::maskOf(fault::Point::NativeCompileFailure);
+  chaos.rateNumerator = 1;
+  chaos.rateDenominator = 1;
+  fault::ScopedFault arm(chaos);
+
+  workers::SubstrateStats& root = workers::processSubstrateStats();
+  const uint64_t before = root.nativeDowngrades.load();
+  RingKernel* kernel =
+      TierManager::instance().lookup(*ring, KernelShape::Unary);
+  {
+    auto tenant = std::make_unique<workers::SubstrateStats>();
+    tenant->setParent(&root);
+    workers::StatsScope statsScope(*tenant);
+    TierScope scope(cfg);
+    TieredUnary tiered = tieredUnary(ring);
+    EXPECT_EQ(tiered.fn(Value(1.0)).asNumber(), 8168.0);
+    EXPECT_EQ(tiered.fn(Value(2.0)).asNumber(), 8175.0);
+  }
+  TierManager::instance().waitForCompile(kernel);
+  EXPECT_EQ(fault::firedCount(fault::Point::NativeCompileFailure), 1u);
+  EXPECT_EQ(kernel->currentState(), KernelState::Downgraded);
+  EXPECT_EQ(root.nativeDowngrades.load() - before, 1u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -26,7 +27,9 @@
 #include "native/marshal.hpp"
 #include "mapreduce/engine.hpp"
 #include "native/tier.hpp"
+#include "scenarios/serve.hpp"
 #include "sched/thread_manager.hpp"
+#include "serve/session_server.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "tests/properties/generators.hpp"
@@ -277,6 +280,40 @@ TEST(NativeTier, DisabledTierNeverCompiles) {
   }
   // No record was ever heated: looking it up now shows a Cold record.
   EXPECT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Cold);
+}
+
+// The process-wide kill switch. Only the `native.kill_switch` ctest entry
+// runs this with PSNAP_NATIVE_TIER=0; everywhere else it skips.
+TEST(NativeKillSwitch, OffDisablesServersAndBarePalettes) {
+  const char* env = std::getenv("PSNAP_NATIVE_TIER");
+  if (!env || std::strcmp(env, "0") != 0) {
+    GTEST_SKIP() << "runs only under PSNAP_NATIVE_TIER=0";
+  }
+  TierManager& tier = TierManager::instance();
+  const uint64_t compiles = tier.stats().compiles;
+
+  // A server that asks for the tier: 1200 readings through one ring,
+  // past the default hotThreshold (1024).
+  serve::ServerConfig config;
+  config.nativeTier = true;
+  serve::SessionServer server(config);
+  server.admit(scenarios::serveClimateWorkload(100, 7));
+  server.runUntilQuiet(100000);
+  ASSERT_EQ(server.records().size(), 1u);
+  EXPECT_EQ(server.records()[0].state, serve::SessionState::Completed);
+  EXPECT_TRUE(server.records()[0].outputOk);
+
+  // A bare palette: 2000 items through a parallelMap.
+  const vm::PrimitiveTable prims = core::fullPrimitiveTable();
+  sched::ThreadManager tm(&BlockRegistry::standard(), &prims);
+  const Value mapped = tm.evaluate(
+      parallelMap(build::ring(sum(empty(), 7727.0)), numbersFromTo(1, 2000)),
+      Environment::make());
+  ASSERT_EQ(mapped.asList()->length(), 2000u);
+  EXPECT_EQ(mapped.asList()->item(2000).asNumber(), 9727.0);
+
+  tier.joinInflightCompiles();
+  EXPECT_EQ(tier.stats().compiles, compiles);
 }
 
 // --- the batch path ---------------------------------------------------------
