@@ -52,7 +52,6 @@ using psnap::native::KernelState;
 using psnap::native::RingKernel;
 using psnap::native::TierConfig;
 using psnap::native::TierManager;
-using psnap::native::TierScope;
 using Clock = std::chrono::steady_clock;
 
 double secondsSince(Clock::time_point start) {
@@ -99,8 +98,7 @@ MapResult measureMapper(psnap::blocks::BlockPtr reify, size_t n,
   TierConfig cfg;
   cfg.hotThreshold = 4;
   cfg.synchronousCompile = true;
-  TierScope scope(cfg);
-  TieredUnary tiered = psnap::core::tieredUnary(ring);
+  TieredUnary tiered = psnap::core::tieredUnary(ring, cfg);
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Unary);
   heat(tiered, kernel);
@@ -209,8 +207,7 @@ int main(int argc, char** argv) {
     TierConfig cfg;
     cfg.hotThreshold = 256;
     cfg.synchronousCompile = false;
-    TierScope scope(cfg);
-    TieredUnary tiered = psnap::core::tieredUnary(hotRing);
+    TieredUnary tiered = psnap::core::tieredUnary(hotRing, cfg);
     RingKernel* kernel =
         TierManager::instance().lookup(*hotRing, KernelShape::Unary);
     Clock::time_point crossing{};
@@ -251,9 +248,8 @@ int main(int argc, char** argv) {
   {
     TierConfig off;
     off.enabled = false;
-    TierScope scope(off);
-    TieredUnary mapper = psnap::core::tieredUnary(mapRing);
-    auto reducer = psnap::core::tieredListReduce(reduceRing);
+    TieredUnary mapper = psnap::core::tieredUnary(mapRing, off);
+    auto reducer = psnap::core::tieredListReduce(reduceRing, off);
     psnap::mr::MapFn mapFn = mapper.fn;
     const auto start = Clock::now();
     auto out = psnap::mr::run(input, mapFn, reducer, {.workers = 4});
@@ -265,12 +261,12 @@ int main(int argc, char** argv) {
     TierConfig cfg;
     cfg.hotThreshold = 4;
     cfg.synchronousCompile = true;  // steady-state: kernels ready up front
-    TierScope scope(cfg);
-    TieredUnary mapper = psnap::core::tieredUnary(mapRing);
+    TieredUnary mapper = psnap::core::tieredUnary(mapRing, cfg);
     RingKernel* kernel =
         TierManager::instance().lookup(*mapRing, KernelShape::Unary);
     heat(mapper, kernel);
-    psnap::core::TieredReduce reducer = psnap::core::tieredReduce(reduceRing);
+    psnap::core::TieredReduce reducer =
+        psnap::core::tieredReduce(reduceRing, cfg);
     RingKernel* fold =
         TierManager::instance().lookup(*reduceRing, KernelShape::Fold);
     for (int i = 0; i < 8 && fold->currentState() != KernelState::Trusted;

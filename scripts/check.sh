@@ -45,9 +45,12 @@
 #   Builds the asan preset and runs the native-tier suites (test_native:
 #   the promotion pipeline, golden byte-identical rings, compile-failure
 #   chaos) under AddressSanitizer — the dlopen'd kernels, the marshalling
-#   buffers, and the async install path must be memory-clean. Skips
-#   gracefully (exit 0 with a notice) when no C compiler is on PATH,
-#   since the tier itself degrades to the interpreter there.
+#   buffers, and the async install path must be memory-clean. Then builds
+#   the tsan preset and runs the native chaos suite (NativeChaos.*) under
+#   ThreadSanitizer: a pool thread installs a kernel's function pointers
+#   and publishes its state while callers acquire-load it and dispatch.
+#   Skips gracefully (exit 0 with a notice) when no C compiler is on
+#   PATH, since the tier itself degrades to the interpreter there.
 #
 # Usage: scripts/check.sh --differential
 #   Builds the asan preset and runs the cross-path differential suites
@@ -97,8 +100,8 @@
 #   corruption with generation fallback, the seeded random-kill property
 #   sweep, and the fork+SIGKILL crash-kill test (a real dead writer, a
 #   real successor, byte-identical recovered outputs). Also runs the
-#   suites once under tsan (the pooled checkpoint writes and the
-#   stats-lease registry are the concurrency surface).
+#   suites once under tsan (the pooled checkpoint writes are the
+#   concurrency surface).
 #
 # The asan test preset sets ASAN_OPTIONS=detect_leaks=0: rings are
 # shared_ptr closures over their defining environment, so storing a ring
@@ -107,9 +110,9 @@
 # detection stays fully on; only end-of-process leak accounting is off.
 #
 # The tsan preset builds and runs only the concurrency-bearing suites
-# (test_workers, test_mapreduce, test_sched, test_serve, test_async) — the
-# interpreter suites
-# are single-threaded and would just multiply the ~10x tsan slowdown.
+# (test_workers, test_mapreduce, test_sched, test_serve, test_async,
+# test_persist, test_native) — the interpreter suites are single-threaded
+# and would just multiply the ~10x tsan slowdown.
 # src/workers, src/mapreduce, src/core and src/native also compile with
 # -Werror in every preset, so the substrate and the parallel blocks that
 # drive it stay warning-clean by contract.
@@ -196,7 +199,11 @@ if [ "${1:-}" = "--native" ]; then
   echo "== native tier: asan =="
   # Same leak-accounting stance as the asan ctest preset (see header).
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_native"
-  echo "== native tier sweep green under asan =="
+  cmake --preset tsan
+  cmake --build --preset tsan -j "${jobs}" --target test_native
+  echo "== native tier: tsan, NativeChaos.* =="
+  "build-tsan/tests/test_native" --gtest_filter='NativeChaos.*'
+  echo "== native tier sweep green: asan, and NativeChaos.* under tsan =="
   exit 0
 fi
 

@@ -97,9 +97,10 @@ struct Launched {
 /// clone-in maps the list here with sequentialMap, and retries used up or
 /// a refused clone-out rerun it in the completion callback. Each counts
 /// one downgrade.
-Launched startParallelMap(Process& p, const Context& c, bool degrade) {
+Launched startParallelMap(Process& p, const Context& c,
+                          const native::TierConfig& cfg, bool degrade) {
   const ListPtr& list = c.inputs[1].asList();
-  TieredUnary tiered = tieredUnary(c.inputs[0].asRing(), p.registry());
+  TieredUnary tiered = tieredUnary(c.inputs[0].asRing(), cfg, p.registry());
   // The worker slot (default: the host's worker width), the process's own
   // token (null when it has none) — stopping the script, or shedding the
   // tenant that owns it, cancels the pool work at its next chunk boundary
@@ -152,10 +153,12 @@ Launched startParallelMap(Process& p, const Context& c, bool degrade) {
 /// owns its degradation (an inline drain of a refused stage, a sequential
 /// rerun after a transient substrate failure), so `degrade` only permits
 /// it. A job below the grain crossover settles inside its constructor.
-Launched startMapReduce(Process& p, const Context& c, bool degrade) {
+Launched startMapReduce(Process& p, const Context& c,
+                        const native::TierConfig& cfg, bool degrade) {
   const ListPtr& list = c.inputs[2].asList();
-  TieredUnary map = tieredUnary(c.inputs[0].asRing(), p.registry());
-  TieredReduce reduce = tieredReduce(c.inputs[1].asRing(), p.registry());
+  TieredUnary map = tieredUnary(c.inputs[0].asRing(), cfg, p.registry());
+  TieredReduce reduce =
+      tieredReduce(c.inputs[1].asRing(), cfg, p.registry());
   // The host's worker width, the rings' native entries (the map's numeric
   // column and batch, the reduce's shard fold), the process's token as
   // for parallelMap, and the per-item cost for the grain model — known
@@ -188,7 +191,8 @@ Launched startMapReduce(Process& p, const Context& c, bool degrade) {
   return {fut, job};
 }
 
-using StartFn = Launched (*)(Process&, const Context&, bool);
+using StartFn = Launched (*)(Process&, const Context&,
+                            const native::TierConfig&, bool);
 constexpr char kParallelMapName[] = "parallel map";
 constexpr char kMapReduceName[] = "mapReduce";
 
@@ -239,10 +243,13 @@ struct Report {
 /// degradation, plus a park. A build error propagates as raised; a failed
 /// operation fails the process as `blockName failed: …`, class kept.
 template <StartFn start, const char* blockName>
-void reportBlock(Process& p, Context& c) {
-  if (!c.state) c.state = std::make_shared<Report>(start(p, c, true));
-  settleOrPark(p, c, std::static_pointer_cast<Report>(c.state)->launched.future,
-               blockName);
+vm::Handler reportBlock(const native::TierConfig& cfg) {
+  return [cfg](Process& p, Context& c) {
+    if (!c.state) c.state = std::make_shared<Report>(start(p, c, cfg, true));
+    settleOrPark(p, c,
+                 std::static_pointer_cast<Report>(c.state)->launched.future,
+                 blockName);
+  };
 }
 
 /// The launch twins: the future, reported at once while the script keeps
@@ -251,16 +258,18 @@ void reportBlock(Process& p, Context& c) {
 /// The process adopts the future, so terminating or failing the process
 /// cancels the operation through the future's cancel hook.
 template <StartFn start>
-void launchBlock(Process& p, Context& c) {
-  blocks::FuturePtr fut;
-  try {
-    fut = start(p, c, false).future;
-  } catch (...) {
-    fut = blocks::Future::make();
-    fut->reject(std::current_exception());
-  }
-  p.adoptFuture(fut);
-  p.returnValue(Value(fut));
+vm::Handler launchBlock(const native::TierConfig& cfg) {
+  return [cfg](Process& p, Context& c) {
+    blocks::FuturePtr fut;
+    try {
+      fut = start(p, c, cfg, false).future;
+    } catch (...) {
+      fut = blocks::Future::make();
+      fut->reject(std::current_exception());
+    }
+    p.adoptFuture(fut);
+    p.returnValue(Value(fut));
+  };
 }
 
 /// await: the identity on plain values (scripts can be written
@@ -370,12 +379,14 @@ void parallelForEachHandler(const vm::Handler& forEach, Process& p,
 
 }  // namespace
 
-void registerParallelPrimitives(vm::PrimitiveTable& table) {
+void registerParallelPrimitives(vm::PrimitiveTable& table,
+                                const native::TierConfig& cfg) {
   table.add("reportParallelMap",
-            reportBlock<startParallelMap, kParallelMapName>);
-  table.add("reportMapReduce", reportBlock<startMapReduce, kMapReduceName>);
-  table.add("launchParallelMap", launchBlock<startParallelMap>);
-  table.add("launchMapReduce", launchBlock<startMapReduce>);
+            reportBlock<startParallelMap, kParallelMapName>(cfg));
+  table.add("reportMapReduce",
+            reportBlock<startMapReduce, kMapReduceName>(cfg));
+  table.add("launchParallelMap", launchBlock<startParallelMap>(cfg));
+  table.add("launchMapReduce", launchBlock<startMapReduce>(cfg));
   table.add("reportAwait", awaitHandler);
   // The per-clone chunk driver and the sequential mode of the parallel
   // forEach share doForEach's iteration logic.
@@ -391,9 +402,9 @@ void registerParallelPrimitives(vm::PrimitiveTable& table) {
   table.add("__foreachDriver", forEach);
 }
 
-vm::PrimitiveTable fullPrimitiveTable() {
+vm::PrimitiveTable fullPrimitiveTable(const native::TierConfig& cfg) {
   vm::PrimitiveTable table = vm::PrimitiveTable::standard();
-  registerParallelPrimitives(table);
+  registerParallelPrimitives(table, cfg);
   return table;
 }
 

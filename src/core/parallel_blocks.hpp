@@ -32,17 +32,24 @@
 // fail the process with their error class preserved in the message.
 #pragma once
 
+#include "native/tier.hpp"
 #include "vm/process.hpp"
 
 namespace psnap::core {
 
 /// Register reportParallelMap, doParallelForEach, reportMapReduce, the
 /// future-returning launch blocks with reportAwait, and the internal
-/// __foreachDriver into `table`.
-void registerParallelPrimitives(vm::PrimitiveTable& table);
+/// __foreachDriver into `table`. The four parallel-block handlers keep a
+/// copy of `cfg`, the native-tier policy for every ring they compile: a
+/// palette built with the tier disabled never counts hotness and never
+/// compiles.
+void registerParallelPrimitives(
+    vm::PrimitiveTable& table,
+    const native::TierConfig& cfg = native::defaultTierConfig());
 
 /// A PrimitiveTable with both the standard palette and the parallel
-/// blocks — the table a full psnap environment runs with.
-vm::PrimitiveTable fullPrimitiveTable();
+/// blocks under `cfg` — the table a full psnap environment runs with.
+vm::PrimitiveTable fullPrimitiveTable(
+    const native::TierConfig& cfg = native::defaultTierConfig());
 
 }  // namespace psnap::core

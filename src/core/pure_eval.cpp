@@ -287,10 +287,11 @@ PureFn compileRing(const RingPtr& ring, const BlockRegistry& registry) {
 
 // The adapter routes through the tiering layer (core/tiering.hpp): the
 // interpreter closure stays the reference path, and a ring that goes hot
-// gains a native kernel behind the same signature at every call site.
+// gains a native kernel behind the same signature at every call site,
+// under the default tier policy.
 std::function<Value(const Value&)> compileUnary(
     const RingPtr& ring, const BlockRegistry& registry) {
-  return tieredUnary(ring, registry).fn;
+  return tieredUnary(ring, native::defaultTierConfig(), registry).fn;
 }
 
 }  // namespace psnap::core

@@ -126,12 +126,10 @@ bool runChunk(RingKernel* kernel, KernelState state, const Interp& interp,
 
 }  // namespace
 
-TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
+TieredUnary tieredUnary(const RingPtr& ring, const TierConfig& cfg,
+                        const BlockRegistry& registry) {
   PureFn compiled = compileRing(ring, registry);
   auto interp = [compiled](const Value& v) { return compiled({v}); };
-  // Snapshot the session's config here, on the building thread — calls
-  // run on pool workers, where no TierScope is installed.
-  const TierConfig cfg = native::tierConfig();
   if (!cfg.enabled) return {interp, {}, {}, {}};
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Unary);
@@ -213,12 +211,12 @@ TieredUnary tieredUnary(const RingPtr& ring, const BlockRegistry& registry) {
           std::move(itemNs)};
 }
 
-TieredReduce tieredReduce(const RingPtr& ring, const BlockRegistry& registry) {
+TieredReduce tieredReduce(const RingPtr& ring, const TierConfig& cfg,
+                          const BlockRegistry& registry) {
   PureFn compiled = compileRing(ring, registry);
   auto interp = [compiled](const ListPtr& values) {
     return compiled({Value(values)});
   };
-  const TierConfig cfg = native::tierConfig();
   if (!cfg.enabled) return {interp, {}, {}};
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Fold);
@@ -275,9 +273,9 @@ TieredReduce tieredReduce(const RingPtr& ring, const BlockRegistry& registry) {
   return {std::move(fn), std::move(numeric), std::move(trusted)};
 }
 
-mr::ReduceFn tieredListReduce(const RingPtr& ring,
+mr::ReduceFn tieredListReduce(const RingPtr& ring, const TierConfig& cfg,
                               const BlockRegistry& registry) {
-  return tieredReduce(ring, registry).fn;
+  return tieredReduce(ring, cfg, registry).fn;
 }
 
 }  // namespace psnap::core

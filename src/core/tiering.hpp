@@ -9,10 +9,10 @@
 // returns these tiered functions, so parallelMap, launch blocks, and
 // mapReduce all upgrade behind their existing signatures.
 //
-// The tier config is snapshotted when the function is BUILT (on the
-// scheduler thread, where the session's TierScope is installed), not when
-// it is called (on a pool worker, which has no scope) — that is how
-// per-session tier enablement reaches worker-side execution.
+// Each builder takes the tier policy as a value, `cfg`, and the
+// functions it builds carry a copy to whatever pool worker calls them.
+// The parallel blocks pass the config their palette was built with
+// (parallel_blocks.hpp); other callers get native::defaultTierConfig().
 #pragma once
 
 #include <functional>
@@ -21,6 +21,7 @@
 #include "blocks/registry.hpp"
 #include "blocks/value.hpp"
 #include "mapreduce/engine.hpp"
+#include "native/tier.hpp"
 
 namespace psnap::core {
 
@@ -46,6 +47,8 @@ struct TieredUnary {
 };
 
 TieredUnary tieredUnary(const blocks::RingPtr& ring,
+                        const native::TierConfig& cfg =
+                            native::defaultTierConfig(),
                         const blocks::BlockRegistry& registry =
                             blocks::BlockRegistry::standard());
 
@@ -62,11 +65,15 @@ struct TieredReduce {
 };
 
 TieredReduce tieredReduce(const blocks::RingPtr& ring,
+                          const native::TierConfig& cfg =
+                              native::defaultTierConfig(),
                           const blocks::BlockRegistry& registry =
                               blocks::BlockRegistry::standard());
 
-/// tieredReduce(ring).fn: the reducer shape alone.
+/// tieredReduce(ring, cfg).fn: the reducer shape alone.
 mr::ReduceFn tieredListReduce(const blocks::RingPtr& ring,
+                              const native::TierConfig& cfg =
+                                  native::defaultTierConfig(),
                               const blocks::BlockRegistry& registry =
                                   blocks::BlockRegistry::standard());
 

@@ -30,8 +30,8 @@ const char* kernelStateName(KernelState state) {
 
 // --- config -----------------------------------------------------------------
 
-TierConfig& globalTierConfig() {
-  static TierConfig config = [] {
+const TierConfig& defaultTierConfig() {
+  static const TierConfig config = [] {
     TierConfig c;
     const char* env = std::getenv("PSNAP_NATIVE_TIER");
     if (env && env[0] == '0' && env[1] == '\0') c.enabled = false;
@@ -39,21 +39,6 @@ TierConfig& globalTierConfig() {
   }();
   return config;
 }
-
-namespace {
-thread_local const TierConfig* tActiveConfig = nullptr;
-}  // namespace
-
-const TierConfig& tierConfig() {
-  return tActiveConfig ? *tActiveConfig : globalTierConfig();
-}
-
-TierScope::TierScope(TierConfig config)
-    : config_(config), previous_(tActiveConfig) {
-  tActiveConfig = &config_;
-}
-
-TierScope::~TierScope() { tActiveConfig = previous_; }
 
 // --- manager ----------------------------------------------------------------
 
@@ -111,24 +96,21 @@ void TierManager::startCompile(RingKernel* kernel, RingPtr ring,
   if (cfg.synchronousCompile) {
     // Synchronous (test) path: the compile runs on the tenant's thread,
     // so its downgrade accounting lands in the tenant's scope.
-    compileTask(kernel, ring,
-                workers::AsyncStatsHandle::direct(workers::substrateStats()));
+    compileTask(kernel, ring, workers::substrateStats());
     return;
   }
   KernelCache::instance();
   workers::WorkerPool::shared();
   static InflightCompileJoin exitJoin;
-  // The compile outlives this frame, and may outlive the tenant: carry a
-  // generation-stamped lease on the tenant's scope. While the session is
-  // live the downgrade is attributed to it; once the server retires the
-  // scope (recycle, restart, drain) the count falls back to the process
-  // root ledger instead of touching freed memory.
-  workers::AsyncStatsHandle stats = workers::AsyncStatsHandle::capture();
-  auto task = [this, kernel, ring, stats](size_t) {
-    compileTask(kernel, ring, stats);
+  // The compile outlives this frame, and may outlive the tenant, so it
+  // holds nothing of the tenant's: the group and the task both charge
+  // the root ledger, which every tenant's counts roll up into.
+  auto task = [this, kernel, ring](size_t) {
+    compileTask(kernel, ring, workers::processSubstrateStats());
   };
   auto group = std::make_shared<TaskGroup>(
-      std::vector<TaskGroup::Task>{std::move(task)});
+      std::vector<TaskGroup::Task>{std::move(task)}, nullptr,
+      &workers::processSubstrateStats());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Prune settled groups so the map stays bounded by in-flight work.
@@ -151,8 +133,7 @@ void TierManager::startCompile(RingKernel* kernel, RingPtr ring,
     if (attempt >= cfg.maxCompileAttempts) {
       // The refusal is observed on the tenant's thread, so this one IS
       // attributable to the tenant's scope.
-      downgradeTo(kernel,
-                  workers::AsyncStatsHandle::direct(workers::substrateStats()));
+      downgradeTo(kernel, workers::substrateStats());
     } else {
       kernel->calls.store(0, std::memory_order_relaxed);
       kernel->state.store(KernelState::Cold, std::memory_order_release);
@@ -161,7 +142,7 @@ void TierManager::startCompile(RingKernel* kernel, RingPtr ring,
 }
 
 void TierManager::compileTask(RingKernel* kernel, const RingPtr& ring,
-                              const workers::AsyncStatsHandle& stats) {
+                              SubstrateStats& stats) {
   compiles_.fetch_add(1, std::memory_order_relaxed);
   try {
     // The chaos suite's hook: a NativeCompileFailure here must leave the
@@ -205,12 +186,10 @@ void TierManager::promote(RingKernel* kernel) {
 }
 
 void TierManager::downgrade(RingKernel* kernel) {
-  downgradeTo(kernel,
-              workers::AsyncStatsHandle::direct(workers::substrateStats()));
+  downgradeTo(kernel, workers::substrateStats());
 }
 
-void TierManager::downgradeTo(RingKernel* kernel,
-                              const workers::AsyncStatsHandle& stats) {
+void TierManager::downgradeTo(RingKernel* kernel, SubstrateStats& stats) {
   if (kernel->state.exchange(KernelState::Downgraded,
                              std::memory_order_acq_rel) !=
       KernelState::Downgraded) {

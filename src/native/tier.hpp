@@ -27,15 +27,19 @@
 //   * Downgraded: permanent. Counted once per ring shape in
 //     SubstrateStats::nativeDowngrades (kernels are keyed by structural
 //     content, so a re-built ring with the same shape shares the record
-//     and does not re-count).
+//     and does not re-count): in the calling thread's scope when the
+//     caller sees the failure, in the root ledger when a compile on the
+//     pool does (it may outlive the tenant that heated the ring).
 //
 // Dispatch records are RingKernel entries in a process-lifetime deque;
 // raw RingKernel* handles are stable forever (never deleted, libraries
-// never dlclose'd — loader.hpp). Per-session control: TierScope installs a
-// thread-local TierConfig override (the scheduler wraps each frame, so a
-// session with the tier disabled never even counts calls); the
-// PSNAP_NATIVE_TIER=0 environment variable is the process-wide kill
-// switch.
+// never dlclose'd — loader.hpp). That promotion state is process-wide;
+// the policy is not. A TierConfig is a plain value that reaches the tier
+// as an argument: core::fullPrimitiveTable(cfg) binds one into the
+// parallel blocks, so a palette built with the tier disabled never even
+// counts calls. defaultTierConfig() is the read-only default, and the
+// PSNAP_NATIVE_TIER=0 environment variable disables it, the process-wide
+// kill switch.
 #pragma once
 
 #include <atomic>
@@ -102,28 +106,9 @@ struct TierConfig {
   bool synchronousCompile = false;
 };
 
-/// The process default (PSNAP_NATIVE_TIER=0 flips enabled off once, at
-/// first use). Mutating it affects threads with no TierScope installed.
-TierConfig& globalTierConfig();
-
-/// The active config: the innermost TierScope on this thread, else the
-/// global default.
-const TierConfig& tierConfig();
-
-/// RAII thread-local config override (per-session tier control: the
-/// scheduler installs one per frame, the chaos tests one per scenario).
-class TierScope {
- public:
-  explicit TierScope(TierConfig config);
-  ~TierScope();
-
-  TierScope(const TierScope&) = delete;
-  TierScope& operator=(const TierScope&) = delete;
-
- private:
-  TierConfig config_;
-  const TierConfig* previous_;
-};
+/// The process default: a TierConfig whose `enabled` is off when
+/// PSNAP_NATIVE_TIER=0 (read once, at first use).
+const TierConfig& defaultTierConfig();
 
 /// Process-wide tier counters (bench/diagnostic surface; the per-tenant
 /// downgrade stat lives in SubstrateStats).
@@ -178,9 +163,8 @@ class TierManager {
   void startCompile(RingKernel* kernel, blocks::RingPtr ring,
                     const TierConfig& cfg);
   void compileTask(RingKernel* kernel, const blocks::RingPtr& ring,
-                   const workers::AsyncStatsHandle& stats);
-  void downgradeTo(RingKernel* kernel,
-                   const workers::AsyncStatsHandle& stats);
+                   workers::SubstrateStats& stats);
+  void downgradeTo(RingKernel* kernel, workers::SubstrateStats& stats);
 
   mutable std::mutex mutex_;
   std::deque<RingKernel> kernels_;                    // stable addresses

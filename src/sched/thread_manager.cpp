@@ -144,10 +144,6 @@ void ThreadManager::runFrame() {
 }
 
 void ThreadManager::runPolledFrame() {
-  // Per-session native-tier config: block handlers that compile rings
-  // during this frame's slices snapshot this scope's config, so a
-  // tier-disabled session stays interpreter-only however hot its rings.
-  native::TierScope tierScope(nativeTier_);
   ++frame_;
   if (!interference_.steals(frame_)) {
     // Processes spawned during this frame run starting next frame, so only

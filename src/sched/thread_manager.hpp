@@ -29,7 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "native/tier.hpp"
+#include "support/rng.hpp"
 #include "vm/process.hpp"
 
 namespace psnap::sched {
@@ -111,11 +111,6 @@ class ThreadManager : public vm::Host {
   /// Interpreter steps each process may take per frame.
   void setSliceSteps(size_t steps) { sliceSteps_ = steps; }
   void setMaxWorkers(size_t workers) { maxWorkers_ = workers; }
-  /// Per-session native-tier control: with the tier off, rings compiled
-  /// by this manager's frames never count hotness and never go native
-  /// (a TierScope wraps each frame; see native/tier.hpp).
-  void setNativeTier(bool enabled) { nativeTier_.enabled = enabled; }
-  bool nativeTier() const { return nativeTier_.enabled; }
   void setStageHooks(StageHooks hooks) { hooks_ = std::move(hooks); }
   /// Parent every process spawned from now on under `root`: each spawn
   /// gets a fresh child CancelToken, so tripping the root (a tenant
@@ -256,6 +251,7 @@ class ThreadManager : public vm::Host {
       vm::SpriteApi* sprite) override;
   size_t maxWorkers() const override { return maxWorkers_; }
   vm::WakeHubPtr wakeHub() const override { return hub_; }
+  Rng& random() override { return random_; }
 
   /// Share a wake hub (the serving layer gives all its sessions one hub
   /// so any tenant's completion can rouse the server's frame loop).
@@ -286,9 +282,7 @@ class ThreadManager : public vm::Host {
   double secondsPerFrame_ = 1.0;
   size_t sliceSteps_ = vm::Process::kDefaultSliceSteps;
   size_t maxWorkers_ = 4;
-  /// This manager's tier override, installed around each frame. Starts
-  /// from the process default so PSNAP_NATIVE_TIER=0 still wins.
-  native::TierConfig nativeTier_ = native::globalTierConfig();
+  Rng random_{vm::kRandomSeed};
   StageHooks hooks_;
   CancelTokenPtr defaultToken_;
   vm::WakeHubPtr hub_;

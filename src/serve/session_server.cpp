@@ -15,10 +15,23 @@
 
 namespace psnap::serve {
 
+namespace {
+
+/// The tier policy of a server's palette: the process default, switched
+/// off when the server opts out (PSNAP_NATIVE_TIER=0 switches it off
+/// whatever the server asks).
+native::TierConfig serverTierConfig(const ServerConfig& config) {
+  native::TierConfig cfg = native::defaultTierConfig();
+  cfg.enabled = config.nativeTier && cfg.enabled;
+  return cfg;
+}
+
+}  // namespace
+
 SessionServer::SessionServer(ServerConfig config)
     : config_(config),
       registry_(&blocks::BlockRegistry::standard()),
-      primitives_(core::fullPrimitiveTable()),
+      primitives_(core::fullPrimitiveTable(serverTierConfig(config))),
       hub_(std::make_shared<vm::WakeHub>()) {}
 
 SessionServer::~SessionServer() {
@@ -26,8 +39,6 @@ SessionServer::~SessionServer() {
   // in-flight pool work unwinds at its next checkpoint instead of being
   // waited on to natural completion. Settle any in-flight checkpoint
   // write too (it holds the captured project by value, not the session).
-  // Each session's stats lease ends when the session is freed, parked
-  // ones included.
   for (auto& session : active_) {
     Life& life = *session->life;
     life.root->cancel("server shutting down");
@@ -40,13 +51,7 @@ SessionServer::Session::Session(uint64_t id, SessionWorkload workload,
                                 uint64_t admittedAtFrame)
     : id(id), workload(std::move(workload)), admittedAtFrame(admittedAtFrame) {
   stats.setParent(&workers::processSubstrateStats());
-  // Lease the tenant's stats scope for async attribution (the native
-  // tier's fire-and-forget compiles), from before the first bring-up
-  // until the session is freed.
-  workers::registerStatsScope(stats);
 }
-
-SessionServer::Session::~Session() { workers::retireStatsScope(stats); }
 
 void SessionServer::bringUp(Session& s,
                             const std::optional<LoadedCheckpoint>& from) {
@@ -62,7 +67,6 @@ void SessionServer::bringUp(Session& s,
   life.manager->setWakeHub(hub_);
   life.manager->setDefaultCancelToken(life.root);
   life.manager->setMaxWorkers(config_.maxWorkers);
-  if (!config_.nativeTier) life.manager->setNativeTier(false);
   s.framesRun = 0;
   workers::StatsScope scope(s.stats);
   if (!from) {

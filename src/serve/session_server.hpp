@@ -94,8 +94,9 @@ struct ServerConfig {
   double sessionDeadlineSeconds = 0;
   /// Logical worker width each session's parallel blocks request.
   size_t maxWorkers = 4;
-  /// Let this server's sessions use the native execution tier (per-tenant
-  /// opt-out; PSNAP_NATIVE_TIER=0 disables it process-wide regardless).
+  /// Let this server's sessions use the native execution tier: the
+  /// server builds its palette with the tier disabled when false
+  /// (PSNAP_NATIVE_TIER=0 disables it process-wide regardless).
   bool nativeTier = true;
   /// Supervision switch: non-empty enables periodic checkpointing of
   /// recoverable sessions into this directory (created on demand),
@@ -321,11 +322,9 @@ class SessionServer {
   /// A session's lineage: everything that survives a restart, and its
   /// current life. A session parked for a restart backoff has no life —
   /// no manager, processes, project state or hasher pins. Its one stats
-  /// ledger spans every life; it is leased for async attribution from
-  /// construction to destruction.
+  /// ledger spans every life.
   struct Session {
     Session(uint64_t id, SessionWorkload workload, uint64_t admittedAtFrame);
-    ~Session();
 
     uint64_t id = 0;
     SessionWorkload workload;

@@ -22,8 +22,12 @@
 
 #include "blocks/block.hpp"
 #include "blocks/environment.hpp"
+#include "support/rng.hpp"
 
 namespace psnap::vm {
+
+/// The seed of every host's `pick random` stream.
+inline constexpr uint64_t kRandomSeed = 0x5eed;
 
 /// The wake channel between completion callbacks (which run on pool
 /// workers) and a scheduler sleeping because every process is parked.
@@ -152,6 +156,10 @@ class Host {
   /// a completion can rouse a sleeping scheduler. May be null (headless
   /// hosts): parking still works, the waker just has nobody to poke.
   virtual WakeHubPtr wakeHub() const { return nullptr; }
+
+  /// The stream `pick random` draws from: one per host, seeded with
+  /// kRandomSeed, so one host's numbers never depend on another's draws.
+  virtual Rng& random() = 0;
 };
 
 /// A do-nothing host for headless script evaluation: the clock is manually
@@ -173,6 +181,7 @@ class NullHost : public Host {
                                                     blocks::EnvPtr,
                                                     SpriteApi*) override;
   size_t maxWorkers() const override { return 4; }
+  Rng& random() override { return random_; }
 
   /// Messages broadcast so far (for assertions in tests).
   const std::vector<std::string>& messages() const { return messages_; }
@@ -180,6 +189,7 @@ class NullHost : public Host {
  private:
   double now_ = 0;
   double timerStart_ = 0;
+  Rng random_{kRandomSeed};
   std::vector<std::string> messages_;
 };
 

@@ -62,8 +62,8 @@ void registerOperators(PrimitiveTable& t) {
     });
   }
   t.add("reportRandom", [](Process& p, Context& c) {
-    // Deterministic per-run RNG so tests and benches are reproducible.
-    static thread_local Rng rng(0x5eedULL);
+    // The host's own seeded stream, so runs are reproducible.
+    Rng& rng = p.host().random();
     double lo = c.inputs[0].asNumber();
     double hi = c.inputs[1].asNumber();
     if (lo > hi) std::swap(lo, hi);

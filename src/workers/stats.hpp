@@ -23,23 +23,13 @@
 // submitting thread, and record through the captured pointer — a chunk
 // retried on a stolen worker is still charged to the tenant that
 // launched it, not to whatever scope the worker thread happens to carry.
-// Async attribution (the PR 8 checkpoint/recycle race): a recording site
-// that outlives its submitter — the native tier's fire-and-forget compile
-// is the canonical case — cannot hold a raw `SubstrateStats*`: the tenant
-// may be recycled, its stats freed, while the task is still in flight.
-// `AsyncStatsHandle` fixes this with a generation-stamped lease: owners of
-// session-lifetime scopes register them (`registerStatsScope`) and retire
-// them before freeing (`retireStatsScope`); `AsyncStatsHandle::capture()`
-// snapshots the current scope plus its generation, and `bump()` charges
-// the scope only while the lease is still current — after a retire the
-// count falls back to the process root ledger instead of touching freed
-// memory or a recycled tenant's ledger.
+// Such a site must not outlive the tenant's ledger. Work that may (the
+// native tier's fire-and-forget compile is the one case) holds no tenant
+// pointer at all and records into the root ledger.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 
 namespace psnap::workers {
 
@@ -125,100 +115,6 @@ class StatsScope {
 
  private:
   SubstrateStats* previous_;
-};
-
-namespace detail {
-/// The scope-lease registry behind AsyncStatsHandle. Generations are
-/// process-monotonic, so a scope address recycled for a *new* tenant gets
-/// a new generation and stale handles still miss (no ABA).
-struct ScopeRegistry {
-  std::mutex mutex;
-  std::unordered_map<SubstrateStats*, uint64_t> live;
-  uint64_t nextGeneration = 1;
-};
-inline ScopeRegistry& scopeRegistry() {
-  static ScopeRegistry registry;
-  return registry;
-}
-}  // namespace detail
-
-/// Lease `scope` for async attribution. Re-registering issues a fresh
-/// lease — outstanding handles from the previous lease fall back to the
-/// root ledger, which is what a recycled slot wants. Returns the
-/// generation.
-inline uint64_t registerStatsScope(SubstrateStats& scope) {
-  auto& registry = detail::scopeRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  return registry.live[&scope] = registry.nextGeneration++;
-}
-
-/// End the lease. Must run before the scope is freed or recycled; any
-/// AsyncStatsHandle still holding it falls back to the root ledger.
-inline void retireStatsScope(SubstrateStats& scope) {
-  auto& registry = detail::scopeRegistry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.live.erase(&scope);
-}
-
-/// A validity-checked reference to a stats scope, safe to carry into work
-/// that may outlive the scope's owner.
-class AsyncStatsHandle {
- public:
-  /// Snapshot the calling thread's current scope. An unregistered scope
-  /// (including the root itself) degrades to a root-ledger handle — an
-  /// unleased scope gives no liveness guarantee, so it is never captured.
-  static AsyncStatsHandle capture() {
-    AsyncStatsHandle handle;
-    SubstrateStats* scope = &substrateStats();
-    if (scope == &processSubstrateStats()) return handle;
-    auto& registry = detail::scopeRegistry();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    auto it = registry.live.find(scope);
-    if (it != registry.live.end()) {
-      handle.scope_ = scope;
-      handle.generation_ = it->second;
-    }
-    return handle;
-  }
-
-  /// An unchecked handle that charges `scope` directly, skipping the
-  /// registry — for synchronous call sites where the scope provably
-  /// outlives the handle (it never crosses into pooled work).
-  static AsyncStatsHandle direct(SubstrateStats& scope) {
-    AsyncStatsHandle handle;
-    handle.scope_ = &scope;
-    handle.direct_ = true;
-    return handle;
-  }
-
-  /// Record one event. Charges the captured scope while its lease is
-  /// current; a retired (or never-captured) lease charges the root
-  /// ledger. The registry lock is held across the bump so a concurrent
-  /// retire cannot free the scope mid-walk.
-  void bump(SubstrateStats::Counter field) const {
-    if (scope_) {
-      if (direct_) {
-        scope_->bump(field);
-        return;
-      }
-      auto& registry = detail::scopeRegistry();
-      std::lock_guard<std::mutex> lock(registry.mutex);
-      auto it = registry.live.find(scope_);
-      if (it != registry.live.end() && it->second == generation_) {
-        scope_->bump(field);
-        return;
-      }
-    }
-    processSubstrateStats().bump(field);
-  }
-
-  /// True if capture() latched a leased scope (diagnostic).
-  bool scoped() const { return scope_ != nullptr; }
-
- private:
-  SubstrateStats* scope_ = nullptr;
-  uint64_t generation_ = 0;
-  bool direct_ = false;
 };
 
 }  // namespace psnap::workers

@@ -109,8 +109,11 @@ TEST(Future, IdentityEqualityAndNotTransferable) {
 
 class AsyncBlocksTest : public ::testing::Test {
  protected:
-  AsyncBlocksTest() : prims_(fullPrimitiveTable()) {}
+  AsyncBlocksTest()
+      : prims_(fullPrimitiveTable()),
+        tierOff_(fullPrimitiveTable({.enabled = false})) {}
   vm::PrimitiveTable prims_;
+  vm::PrimitiveTable tierOff_;  ///< the same palette, native tier off
 };
 
 TEST_F(AsyncBlocksTest, LaunchComputeJoinOverlapsWork) {
@@ -216,10 +219,9 @@ TEST_F(AsyncBlocksTest, TerminatingTheOwnerCancelsItsFutures) {
   config.stallMicros = 2000;
   fault::ScopedFault armed(config);
 
-  ThreadManager tm(&BlockRegistry::standard(), &prims_);
   // Tier off: a ring made hot by an earlier test in this process would be
   // drained inline by the grain model, and the stall would never fire.
-  tm.setNativeTier(false);
+  ThreadManager tm(&BlockRegistry::standard(), &tierOff_);
   auto env = Environment::make();
   env->declare("f", Value());
   tm.spawnScript(
@@ -360,8 +362,8 @@ TEST_F(AsyncBlocksTest, DeadlineWhileParkedFailsWithOwnAttribution) {
   config.stallMicros = 20000;
   fault::ScopedFault armed(config);
 
-  ThreadManager tm(&BlockRegistry::standard(), &prims_);
-  tm.setNativeTier(false);  // as above: keep the map on the stalled pool
+  // Tier off, as above: keep the map on the stalled pool.
+  ThreadManager tm(&BlockRegistry::standard(), &tierOff_);
   tm.setDefaultCancelToken(CancelToken::withDeadline(0.001));
   auto handle = tm.spawnExpression(
       awaitValue(launchParallelMap(ring(product(empty(), 2)),

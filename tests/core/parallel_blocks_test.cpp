@@ -292,7 +292,7 @@ struct Outcome {
 
 class ChaosBlocks : public ::testing::Test {
  protected:
-  ChaosBlocks() : prims_(fullPrimitiveTable()) {}
+  ChaosBlocks() : prims_(fullPrimitiveTable({.enabled = false})) {}
 
   /// Run `script` as one process with the native tier off, under a
   /// local stats scope, with the variables `f` and `r` declared.
@@ -300,7 +300,6 @@ class ChaosBlocks : public ::testing::Test {
     workers::SubstrateStats stats;
     workers::StatsScope scope(stats);
     ThreadManager tm(&BlockRegistry::standard(), &prims_);
-    tm.setNativeTier(false);
     auto env = Environment::make();
     env->declare("f", Value());
     env->declare("r", Value());

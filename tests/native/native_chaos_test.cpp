@@ -33,7 +33,6 @@ using native::KernelState;
 using native::RingKernel;
 using native::TierConfig;
 using native::TierManager;
-using native::TierScope;
 
 RingPtr makeRing(blocks::BlockPtr reify, EnvPtr env = nullptr) {
   static vm::PrimitiveTable prims = vm::PrimitiveTable::standard();
@@ -55,8 +54,7 @@ TEST(NativeChaos, InjectedCompileFailureDowngradesPermanently) {
   TierConfig cfg;
   cfg.hotThreshold = 2;
   cfg.synchronousCompile = true;
-  TierScope scope(cfg);
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, cfg);
 
   fault::Config chaos;
   chaos.pointMask = fault::maskOf(fault::Point::NativeCompileFailure);
@@ -91,8 +89,7 @@ TEST(NativeChaos, PoolRefusalRetriesThenDowngrades) {
   cfg.hotThreshold = 2;
   cfg.maxCompileAttempts = 3;
   cfg.synchronousCompile = false;
-  TierScope scope(cfg);
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, cfg);
 
   fault::Config chaos;
   chaos.pointMask = fault::maskOf(fault::Point::PoolSaturation);
@@ -125,8 +122,7 @@ TEST(NativeChaos, AsyncInstallRacesLiveDispatch) {
   TierConfig cfg;
   cfg.hotThreshold = 64;
   cfg.synchronousCompile = false;
-  TierScope scope(cfg);
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, cfg);
 
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Unary);
@@ -153,8 +149,7 @@ TEST(NativeChaos, InstallRacesFaultRiddenParallelMap) {
   TierConfig cfg;
   cfg.hotThreshold = 500;
   cfg.synchronousCompile = false;
-  TierScope scope(cfg);
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, cfg);
 
   fault::Config chaos;
   chaos.seed = 404;
@@ -223,8 +218,7 @@ TEST(NativeChaos, TenantFreedWhileItsCompileIsOnThePoolChargesTheRoot) {
     auto tenant = std::make_unique<workers::SubstrateStats>();
     tenant->setParent(&root);
     workers::StatsScope statsScope(*tenant);
-    TierScope scope(cfg);
-    TieredUnary tiered = tieredUnary(ring);
+    TieredUnary tiered = tieredUnary(ring, cfg);
     EXPECT_EQ(tiered.fn(Value(1.0)).asNumber(), 8168.0);
     EXPECT_EQ(tiered.fn(Value(2.0)).asNumber(), 8175.0);
   }

@@ -55,7 +55,6 @@ using native::KernelState;
 using native::RingKernel;
 using native::TierConfig;
 using native::TierManager;
-using native::TierScope;
 
 /// Evaluate a reifyReporter block into a RingPtr via the interpreter (so
 /// lexical capture happens exactly as in a real script).
@@ -96,8 +95,7 @@ TEST(NativeTier, GoldenFig11MapRingByteIdentical) {
   RingPtr ring = makeRing(build::ring(In(1.0)));
   PureFn reference = compileRing(ring);
 
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
   const Value inputs[] = {Value(7.0), Value("the"), Value("quick"),
                           Value(true)};
   for (int round = 0; round < 4; ++round) {
@@ -121,8 +119,7 @@ TEST(NativeTier, GoldenFig11ReduceRingByteIdentical) {
   RingPtr ring = makeRing(build::ring(lengthOf(empty())));
   PureFn reference = compileRing(ring);
 
-  TierScope scope(syncConfig(1));
-  auto reduce = tieredListReduce(ring);
+  auto reduce = tieredListReduce(ring, syncConfig(1));
   const std::vector<std::vector<double>> lists = {
       {1, 1, 1}, {1}, {}, {1, 1, 1, 1, 1, 1, 1}};
   for (int round = 0; round < 3; ++round) {
@@ -145,8 +142,7 @@ TEST(NativeTier, SumFoldReducerByteIdentical) {
       build::ring(combineUsing(empty(), build::ring(sum(empty(), empty())))));
   PureFn reference = compileRing(ring);
 
-  TierScope scope(syncConfig(1));
-  auto reduce = tieredListReduce(ring);
+  auto reduce = tieredListReduce(ring, syncConfig(1));
   Rng rng{2026};
   for (int trial = 0; trial < 12; ++trial) {
     std::vector<Value> items;
@@ -168,8 +164,7 @@ TEST(NativeTier, SumFoldReducerByteIdentical) {
 TEST(NativeTier, PromotionWalksColdReadyTrusted) {
   if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
   RingPtr ring = makeRing(build::ring(sum(product(empty(), 3.0), 19.0)));
-  TierScope scope(syncConfig(3));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(3));
 
   EXPECT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Cold);
   EXPECT_EQ(tiered.fn(Value(1.0)).asNumber(), 22.0);
@@ -191,8 +186,7 @@ TEST(NativeTier, TextInputFallsBackButStaysTrusted) {
   // to the same double but must display as text, so it always takes the
   // interpreter — with no downgrade (the kernel is still good).
   RingPtr ring = makeRing(build::ring(product(empty(), 23.0)));
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
   for (int i = 0; i < 4; ++i) tiered.fn(Value(double(i)));
   ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
 
@@ -208,8 +202,7 @@ TEST(NativeTier, ErrorInputsRaiseTheInterpreterError) {
   // typed error — in every tier state.
   RingPtr ring = makeRing(
       build::ring(quotient(10.0, difference(empty(), 5.0))));
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
 
   std::string coldMessage;
   try {
@@ -237,8 +230,7 @@ TEST(NativeTier, ErringCallDuringValidationPromotes) {
   // that is agreement, and the kernel still promotes.
   RingPtr ring = makeRing(
       build::ring(quotient(42.0, difference(empty(), 6.0))));
-  TierScope scope(syncConfig(1));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(1));
   tiered.fn(Value(1.0));  // crosses threshold, installs
   ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Ready);
   EXPECT_THROW(tiered.fn(Value(6.0)), Error);
@@ -253,8 +245,7 @@ TEST(NativeTier, UnsupportedRingDowngradesPermanentlyWithAccounting) {
   workers::SubstrateStats local;
   workers::StatsScope statsScope(local);
   RingPtr ring = makeRing(build::ring(join({In(empty()), In("-golden!")})));
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
 
   EXPECT_EQ(tiered.fn(Value("snap")).asText(), "snap-golden!");
   EXPECT_EQ(tiered.fn(Value("snap")).asText(), "snap-golden!");
@@ -272,8 +263,7 @@ TEST(NativeTier, DisabledTierNeverCompiles) {
   RingPtr ring = makeRing(build::ring(sum(empty(), 7717.0)));
   TierConfig off = syncConfig(1);
   off.enabled = false;
-  TierScope scope(off);
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, off);
   EXPECT_FALSE(tiered.batch);  // no batch path when the tier is off
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(tiered.fn(Value(double(i))).asNumber(), i + 7717.0);
@@ -322,8 +312,7 @@ TEST(NativeTier, BatchServesWholeChunksAllOrNothing) {
   if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
   RingPtr ring = makeRing(build::ring(sum(product(empty(), 2.0), 0.125)));
   PureFn reference = compileRing(ring);
-  TierScope scope(syncConfig(4));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(4));
   ASSERT_TRUE(tiered.batch);
 
   std::vector<Value> chunk;
@@ -351,8 +340,7 @@ TEST(NativeTier, BatchServesWholeChunksAllOrNothing) {
 TEST(NativeTier, BatchDeclinesUnmarshalableChunksUntouched) {
   if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
   RingPtr ring = makeRing(build::ring(difference(empty(), 0.25)));
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
   for (int i = 0; i < 4; ++i) tiered.fn(Value(double(i)));
   ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
 
@@ -369,8 +357,7 @@ TEST(NativeTier, BatchDeclinesUnmarshalableChunksUntouched) {
 TEST(NativeTier, BatchDeclinesChunksWithErrorElements) {
   if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
   RingPtr ring = makeRing(build::ring(quotient(64.0, empty())));
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
   for (int i = 1; i < 5; ++i) tiered.fn(Value(double(i)));
   ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
 
@@ -389,8 +376,7 @@ TEST(NativeTier, LargeChunkWithAnErringElementRaisesTheInterpreterError) {
   // per-item loop raises the interpreter's exact error for that element.
   RingPtr ring = makeRing(build::ring(quotient(96.0, difference(empty(), 3.0))));
   PureFn reference = compileRing(ring);
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
   for (int i = 4; i < 8; ++i) tiered.fn(Value(double(i)));
   ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
 
@@ -430,8 +416,7 @@ TEST(NativeTier, ColdBatchDeclineCountsEachInterpretedCallOnce) {
   RingPtr ring = makeRing(build::ring(sum(product(empty(), 4.0), 6007.0)));
   TierConfig cfg;
   cfg.hotThreshold = uint64_t(1) << 40;
-  TierScope scope(cfg);
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, cfg);
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Unary);
   std::vector<Value> items;
@@ -455,8 +440,7 @@ TEST(NativeTier, NumericEntryServesNumbersAllOrNothing) {
   if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
   RingPtr ring = makeRing(build::ring(sum(product(empty(), 0.75), 1021.0)));
   PureFn reference = compileRing(ring);
-  TierScope scope(syncConfig(4));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(4));
   ASSERT_TRUE(tiered.numeric);
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Unary);
@@ -491,8 +475,7 @@ TEST(NativeTier, NumericEntryDeclinesPredicateKernels) {
   // A predicate's results box as booleans, so they have no column: the
   // numeric entry declines and the batch entry serves.
   RingPtr ring = makeRing(build::ring(lessThan(empty(), 4093.0)));
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
   for (int i = 0; i < 4; ++i) tiered.fn(Value(double(i)));
   ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted);
   std::vector<Value> chunk = {Value(1.0), Value(5000.0)};
@@ -509,8 +492,7 @@ TEST(NativeTier, NumericReduceFoldsOnlyForATrustedKernel) {
   RingPtr ring = makeRing(build::ring(
       sum(combineUsing(empty(), build::ring(sum(empty(), empty()))), 313.0)));
   PureFn reference = compileRing(ring);
-  TierScope scope(syncConfig(1));
-  TieredReduce reduce = tieredReduce(ring);
+  TieredReduce reduce = tieredReduce(ring, syncConfig(1));
   ASSERT_TRUE(reduce.numeric);
   // Three runs over one flat array: [1.5, 2], [], [-4, 0.25, 8].
   const double values[] = {1.5, 2, -4, 0.25, 8};
@@ -550,25 +532,18 @@ bool sameTree(const Value& a, const Value& b) {
   return a.kind() == b.kind() && a.display() == b.display();
 }
 
-/// A scheduler whose sessions run the tier under `cfg` (the scheduler
-/// copies the process default when it is built).
+/// A scheduler whose palette runs the tier under `cfg`.
 struct TierSession {
   explicit TierSession(const TierConfig& cfg)
-      : prims(core::fullPrimitiveTable()) {
-    TierConfig& global = native::globalTierConfig();
-    const TierConfig saved = global;
-    global = cfg;
-    tm = std::make_unique<sched::ThreadManager>(&BlockRegistry::standard(),
-                                                &prims);
-    global = saved;
-  }
+      : prims(core::fullPrimitiveTable(cfg)),
+        tm(&BlockRegistry::standard(), &prims) {}
 
   Value run(const blocks::BlockPtr& program) {
-    return tm->evaluate(program, Environment::make());
+    return tm.evaluate(program, Environment::make());
   }
 
   vm::PrimitiveTable prims;
-  std::unique_ptr<sched::ThreadManager> tm;
+  sched::ThreadManager tm;
 };
 
 TEST(NativeTierMapReduce, ColumnMatchesTheTierOffOutputThroughPromotion) {
@@ -594,7 +569,7 @@ TEST(NativeTierMapReduce, ColumnMatchesTheTierOffOutputThroughPromotion) {
   const Value expected = TierSession(off).run(program());
   ASSERT_EQ(expected.asList()->length(), 41u);
 
-  // The scheduler's config never heats a ring by itself; the test moves
+  // The palette's config never heats a ring by itself; the test moves
   // each kernel between jobs.
   TierConfig cold;
   cold.hotThreshold = uint64_t(1) << 40;
@@ -610,11 +585,8 @@ TEST(NativeTierMapReduce, ColumnMatchesTheTierOffOutputThroughPromotion) {
 
   // Job 2: both installed but unproven. The map column validates each
   // slice against the interpreter; Ready reduces validate per run.
-  {
-    TierScope heat(syncConfig(1));
-    tieredUnary(mapRing).fn(Value(1.0));
-    tieredReduce(reduceRing).fn(List::make({Value(1.0)}));
-  }
+  tieredUnary(mapRing, syncConfig(1)).fn(Value(1.0));
+  tieredReduce(reduceRing, syncConfig(1)).fn(List::make({Value(1.0)}));
   ASSERT_EQ(stateOf(mapRing, KernelShape::Unary), KernelState::Ready);
   ASSERT_EQ(stateOf(reduceRing, KernelShape::Fold), KernelState::Ready);
   EXPECT_TRUE(sameTree(session.run(program()), expected)) << "Ready";
@@ -652,8 +624,7 @@ TEST(NativeTierMapReduce, PredicateMapStaysOnTheBatchPath) {
   TierSession session(cold);
   RingPtr mapRing = makeRing(mapBody());
   {
-    TierScope heat(syncConfig(1));
-    TieredUnary tiered = tieredUnary(mapRing);
+    TieredUnary tiered = tieredUnary(mapRing, syncConfig(1));
     tiered.fn(Value(1.0));
     tiered.fn(Value(2.0));
   }
@@ -676,8 +647,7 @@ TEST(NativeTier, CapturedVariablesBakeIntoTheKernel) {
   auto env = Environment::make();
   env->declare("offset", Value(4071.0));
   RingPtr ring = makeRing(build::ring(sum(getVar("offset"), empty())), env);
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Unary);
   for (int i = 0; i < 4; ++i) {
@@ -704,8 +674,7 @@ TEST(NativeTier, MutationBeforeCompileIsCaughtByTheValidationGate) {
   auto env = Environment::make();
   env->declare("offset", Value(6133.0));
   RingPtr ring = makeRing(build::ring(sum(getVar("offset"), empty())), env);
-  TierScope scope(syncConfig(2));
-  TieredUnary tiered = tieredUnary(ring);
+  TieredUnary tiered = tieredUnary(ring, syncConfig(2));
   RingKernel* kernel =
       TierManager::instance().lookup(*ring, KernelShape::Unary);
   env->set("offset", Value(0.0));  // between build and hot
@@ -725,9 +694,8 @@ TEST(NativeTier, DifferentCaptureSnapshotsGetDifferentKernels) {
   envB->declare("k", Value(2027.0));
   RingPtr ringA = makeRing(build::ring(product(getVar("k"), empty())), envA);
   RingPtr ringB = makeRing(build::ring(product(getVar("k"), empty())), envB);
-  TierScope scope(syncConfig(1));
-  TieredUnary a = tieredUnary(ringA);
-  TieredUnary b = tieredUnary(ringB);
+  TieredUnary a = tieredUnary(ringA, syncConfig(1));
+  TieredUnary b = tieredUnary(ringB, syncConfig(1));
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(a.fn(Value(2.0)).asNumber(), 2018.0);
     EXPECT_EQ(b.fn(Value(2.0)).asNumber(), 4054.0);
@@ -781,7 +749,7 @@ TEST(NativeTier, ErrCallsMatchTheApplyPureContract) {
   // class and message, and none may cost the kernel its Trusted state.
   // The formal name is unique to this test, so every ring gets a fresh
   // dispatch record.
-  TierScope scope(syncConfig(1));
+  const TierConfig cfg = syncConfig(1);
   const double boundaries[] = {0.0, -0.0, -1.0,
                                std::numeric_limits<double>::denorm_min(),
                                std::numeric_limits<double>::quiet_NaN()};
@@ -807,7 +775,7 @@ TEST(NativeTier, ErrCallsMatchTheApplyPureContract) {
   };
   for (const Case& c : cases) {
     RingPtr ring = makeRing(build::ring(c.body, {"contract"}));
-    TieredUnary tiered = tieredUnary(ring);
+    TieredUnary tiered = tieredUnary(ring, cfg);
     for (double x : {2.0, 3.0, 4.0}) tiered.fn(Value(x));
     ASSERT_EQ(stateOf(ring, KernelShape::Unary), KernelState::Trusted)
         << c.helper;
@@ -833,7 +801,7 @@ TEST(NativeTier, ErrCallsMatchTheApplyPureContract) {
   RingPtr ring = makeRing(build::ring(
       itemOf(itemOf(1.0, getVar("contractList")), getVar("contractList")),
       {"contractList"}));
-  auto reduce = tieredListReduce(ring);
+  auto reduce = tieredListReduce(ring, cfg);
   auto numbers = [](std::vector<double> items) {
     return List::make(std::vector<Value>(items.begin(), items.end()));
   };
@@ -863,14 +831,14 @@ class NativeTierProperty : public ::testing::TestWithParam<int> {};
 TEST_P(NativeTierProperty, RandomRingsAreByteIdenticalAcrossTiers) {
   if (!Toolchain::compilerAvailable()) GTEST_SKIP() << "no gcc";
   Rng rng{uint64_t(GetParam()) * 6361};
-  TierScope scope(syncConfig(1));
+  const TierConfig cfg = syncConfig(1);
   const double inputs[] = {-7.0, -1.0, -0.5, 0.0, 1.0, 3.0, 12.5};
   constexpr int kRings = 6;
   for (int r = 0; r < kRings; ++r) {
     auto expr = testgen::randomArithmetic(rng, 3);
     RingPtr ring = makeRing(build::ring(In(expr)));
     PureFn reference = compileRing(ring);
-    TieredUnary tiered = tieredUnary(ring);
+    TieredUnary tiered = tieredUnary(ring, cfg);
     // Every call — interpreted while Cold, dual-run while Ready, native
     // once Trusted — must produce the same bits as the reference.
     for (int round = 0; round < 3; ++round) {

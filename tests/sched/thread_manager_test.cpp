@@ -6,6 +6,7 @@
 
 #include "blocks/builder.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace psnap::sched {
 namespace {
@@ -294,6 +295,46 @@ TEST_F(SchedTest, ErrorLogCapsAtSixtyFourAndDrains) {
   ASSERT_EQ(tm.recordedErrors().size(), 1u);
   EXPECT_EQ(tm.recordedErrors()[0].errorClass, ErrorClass::Index);
   EXPECT_EQ(tm.drainErrors().entries.size(), 1u);
+}
+
+// `pick random` draws from its manager's own stream, seeded 0x5eed: a
+// manager's numbers do not depend on what another manager on the same
+// thread drew before or between its frames.
+TEST_F(SchedTest, EachManagerDrawsItsOwnRandomStream) {
+  constexpr int kDraws = 6;
+  struct Drawer {
+    explicit Drawer(const vm::PrimitiveTable& prims)
+        : tm(&BlockRegistry::standard(), &prims), env(Environment::make()) {
+      env->declare("draws", Value(blocks::List::make()));
+      tm.spawnScript(
+          scriptOf({repeat(kDraws, scriptOf({addToList(
+                                       pickRandom(1, 1000000),
+                                       getVar("draws"))}))}),
+          env);
+    }
+    std::string draws() const { return env->get("draws").display(); }
+    ThreadManager tm;
+    blocks::EnvPtr env;
+  };
+
+  Rng reference(0x5eedULL);
+  auto expected = blocks::List::make();
+  for (int i = 0; i < kDraws; ++i) {
+    expected->add(Value(double(reference.between(1, 1000000))));
+  }
+
+  Drawer alone(prims_);
+  alone.tm.runUntilIdle();
+  EXPECT_EQ(alone.draws(), Value(expected).display());
+
+  Drawer a(prims_);
+  Drawer b(prims_);
+  while (!a.tm.idle() || !b.tm.idle()) {
+    a.tm.runFrame();
+    b.tm.runFrame();
+  }
+  EXPECT_EQ(a.draws(), alone.draws());
+  EXPECT_EQ(b.draws(), alone.draws());
 }
 
 }  // namespace

@@ -336,8 +336,7 @@ TEST(SessionServer, ParkCostsAtMostOneFrame) {
     native::TierConfig sync;
     sync.hotThreshold = 1;
     sync.synchronousCompile = true;
-    native::TierScope scope(sync);
-    const core::TieredUnary tiered = core::tieredUnary(celsius);
+    const core::TieredUnary tiered = core::tieredUnary(celsius, sync);
     for (int call = 0; call < 4; ++call) tiered.fn(blocks::Value(50.0));
   }
   ASSERT_EQ(native::TierManager::instance()

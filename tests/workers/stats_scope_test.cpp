@@ -103,73 +103,5 @@ TEST(StatsScope, ParallelTimeoutChargesTheConstructingScope) {
   EXPECT_GE(tenant.timeouts.load(), 1u);
 }
 
-// ---- generation-stamped leases (the checkpoint/recycle race fix) -------
-//
-// An async recording site (the native tier's fire-and-forget compile)
-// can outlive its tenant: by the time the pooled task records its
-// downgrade, the session may have been finalized and its slot recycled.
-// AsyncStatsHandle must charge the tenant only while its lease is
-// current, and fall back to the root ledger afterwards — never a freed
-// scope, never the *next* tenant occupying the same address.
-
-TEST(StatsLease, ChargesWhileLeasedThenFallsBackToRoot) {
-  SubstrateStats tenant;
-  registerStatsScope(tenant);
-  AsyncStatsHandle handle;
-  {
-    StatsScope scope(tenant);
-    handle = AsyncStatsHandle::capture();
-  }
-  EXPECT_TRUE(handle.scoped());
-  handle.bump(&SubstrateStats::nativeDowngrades);
-  EXPECT_EQ(tenant.nativeDowngrades.load(), 1u);
-
-  const auto rootBefore = processSubstrateStats().nativeDowngrades.load();
-  retireStatsScope(tenant);
-  // The session is gone; a late async completion must not touch it.
-  handle.bump(&SubstrateStats::nativeDowngrades);
-  EXPECT_EQ(tenant.nativeDowngrades.load(), 1u);
-  EXPECT_EQ(processSubstrateStats().nativeDowngrades.load(), rootBefore + 1);
-}
-
-TEST(StatsLease, RecycledAddressDoesNotInheritTheOldLease) {
-  // The PR-8 regression: tenant A's scope is retired and the *same
-  // address* is re-registered for tenant B (a recycled session slot). A
-  // handle captured under A's lease must not charge B.
-  SubstrateStats slot;
-  registerStatsScope(slot);
-  AsyncStatsHandle stale;
-  {
-    StatsScope scope(slot);
-    stale = AsyncStatsHandle::capture();
-  }
-  retireStatsScope(slot);
-  registerStatsScope(slot);  // tenant B moves in; fresh generation
-  const auto rootBefore = processSubstrateStats().nativeDowngrades.load();
-  stale.bump(&SubstrateStats::nativeDowngrades);
-  EXPECT_EQ(slot.nativeDowngrades.load(), 0u);
-  EXPECT_EQ(processSubstrateStats().nativeDowngrades.load(), rootBefore + 1);
-  retireStatsScope(slot);
-}
-
-TEST(StatsLease, UnleasedScopeCapturesAsRootHandle) {
-  SubstrateStats unleased;
-  StatsScope scope(unleased);
-  const AsyncStatsHandle handle = AsyncStatsHandle::capture();
-  // No liveness guarantee without a lease: the handle degrades to root.
-  EXPECT_FALSE(handle.scoped());
-  const auto rootBefore = processSubstrateStats().retries.load();
-  handle.bump(&SubstrateStats::retries);
-  EXPECT_EQ(unleased.retries.load(), 0u);
-  EXPECT_EQ(processSubstrateStats().retries.load(), rootBefore + 1);
-}
-
-TEST(StatsLease, DirectHandleChargesWithoutARegistryLease) {
-  SubstrateStats scope;
-  const AsyncStatsHandle handle = AsyncStatsHandle::direct(scope);
-  handle.bump(&SubstrateStats::downgrades);
-  EXPECT_EQ(scope.downgrades.load(), 1u);
-}
-
 }  // namespace
 }  // namespace psnap::workers
