@@ -6,6 +6,7 @@
 //
 //   * BM_Vm*ById   — Process::runSlice with the default id dispatch
 //   * BM_PureEval* — compileRing'd bodies through the pure evaluator
+//   * BM_SequentialHof — map / combine calls, interpreted vs compiled
 //
 // Counters are blocks/sec (items_per_second), the number the EXPERIMENTS
 // table records. The workloads are warped tight loops so the scheduler
@@ -139,6 +140,38 @@ void BM_PureEvalList(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kNodesPerPureListCall);
 }
 BENCHMARK(BM_PureEvalList);
+
+// -------------------------------------------------------------------------
+// Sequential HOFs: one `map (_ * 2) over items` or `combine items using
+// (_ + _)` per iteration, as a whole process, under the interpreted
+// reference palette (compiled:0, one VM ring call per item) and the full
+// palette (compiled:1, the whole list in one handler step through
+// core::runHof). Time per iteration is the cost of one call.
+// -------------------------------------------------------------------------
+
+void BM_SequentialHof(benchmark::State& state) {
+  const bool combine = state.range(0) == 1;
+  static const vm::PrimitiveTable reference = vm::PrimitiveTable::standard();
+  const vm::PrimitiveTable& table = state.range(1) == 1 ? prims() : reference;
+  const int64_t n = state.range(2);
+  auto items = blocks::List::make();
+  for (int64_t i = 1; i <= n; ++i) items->add(Value(double(i)));
+  blocks::EnvPtr env = Environment::make();
+  env->declare("items", Value(items));
+  const blocks::BlockPtr call =
+      combine ? combineUsing(getVar("items"), ring(sum(empty(), empty())))
+              : mapOver(ring(product(empty(), 2)), getVar("items"));
+  vm::NullHost host;
+  for (auto _ : state) {
+    vm::Process proc(&blocks::BlockRegistry::standard(), &table, &host);
+    proc.startExpression(call, env);
+    benchmark::DoNotOptimize(proc.runToCompletion());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SequentialHof)
+    ->ArgNames({"combine", "compiled", "n"})
+    ->ArgsProduct({{0, 1}, {0, 1}, {1, 4, 16, 120, 10000}});
 
 }  // namespace
 

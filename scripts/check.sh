@@ -68,6 +68,22 @@
 #   entries against the same block with the tier off. The native suites
 #   skip themselves when no C compiler is on PATH.
 #
+#   The sequential HOF differential (*HofDifferential*: map, keep and
+#   combine under the interpreted reference palette against the full
+#   palette's compiled handlers; result bytes, error class and message,
+#   frames run) runs in the first test_properties pass.
+#
+# Usage: scripts/check.sh --order
+#   Builds the release preset and runs every test binary once per shuffle
+#   seed (7 and 19) with --gtest_shuffle --gtest_repeat=2: no test may
+#   lean on state an earlier test in the same process left behind, in
+#   any order, twice over. Two binaries are not yet in the leg, and it
+#   names them when it skips them: test_native and test_serve still fail
+#   it on the native tier's process-wide promotion state (call counts and
+#   Cold/Ready/Trusted/Downgraded per ring, which one test makes hot for
+#   the next). Splitting that state per owner (ROADMAP item 1) is the
+#   change that must bring them in.
+#
 # Usage: scripts/check.sh --persist
 #   Builds the asan preset and runs the persistence suites (test_persist:
 #   snapshot round-trips, mmap aliasing, the property sweep, and the
@@ -214,7 +230,7 @@ if [ "${1:-}" = "--differential" ]; then
   echo "== differential: asan, VM vs worker vs shuffle reference =="
   # Same leak-accounting stance as the asan ctest preset (see header).
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_properties" \
-    --gtest_filter='*OpcodeParity*:*DispatchParity*:*ShuffleDifferential*:*TextSplitDifferential*'
+    --gtest_filter='*OpcodeParity*:*DispatchParity*:*HofDifferential*:*ShuffleDifferential*:*TextSplitDifferential*'
   echo "== differential: asan, corpus generator pins and weighted picks =="
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_data" \
     --gtest_filter='Corpus.*'
@@ -224,6 +240,29 @@ if [ "${1:-}" = "--differential" ]; then
   ASAN_OPTIONS=detect_leaks=0 "build-asan/tests/test_native" \
     --gtest_filter='*NativeTierProperty*:*ErrCallsMatchTheApplyPureContract:*NativeTierMapReduce*'
   echo "== differential sweep green under asan =="
+  exit 0
+fi
+
+if [ "${1:-}" = "--order" ]; then
+  cmake --preset release
+  cmake --build --preset release -j "${jobs}"
+  # Not yet in the leg: process-wide native-tier state (see header).
+  pending=" test_native test_serve "
+  for bin in build-release/tests/test_*; do
+    [ -x "${bin}" ] || continue
+    name=$(basename "${bin}")
+    if [[ "${pending}" == *" ${name} "* ]]; then
+      echo "== order: ${name} not yet in the leg (process-wide tier state) =="
+      continue
+    fi
+    for seed in 7 19; do
+      echo "== order: ${name}, shuffle seed ${seed}, twice =="
+      "${bin}" --gtest_shuffle --gtest_random_seed="${seed}" \
+        --gtest_repeat=2 --gtest_brief=1
+    done
+  done
+  echo "== order leg green: every binary but${pending}shuffled at seeds" \
+    "7 and 19, twice each =="
   exit 0
 fi
 

@@ -4,6 +4,26 @@
 
 namespace psnap::blocks {
 
+const Value& implicitArgument(const std::vector<Value>& args,
+                              size_t ordinal) {
+  if (args.empty()) {
+    throw Error("empty slot evaluated with no implicit arguments");
+  }
+  // Exactly one argument fills every blank; otherwise blanks map
+  // positionally.
+  if (args.size() == 1) return args[0];
+  if (ordinal >= args.size()) {
+    throw Error("empty slot ordinal " + std::to_string(ordinal) +
+                " exceeds implicit argument count " +
+                std::to_string(args.size()));
+  }
+  return args[ordinal];
+}
+
+void throwUndeclaredVariable(const std::string& name) {
+  throw Error("a variable of name '" + name + "' does not exist");
+}
+
 Environment::Slot* Environment::findLocal(const std::string& name) {
   if (locals_.size() <= kSmallFrame) {
     for (Slot& slot : locals_) {
@@ -45,7 +65,7 @@ const Value& Environment::get(const std::string& name) const {
     if (const Slot* slot = frame->findLocal(name)) return slot->value;
     frame = frame->parent_.get();
   }
-  throw Error("a variable of name '" + name + "' does not exist");
+  throwUndeclaredVariable(name);
 }
 
 void Environment::set(const std::string& name, Value value) {
@@ -77,19 +97,7 @@ const Value& Environment::implicitArg(size_t ordinal) const {
   const Environment* frame = this;
   while (frame) {
     if (frame->implicitArgs_.has_value()) {
-      const auto& args = *frame->implicitArgs_;
-      if (args.empty()) {
-        throw Error("empty slot evaluated with no implicit arguments");
-      }
-      // Exactly one argument fills every blank; otherwise blanks map
-      // positionally.
-      if (args.size() == 1) return args[0];
-      if (ordinal >= args.size()) {
-        throw Error("empty slot ordinal " + std::to_string(ordinal) +
-                    " exceeds implicit argument count " +
-                    std::to_string(args.size()));
-      }
-      return args[ordinal];
+      return implicitArgument(*frame->implicitArgs_, ordinal);
     }
     frame = frame->parent_.get();
   }

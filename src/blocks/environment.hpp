@@ -16,6 +16,17 @@
 
 namespace psnap::blocks {
 
+/// The argument an empty slot of a ring reads: `args[ordinal]`, or the
+/// one argument when there is exactly one (Snap! fills every blank with
+/// it). Throws Error when `args` is empty or too short. The interpreter
+/// (Environment::implicitArg) and the worker evaluator both resolve
+/// blanks here, so they raise one text.
+const Value& implicitArgument(const std::vector<Value>& args, size_t ordinal);
+
+/// The error for reading a name no frame declares, raised alike by the
+/// interpreter and the worker evaluator.
+[[noreturn]] void throwUndeclaredVariable(const std::string& name);
+
 class Environment {
  public:
   explicit Environment(EnvPtr parent = nullptr) : parent_(std::move(parent)) {}

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "blocks/future.hpp"
+#include "core/pure_eval.hpp"
 #include "core/tiering.hpp"
 #include "mapreduce/engine.hpp"
 #include "support/error.hpp"
@@ -377,6 +379,36 @@ void parallelForEachHandler(const vm::Handler& forEach, Process& p,
   p.finishCommand();
 }
 
+// ---------------------------------------------------------------------------
+// Sequential map / keep / combine, compiled: the whole list in one step.
+// ---------------------------------------------------------------------------
+
+/// Wrap the standard per-item handler of `hof`: on entry, a pure reporter
+/// ring that runHof accepts maps, filters or folds the whole list in this
+/// one interpreter step; anything else — runHof's refusals, and inputs of
+/// the wrong type, whose errors the standard handler raises — runs
+/// `interpreted` unchanged.
+vm::Handler compiledHof(Hof hof, vm::Handler interpreted) {
+  const size_t ringSlot = hof == Hof::Combine ? 1 : 0;
+  return [hof, ringSlot, interpreted = std::move(interpreted)](Process& p,
+                                                             Context& c) {
+    if (c.phase == 0) {
+      const Value& ring = c.inputs[ringSlot];
+      const Value& list = c.inputs[1 - ringSlot];
+      if (ring.isRing() && list.isList()) {
+        std::optional<Value> result =
+            runHof(hof, ring.asRing(), list.asList(), p.cancelToken().get(),
+                   p.registry());
+        if (result) {
+          p.returnValue(std::move(*result));
+          return;
+        }
+      }
+    }
+    interpreted(p, c);
+  };
+}
+
 }  // namespace
 
 void registerParallelPrimitives(vm::PrimitiveTable& table,
@@ -404,6 +436,11 @@ void registerParallelPrimitives(vm::PrimitiveTable& table,
 
 vm::PrimitiveTable fullPrimitiveTable(const native::TierConfig& cfg) {
   vm::PrimitiveTable table = vm::PrimitiveTable::standard();
+  for (const auto& [opcode, hof] :
+       {std::pair{"reportMap", Hof::Map}, std::pair{"reportKeep", Hof::Keep},
+        std::pair{"reportCombine", Hof::Combine}}) {
+    table.replace(opcode, compiledHof(hof, *table.find(opcode)));
+  }
   registerParallelPrimitives(table, cfg);
   return table;
 }

@@ -49,6 +49,10 @@ void registerParallelPrimitives(
 
 /// A PrimitiveTable with both the standard palette and the parallel
 /// blocks under `cfg` — the table a full psnap environment runs with.
+/// Its sequential map, keep and combine run a pure reporter ring over the
+/// whole list in one interpreter step (core::runHof), falling back to the
+/// standard per-item handlers for any other ring; the native tier stays
+/// out of them. PrimitiveTable::standard() is the interpreted reference.
 vm::PrimitiveTable fullPrimitiveTable(
     const native::TierConfig& cfg = native::defaultTierConfig());
 

@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "blocks/block.hpp"
 #include "blocks/environment.hpp"
 #include "blocks/registry.hpp"
+#include "support/cancel.hpp"
 
 namespace psnap::core {
 
@@ -49,6 +51,27 @@ std::function<blocks::Value(const blocks::Value&)> compileUnary(
     const blocks::RingPtr& ring,
     const blocks::BlockRegistry& registry =
         blocks::BlockRegistry::standard());
+
+/// The list HOFs a sequential handler can run whole in one call.
+enum class Hof { Map, Keep, Combine };
+
+/// Run the sequential `hof` (map, keep or combine) of `ring` over `list`
+/// in one call on this thread, with the evaluator compileRing ships to
+/// workers and the same loop its nested map, keep and combine run. Unlike
+/// a worker it reads the names the ring captures from the ring's live
+/// environment, so values keep their identity, as on the VM. Checks
+/// `token` (when set) every few thousand items and throws its typed
+/// error once tripped.
+///
+/// Returns nullopt, having run nothing, when this evaluator would not run
+/// the ring exactly as the VM does: a command ring, a block that is not
+/// pure, a name neither a formal nor declared in the ring's captured
+/// environment, a blank inside a ring with formals, or a ring slot that
+/// is not a literal ring. The caller then runs its interpreted loop.
+std::optional<blocks::Value> runHof(Hof hof, const blocks::RingPtr& ring,
+                                    const blocks::ListPtr& list,
+                                    const CancelToken* token,
+                                    const blocks::BlockRegistry& registry);
 
 /// Check purity without compiling: returns the offending opcode or an
 /// empty string when the ring body is fully pure.

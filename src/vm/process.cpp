@@ -32,6 +32,14 @@ void PrimitiveTable::add(const std::string& opcode, Handler handler) {
   byId_[opId] = std::move(handler);
 }
 
+void PrimitiveTable::replace(const std::string& opcode, Handler handler) {
+  const blocks::OpcodeId opId = blocks::lookupOpcode(opcode);
+  if (!findById(opId)) {
+    throw BlockError("no handler to replace for opcode " + opcode);
+  }
+  byId_[opId] = std::move(handler);
+}
+
 const Handler* PrimitiveTable::find(const std::string& opcode) const {
   return findById(blocks::lookupOpcode(opcode));
 }

@@ -98,6 +98,9 @@ using Handler = std::function<void(Process&, Context&)>;
 class PrimitiveTable {
  public:
   void add(const std::string& opcode, Handler handler);
+  /// Swap the handler of an opcode that already has one (a palette
+  /// extension wrapping a standard handler). Throws BlockError if none.
+  void replace(const std::string& opcode, Handler handler);
   const Handler* find(const std::string& opcode) const;
 
   /// Handler lookup by interned id (an empty slot means no handler).

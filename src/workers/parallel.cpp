@@ -110,12 +110,22 @@ void Parallel::map(MapFn fn, MapBatchFn batch) {
       // logical workers keep their zero itemsPerWorker slot.
       const size_t taskCount =
           std::min(workers_, (n + chunk - 1) / chunk);
+      // Guided claims: a claim takes half of a fair share of what is
+      // left, never fewer than `chunk` items, so the per-claim work (the
+      // cursor, the retry frame, the fault draw, the batch attempt, the
+      // count) is paid O(tasks · log n) times instead of once per chunk,
+      // and the shrinking tail still balances skewed item costs.
+      const size_t divisor = 2 * std::max<size_t>(taskCount, 1);
       launch(
-          [this, fn, n, chunk](size_t w) {
-            while (keepGoing()) {
-              size_t begin = cursor_.fetch_add(chunk);
-              if (begin >= n) break;
-              mapRange(fn, begin, std::min(begin + chunk, n), w);
+          [this, fn, n, chunk, divisor](size_t w) {
+            size_t begin = cursor_.load();
+            while (keepGoing() && begin < n) {
+              const size_t end =
+                  std::min(n, begin + std::max(chunk, (n - begin) / divisor));
+              if (cursor_.compare_exchange_weak(begin, end)) {
+                mapRange(fn, begin, end, w);
+                begin = cursor_.load();
+              }
             }
           },
           taskCount);

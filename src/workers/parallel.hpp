@@ -142,7 +142,7 @@ using MapBatchFn = std::function<bool(blocks::Value*, size_t count)>;
 
 /// How list elements are assigned to workers (ablation A2 in DESIGN.md).
 enum class Distribution {
-  Dynamic,     ///< self-scheduling: workers pull the next index (default)
+  Dynamic,     ///< self-scheduling: workers claim guided chunks (default)
   Contiguous,  ///< static contiguous chunks of ceil(n/w)
   BlockCyclic, ///< static round-robin by chunkSize
 };
@@ -151,7 +151,9 @@ struct ParallelOptions {
   /// Number of logical workers; 0 uses kDefaultWorkers.
   size_t maxWorkers = 0;
   Distribution distribution = Distribution::Dynamic;
-  /// Chunk granularity for Dynamic and BlockCyclic (0 normalizes to 1).
+  /// Chunk granularity for BlockCyclic, and the smallest claim under
+  /// Dynamic, whose claims shrink from remaining / (2 · tasks) down to
+  /// this floor (0 normalizes to 1).
   size_t chunkSize = 1;
   /// Retries per chunk on SubstrateError (0 disables). Only the
   /// substrate class retries; user-script errors are deterministic.

@@ -135,6 +135,12 @@ bool WorkerPool::tryRunOne(size_t self) {
       }
     }
     queued_.fetch_sub(1, std::memory_order_relaxed);
+    // Chaos hook: the worker goes unresponsive (sleep, never throw) while
+    // it holds the job it just claimed — the cooperative model's stand-in
+    // for a stalled Web Worker. Drawn here, not at the top of the loop,
+    // so each claimed job pays the stall armed when it was claimed and a
+    // worker idle across a test boundary carries none into the next test.
+    fault::inject(fault::Point::WorkerStall);
     job();
     slots_[self]->executed.fetch_add(1, std::memory_order_relaxed);
     completed_.fetch_add(1, std::memory_order_relaxed);
@@ -145,9 +151,6 @@ bool WorkerPool::tryRunOne(size_t self) {
 
 void WorkerPool::workerMain(size_t index) {
   while (true) {
-    // Chaos hook: a worker may go unresponsive here (sleep, never throw)
-    // — the cooperative model's stand-in for a stalled Web Worker.
-    fault::inject(fault::Point::WorkerStall);
     // Drain before honouring stop: pending jobs always run.
     if (tryRunOne(index)) continue;
     if (stop_.load(std::memory_order_relaxed)) break;

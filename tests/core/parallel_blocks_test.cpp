@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "blocks/builder.hpp"
 #include "blocks/future.hpp"
 #include "sched/thread_manager.hpp"
+#include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "workers/stats.hpp"
@@ -249,6 +253,75 @@ TEST_F(ParallelBlocksTest, MaxWorkersReflectsSchedulerSetting) {
   tm.setMaxWorkers(7);
   Value v = tm.evaluate(maxWorkers(), Environment::make());
   EXPECT_EQ(v.asNumber(), 7);
+}
+
+// --- compiled sequential HOFs ------------------------------------------------
+//
+// A pure ring's map, keep or combine runs the whole list inside one
+// interpreter step, so the process's own slice-entry checks cannot see a
+// trip while it runs: the loop checks the token itself. Each item folds
+// numbers 1..20, a few microseconds, so the 100,000-item list runs far
+// longer than the trip takes to land.
+
+/// The variable `items`: 1..100000. Built before a test makes its token,
+/// so the trip cannot land before the process starts.
+EnvPtr hundredThousandItems() {
+  blocks::ListPtr items = blocks::List::make();
+  for (int i = 1; i <= 100000; ++i) items->add(Value(i));
+  auto env = Environment::make();
+  env->declare("items", Value(items));
+  return env;
+}
+
+/// Run `hof` over `env` as one process whose token trips (by `trip`)
+/// after it has started, and give it one slice: the whole HOF is that
+/// slice's one long handler step.
+void runTripped(vm::Process& p, blocks::BlockPtr hof, const EnvPtr& env,
+                const CancelTokenPtr& token,
+                const std::function<void()>& trip) {
+  p.setCancelToken(token);
+  p.startExpression(std::move(hof), env);
+  std::thread tripper(trip);
+  p.runSlice();
+  tripper.join();
+}
+
+/// sum of 1..20, folded by a nested combine.
+blocks::BlockPtr slowSum() {
+  return combineUsing(numbersFromTo(1, 20), ring(sum(empty(), empty())));
+}
+
+TEST_F(ParallelBlocksTest, CompiledHofsFailWithTheDeadlinesReason) {
+  for (const blocks::BlockPtr& hof :
+       {mapOver(ring(sum(empty(), slowSum())), getVar("items")),
+        keepFrom(ring(greaterThan(empty(), slowSum())), getVar("items")),
+        combineUsing(getVar("items"), ring(sum(empty(), slowSum())))}) {
+    vm::NullHost host;
+    vm::Process p(&BlockRegistry::standard(), &prims_, &host);
+    const EnvPtr env = hundredThousandItems();
+    const CancelTokenPtr token = CancelToken::withDeadline(0.002);
+    runTripped(p, hof, env, token, [] {});
+    ASSERT_TRUE(p.errored()) << hof->opcode();
+    EXPECT_EQ(p.errorClass(), ErrorClass::Timeout) << hof->opcode();
+    EXPECT_NE(p.error().find("deadline exceeded"), std::string::npos)
+        << p.error();
+  }
+}
+
+TEST_F(ParallelBlocksTest, CompiledMapFailsWithTheCancellationsReason) {
+  vm::NullHost host;
+  vm::Process p(&BlockRegistry::standard(), &prims_, &host);
+  const CancelTokenPtr token = CancelToken::create();
+  runTripped(p, mapOver(ring(sum(empty(), slowSum())), getVar("items")),
+             hundredThousandItems(),
+             token, [token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    token->cancel("stopped by the teacher");
+  });
+  ASSERT_TRUE(p.errored());
+  EXPECT_EQ(p.errorClass(), ErrorClass::Cancelled);
+  EXPECT_NE(p.error().find("stopped by the teacher"), std::string::npos)
+      << p.error();
 }
 
 // --- degrade and error contract ---------------------------------------------

@@ -86,7 +86,9 @@ class OpcodeParity : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(OpcodeParity, InterpreterAndPureEvaluatorAgree) {
   Sample sample = samples()[GetParam()];
-  static vm::PrimitiveTable prims = fullPrimitiveTable();
+  // The interpreted reference palette: fullPrimitiveTable() would run
+  // the map, keep and combine samples on the pure evaluator too.
+  static vm::PrimitiveTable prims = vm::PrimitiveTable::standard();
 
   // Note: inner rings capture their own blanks, so pass a blank-free
   // argument set — the sample's outermost blanks positionally.
@@ -136,7 +138,7 @@ class OpcodeParityErrors : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(OpcodeParityErrors, InterpreterAndPureEvaluatorRaiseAlike) {
   Sample sample = errorSamples()[GetParam()];
-  static vm::PrimitiveTable prims = fullPrimitiveTable();
+  static vm::PrimitiveTable prims = vm::PrimitiveTable::standard();
   vm::NullHost host;
   vm::Process ringMaker(&BlockRegistry::standard(), &prims, &host);
   ringMaker.startExpression(ring(In(sample.expr)), Environment::make());

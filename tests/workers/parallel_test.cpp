@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <thread>
 
@@ -65,6 +67,43 @@ TEST(Parallel, MoreElementsThanWorkersAllProcessed) {
   auto per = p.itemsPerWorker();
   EXPECT_EQ(std::accumulate(per.begin(), per.end(), uint64_t{0}),
             uint64_t{kN});
+}
+
+/// Run a Dynamic map of `n` items at `chunk`, recording the size of every
+/// claim the batch entry is offered (it declines, so the per-item loop
+/// maps each claim).
+std::vector<size_t> dynamicClaims(int n, size_t workers, size_t chunk) {
+  std::mutex mutex;
+  std::vector<size_t> claims;
+  Parallel p(numbers(n), {.maxWorkers = workers, .chunkSize = chunk});
+  p.map([](const Value& v) { return Value(v.asNumber() + 1); },
+        [&](Value*, size_t count) {
+          std::lock_guard<std::mutex> lock(mutex);
+          claims.push_back(count);
+          return false;
+        });
+  const auto& data = p.data();
+  EXPECT_EQ(data.size(), size_t(n));
+  for (int i = 0; i < n; ++i) EXPECT_EQ(data[size_t(i)].asNumber(), i + 2);
+  return claims;
+}
+
+TEST(Parallel, DynamicClaimsAreGuided) {
+  // Each claim takes remaining / (2 * tasks), so 10,000 items on four
+  // tasks need about 8 * ln(1250) + 8 claims, not 10,000. The first claim
+  // (whichever task makes it) is 10,000 / 8.
+  const std::vector<size_t> claims = dynamicClaims(10000, 4, 1);
+  EXPECT_EQ(std::accumulate(claims.begin(), claims.end(), size_t{0}), 10000u);
+  EXPECT_LE(claims.size(), 100u);
+  EXPECT_EQ(*std::max_element(claims.begin(), claims.end()), 1250u);
+}
+
+TEST(Parallel, DynamicClaimsNeverGoBelowTheChunkSize) {
+  // 100 items at chunk 64: a fair-share claim (12) is below the floor, so
+  // the claims are 64 and the 36 left.
+  std::vector<size_t> claims = dynamicClaims(100, 4, 64);
+  std::sort(claims.begin(), claims.end());
+  EXPECT_EQ(claims, (std::vector<size_t>{36, 64}));
 }
 
 TEST(Parallel, ContiguousDistributionCoversAll) {
