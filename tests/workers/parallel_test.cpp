@@ -99,8 +99,8 @@ TEST(Parallel, DynamicClaimsAreGuided) {
 }
 
 TEST(Parallel, DynamicClaimsNeverGoBelowTheChunkSize) {
-  // 100 items at chunk 64: a fair-share claim (12) is below the floor, so
-  // the claims are 64 and the 36 left.
+  // 100 items at chunk 64 make two tasks, whose guided share (100 / 4 =
+  // 25) is below the floor, so the claims are 64 and the 36 left.
   std::vector<size_t> claims = dynamicClaims(100, 4, 64);
   std::sort(claims.begin(), claims.end());
   EXPECT_EQ(claims, (std::vector<size_t>{36, 64}));
